@@ -1,6 +1,6 @@
 """Fair subset selection under noisy protected attributes."""
 
-from .core import (ConstraintSet, InfeasibleError, Instance, Item, Selection,
+from .core import (ConstraintSet, InfeasibleError, Instance, Selection,
                    UnsupportedError, ValidationResult, ViolationReport,
                    constraints_from_alpha, load_instance, make_constraints,
                    save_instance, validate_instance, violation_report)
@@ -14,7 +14,7 @@ from .selectors import (AlgorithmConfig, blind, ceil_round, dependent_round,
 
 __all__ = [
     "AlgorithmConfig", "BfsSolution", "ConstraintSet", "InfeasibleError",
-    "Instance", "Item", "LinearProgram", "MetricsReport", "Selection",
+    "Instance", "LinearProgram", "MetricsReport", "Selection",
     "SolveStatus", "UnsupportedError", "ValidationResult", "ViolationReport",
     "blind", "build_denoised_lp", "ceil_round", "compute_report",
     "constraints_from_alpha", "count_fractional", "denoised_bfs",

@@ -19,13 +19,12 @@ import sys
 import numpy as np
 
 from . import selectors
-from .core import (InfeasibleError, Instance, Selection, constraints_from_alpha,
-                   load_instance, make_constraints, save_instance, validate_instance,
-                   violation_report)
-from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
-                      estimate_q_by_utility_bins, gen_disparate_error,
-                      gen_disparate_utility, inject_flip_noise)
-from .experiment import load_config, run_experiment, write_per_trial, write_results
+from .core import (InfeasibleError, Instance, Selection, UnsupportedError,
+                   constraints_from_alpha, load_instance, make_constraints, save_instance,
+                   target_vector, validate_instance, violation_report)
+from .datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
+from .experiment import (build_instance, load_config, run_experiment, write_per_trial,
+                         write_results)
 from .metrics import compute_report
 from .seeding import seed_sequence
 
@@ -50,14 +49,15 @@ def _build_parser() -> _Parser:
     gen.add_argument("--kind", choices=["disparate-error", "disparate-utility"], required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0,
+                     help="root of the seed tree the instance is drawn from, as in a sweep trial")
     gen.add_argument("--tau", type=float, default=0.0, help="label flip probability")
     gen.add_argument("--bins", type=int, default=20, help="utility bins for the probability estimate")
     gen.add_argument("--out", required=True)
 
     sel = sub.add_parser("select", help="run one algorithm on an instance file")
     sel.add_argument("--instance", required=True)
-    sel.add_argument("--algorithm", choices=list(selectors_by_name()), required=True)
+    sel.add_argument("--algorithm", choices=list(selectors.ALGORITHMS), required=True)
     sel.add_argument("--alpha", type=float, default=0.0)
     sel.add_argument("--delta", type=float, default=0.0)
     sel.add_argument("--target", choices=["equal", "proportional"], default="equal")
@@ -83,19 +83,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def selectors_by_name():
-    return ("Blind", "FairExpec", "FairExpecGrp", "Thrsh", "MultObj")
-
-
-def _target_vector(name: str, inst: Instance) -> np.ndarray:
-    p = inst.p[0]
-    if name == "equal":
-        return np.full(p, 1.0 / p)
-    if inst.true_attrs is None:
-        raise ValueError("a proportional target needs true attributes in the instance file")
-    return np.bincount(inst.true_attrs[:, 0], minlength=p) / inst.m
-
-
 def _load_checked_instance(path) -> Instance:
     inst = load_instance(path)
     check = validate_instance(inst)
@@ -105,21 +92,9 @@ def _load_checked_instance(path) -> Instance:
 
 
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        kind=KIND_DISPARATE_ERROR if args.kind == "disparate-error" else KIND_DISPARATE_UTILITY,
-        m=args.m, n=args.n, seed=args.seed, tau=args.tau, bins=args.bins)
-    if spec.kind == KIND_DISPARATE_ERROR:
-        inst = gen_disparate_error(spec)
-    else:
-        train_spec = GeneratorSpec(kind=spec.kind, m=args.m, n=args.n,
-                                   seed=seed_sequence(args.seed, 1))
-        inst = gen_disparate_utility(spec)
-        if args.tau > 0:
-            inst = inject_flip_noise(inst, args.tau, seed_sequence(args.seed, 2))
-        else:
-            inst = inst.with_noisy_attrs(inst.true_attrs.copy())
-        q = estimate_q_by_utility_bins(inst, args.bins, train=gen_disparate_utility(train_spec))
-        inst = inst.with_noise((q,))
+    kind = KIND_DISPARATE_ERROR if args.kind == "disparate-error" else KIND_DISPARATE_UTILITY
+    spec = GeneratorSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
+    inst = build_instance(spec, args.tau, args.bins)
     save_instance(inst, args.out)
     print(json.dumps({"written": args.out, "m": inst.m, "n": inst.n, "p": list(inst.p)}))
     return EXIT_OK
@@ -129,55 +104,38 @@ def cmd_select(args) -> int:
     inst = _load_checked_instance(args.instance)
     if inst.noise is None:
         raise ValueError("instance file carries no probability rows")
-    t = _target_vector(args.target, inst)
+    if inst.s != 1:
+        raise ValueError(f"select handles one protected attribute; the instance has s={inst.s}")
+    t = target_vector(inst, proportional=args.target == "proportional")
     if args.lower is not None or args.upper is not None:
         if args.lower is None or args.upper is None:
             raise ValueError("--lower and --upper must be given together")
         lower = np.array([float(v) for v in args.lower.split(",")])
         upper = np.array([float(v) for v in args.upper.split(",")])
+        if len(lower) != inst.p[0] or len(upper) != inst.p[0]:
+            raise ValueError(f"--lower and --upper need one bound per group (p={inst.p[0]})")
         cs = make_constraints([lower], [upper], delta=args.delta, n=inst.n)
     else:
         cs = constraints_from_alpha(inst.n, t, args.alpha, delta=args.delta)
 
-    try:
-        if args.algorithm == "Blind":
-            sel = selectors.blind(inst)
-        elif args.algorithm == "FairExpec":
-            sel = selectors.fair_expec(inst, cs)
-        elif args.algorithm == "FairExpecGrp":
-            sel = selectors.fair_expec_grp(inst, cs)
-        elif args.algorithm == "Thrsh":
-            sel = selectors.thrsh(inst, cs, seed=seed_sequence(args.seed, 0))
-        else:  # MultObj
-            acfg = selectors.AlgorithmConfig(target=tuple(t), lambda_=args.lambda_,
-                                             delta=args.delta, seed=args.seed,
-                                             fw_iters=args.fw_iters)
-            frac = selectors.mult_obj(inst, acfg)
-            sel = selectors.dependent_round(frac, inst.n, seed_sequence(args.seed, 1),
-                                            inst.utilities)
-    except InfeasibleError as exc:
-        print(json.dumps({"status": "infeasible", "detail": str(exc)}))
-        return EXIT_INFEASIBLE
-
-    expected = violation_report(sel, inst, cs, attrs="expected")
+    qprime_key = selectors.ALGORITHMS[args.algorithm].qprime_key
+    problem = selectors.Problem(inst, cs, t, qprime_seed=seed_sequence(args.seed, qprime_key),
+                                lambda_=args.lambda_, fw_iters=args.fw_iters)
+    sel = selectors.run_algorithm(args.algorithm, problem, seed_sequence(args.seed, 1))
     payload = {
         "status": "ok",
         "algorithm": args.algorithm,
         "indices": [int(i) + 1 for i in sel.indices],
         "utility": sel.total_utility,
         "cardinality": sel.cardinality,
-        "expected_violations": {
-            "per_group": [list(map(float, v)) for v in expected.fairness],
-            "cardinality_excess": expected.cardinality_excess,
-            "max_violation": expected.max_violation,
-        },
     }
-    if inst.true_attrs is not None:
-        true = violation_report(sel, inst, cs, attrs="true")
-        payload["true_violations"] = {
-            "per_group": [list(map(float, v)) for v in true.fairness],
-            "cardinality_excess": true.cardinality_excess,
-            "max_violation": true.max_violation,
+    modes = ("expected",) if inst.true_attrs is None else ("expected", "true")
+    for attrs in modes:
+        report = violation_report(sel, inst, cs, attrs=attrs)
+        payload[f"{attrs}_violations"] = {
+            "per_group": [list(map(float, v)) for v in report.fairness],
+            "cardinality_excess": report.cardinality_excess,
+            "max_violation": report.max_violation,
         }
     print(json.dumps(payload))
     return EXIT_OK
@@ -191,7 +149,7 @@ def cmd_metrics(args) -> int:
     mask = np.zeros(inst.m, dtype=int)
     mask[indices] = 1
     sel = Selection.from_mask(mask, inst.utilities)
-    t = _target_vector(args.target, inst)
+    t = target_vector(inst, proportional=args.target == "proportional")
     blind_sel = selectors.blind(inst)
     report = compute_report(inst, sel, t, blind_sel.total_utility, with_ndcg=args.ndcg)
     payload = {
@@ -225,7 +183,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(json.dumps({"status": "infeasible", "detail": str(exc)}))
         return EXIT_INFEASIBLE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

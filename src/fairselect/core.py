@@ -34,17 +34,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Item:
-    """One selectable item: utility plus per-attribute noise rows."""
-
-    utility: float
-    noise: Optional[tuple]  # one probability vector per attribute, or None
-    true_attrs: Optional[tuple] = None
-    noisy_attrs: Optional[tuple] = None
-    features: Optional[tuple] = None
-
-
-@dataclass(frozen=True, eq=False)
 class Instance:
     """m items with utilities, noise rows, and optional attribute columns.
 
@@ -83,38 +72,6 @@ class Instance:
                 object.__setattr__(self, name, _readonly(np.asarray(val, dtype=int)))
         if self.features is not None:
             object.__setattr__(self, "features", _readonly(np.asarray(self.features, dtype=float)))
-
-    @classmethod
-    def from_items(cls, items: Sequence[Item], n: int, p: Sequence[int]) -> "Instance":
-        m, s = len(items), len(p)
-        utilities = np.array([it.utility for it in items], dtype=float)
-        noise = None
-        if all(it.noise is not None for it in items) and m > 0:
-            noise = tuple(np.array([it.noise[k] for it in items], dtype=float) for k in range(s))
-        true_attrs = None
-        if all(it.true_attrs is not None for it in items) and m > 0:
-            true_attrs = np.array([it.true_attrs for it in items], dtype=int)
-        noisy_attrs = None
-        if all(it.noisy_attrs is not None for it in items) and m > 0:
-            noisy_attrs = np.array([it.noisy_attrs for it in items], dtype=int)
-        features = None
-        if all(it.features is not None for it in items) and m > 0:
-            features = np.array([it.features for it in items], dtype=float)
-        return cls(m=m, n=int(n), s=s, p=tuple(p), utilities=utilities, noise=noise,
-                   true_attrs=true_attrs, noisy_attrs=noisy_attrs, features=features)
-
-    @property
-    def items(self) -> tuple:
-        out = []
-        for i in range(self.m):
-            out.append(Item(
-                utility=float(self.utilities[i]),
-                noise=None if self.noise is None else tuple(self.noise[k][i].copy() for k in range(self.s)),
-                true_attrs=None if self.true_attrs is None else tuple(int(v) for v in self.true_attrs[i]),
-                noisy_attrs=None if self.noisy_attrs is None else tuple(int(v) for v in self.noisy_attrs[i]),
-                features=None if self.features is None else tuple(float(v) for v in self.features[i]),
-            ))
-        return tuple(out)
 
     def noise_matrix(self, k: int = 0) -> np.ndarray:
         if self.noise is None:
@@ -155,6 +112,9 @@ def validate_instance(inst: Instance) -> ValidationResult:
             bad.append(f"attribute {k} has p={pk} < 1")
     if inst.utilities.shape != (inst.m,):
         bad.append(f"utilities shape {inst.utilities.shape} != ({inst.m},)")
+    elif not np.all(np.isfinite(inst.utilities)):
+        idx = int(np.argmin(np.isfinite(inst.utilities)))
+        bad.append(f"non-finite utility at item {idx}")
     elif np.any(inst.utilities < 0):
         idx = int(np.argmax(inst.utilities < 0))
         bad.append(f"negative utility at item {idx}")
@@ -165,6 +125,10 @@ def validate_instance(inst: Instance) -> ValidationResult:
             for k, q in enumerate(inst.noise):
                 if q.shape != (inst.m, inst.p[k]):
                     bad.append(f"noise block {k} shape {q.shape} != ({inst.m}, {inst.p[k]})")
+                    continue
+                if not np.all(np.isfinite(q)):
+                    i = int(np.argmin(np.isfinite(q).all(axis=1)))
+                    bad.append(f"non-finite noise entry (item {i}, attribute {k})")
                     continue
                 sums = q.sum(axis=1)
                 off = np.abs(sums - 1.0) > ROW_SUM_TOL
@@ -202,13 +166,12 @@ class ConstraintSet:
         for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             if lo.shape != hi.shape:
                 raise ValueError(f"bound shapes differ for attribute {k}")
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise ValueError(f"non-finite bound for attribute {k}")
             if np.any(lo > hi + 1e-12):
                 raise ValueError(f"lower bound exceeds upper bound for attribute {k}")
             if np.any(lo < 0) or np.any(hi < 0):
                 raise ValueError(f"negative bound for attribute {k}")
-
-    def with_delta(self, delta: float) -> "ConstraintSet":
-        return replace(self, delta=delta)
 
 
 def make_constraints(lower, upper, delta: float, n: int) -> ConstraintSet:
@@ -232,6 +195,17 @@ def constraints_from_alpha(n: int, t, alpha: float, delta: float = 0.0) -> Const
     upper = n * (1.0 - alpha) + n * alpha * t
     lower = np.zeros_like(upper)
     return make_constraints([lower], [upper], delta=delta, n=n)
+
+
+def target_vector(inst: Instance, proportional: bool) -> np.ndarray:
+    """Target shares over the groups of attribute 0: equal, or the shares
+    of the true groups in the instance."""
+    p = inst.p[0]
+    if not proportional:
+        return np.full(p, 1.0 / p)
+    if inst.true_attrs is None:
+        raise ValueError("a proportional target needs true attributes in the instance file")
+    return np.bincount(inst.true_attrs[:, 0], minlength=p) / inst.m
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +232,6 @@ class Selection:
     @property
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.chosen)
-
-
-def group_counts(mask: np.ndarray, attrs: np.ndarray, p: int) -> np.ndarray:
-    """|S ∩ G_l| for each group value l of one attribute column."""
-    mask = np.asarray(mask) != 0
-    return np.bincount(np.asarray(attrs, dtype=int)[mask], minlength=p).astype(float)
 
 
 @dataclass(frozen=True, eq=False)

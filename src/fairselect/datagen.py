@@ -51,7 +51,6 @@ DISPARATE_UTILITY_DEFAULTS = {
     "utility_means": {(0, 0): 0.6, (0, 1): 1.6, (1, 0): 1.6, (1, 1): 2.6},
     "feature_weight": 0.4,
     "utility_std": 0.4,
-    "bins": 20,
 }
 
 
@@ -63,15 +62,11 @@ class GeneratorSpec:
     m: int
     n: int
     seed: object = 0  # int or SeedSequence
-    tau: float = 0.0
-    bins: int = 20
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not 0.0 <= self.tau <= 0.5:
-            raise ValueError("tau must be in [0, 0.5]")
         if self.m < 1 or self.n < 1 or self.n > self.m:
             raise ValueError("need 1 <= n <= m")
 
@@ -82,18 +77,20 @@ class GeneratorSpec:
         return base
 
     def to_dict(self) -> dict:
-        params = {}
-        for key, val in self.params.items():
-            if key == "utility_means":
-                params[key] = {f"{z},{a}": v for (z, a), v in val.items()}
-            else:
-                params[key] = val
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("only an integer generator seed can be written out")
+        params = dict(self.params)
+        if "utility_means" in params:
+            params["utility_means"] = {
+                f"{z},{a}": v for (z, a), v in params["utility_means"].items()}
         return {"kind": self.kind, "m": self.m, "n": self.n,
-                "seed": self.seed if isinstance(self.seed, int) else None,
-                "tau": self.tau, "bins": self.bins, "params": params}
+                "seed": int(self.seed), "params": params}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
+        """Inverse of to_dict; legacy ``tau``/``bins`` keys are ignored."""
+        if data.get("seed", 0) is None:
+            raise ValueError("the generator seed must be an integer, not null")
         params = dict(data.get("params", {}))
         if "utility_means" in params:
             params["utility_means"] = {
@@ -101,8 +98,7 @@ class GeneratorSpec:
                 for key, val in params["utility_means"].items()
             }
         return cls(kind=data["kind"], m=int(data["m"]), n=int(data["n"]),
-                   seed=int(data.get("seed", 0) or 0), tau=float(data.get("tau", 0.0)),
-                   bins=int(data.get("bins", 20)), params=params)
+                   seed=int(data.get("seed", 0)), params=params)
 
 
 def truncated_normal(rng: np.random.Generator, mean, std, size: int) -> np.ndarray:
@@ -228,10 +224,6 @@ def estimate_q_by_utility_bins(inst: Instance, b: int, train: Optional[Instance]
         freq[j] = np.bincount(labels[members], minlength=p) / members.sum()
     which = np.searchsorted(edges, inst.utilities, side="right")
     return freq[which]
-
-
-def attach_utility_bin_noise(inst: Instance, b: int, train: Optional[Instance] = None) -> Instance:
-    return inst.with_noise((estimate_q_by_utility_bins(inst, b, train=train),))
 
 
 def calibrate_scores_by_bins(scores, labels, b: int, num_groups: Optional[int] = None) -> np.ndarray:

@@ -17,21 +17,21 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import selectors
-from .core import (InfeasibleError, Instance, constraints_from_alpha,
+from .core import (InfeasibleError, Instance, constraints_from_alpha, target_vector,
                    violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
 from .seeding import seed_sequence
 
-ALGORITHMS = ("Blind", "FairExpec", "FairExpecGrp", "Thrsh", "MultObj")
 SWEEP_KINDS = ("alpha_grid", "lambda_grid", "tau_grid", "n_grid")
 TARGET_EQUAL = "EqualRepresentation"
 TARGET_PROPORTIONAL = "Proportional"
@@ -64,7 +64,7 @@ class ExperimentConfig:
             raise ValueError("the sweep grid must be nonempty")
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        bad = [a for a in self.algorithms if a not in ALGORITHMS]
+        bad = [a for a in self.algorithms if a not in selectors.ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
         if self.target not in (TARGET_EQUAL, TARGET_PROPORTIONAL):
@@ -141,45 +141,36 @@ class ResultTable:
 
 
 def _grid_settings(cfg: ExperimentConfig, value: float):
-    """Resolve the knobs for one grid point."""
-    alpha, lam, tau, n = cfg.alpha, cfg.lambda_, cfg.tau, cfg.n
-    if cfg.sweep_kind == "alpha_grid":
-        alpha = value
-    elif cfg.sweep_kind == "lambda_grid":
-        lam = value
-    elif cfg.sweep_kind == "tau_grid":
-        tau = value
-    else:
-        n = int(value)
-    return alpha, lam, tau, n
+    """Resolve (alpha, lambda, tau, n) for one grid point."""
+    knobs = dict(zip(SWEEP_KINDS, (cfg.alpha, cfg.lambda_, cfg.tau, cfg.n)))
+    knobs[cfg.sweep_kind] = int(value) if cfg.sweep_kind == "n_grid" else value
+    return tuple(knobs.values())
 
 
-def _make_trial_instance(cfg: ExperimentConfig, tau: float, n: int, ss) -> Instance:
-    gen = cfg.generator
-    if gen.kind == KIND_DISPARATE_ERROR:
-        spec = GeneratorSpec(kind=gen.kind, m=cfg.m, n=n,
-                             seed=seed_sequence(ss, 0), params=gen.params)
-        return gen_disparate_error(spec)
-    spec_train = GeneratorSpec(kind=gen.kind, m=cfg.m, n=n,
-                               seed=seed_sequence(ss, 0), params=gen.params)
-    spec_eval = GeneratorSpec(kind=gen.kind, m=cfg.m, n=n,
-                              seed=seed_sequence(ss, 1), params=gen.params)
-    train = gen_disparate_utility(spec_train)
-    inst = gen_disparate_utility(spec_eval)
+def build_instance(spec: GeneratorSpec, tau: float, bins: int) -> Instance:
+    """The instance drawn from substreams of ``spec.seed``.
+
+    Disparate-error instances come from substream 0. Disparate-utility
+    instances are drawn from substream 1, have their observed labels
+    flipped with probability ``tau`` from substream 2, and get probability
+    rows from ``bins`` utility bins of a training draw from substream 0.
+    """
+    if not 0.0 <= tau <= 0.5:
+        raise ValueError("tau must be in [0, 0.5]")
+
+    def substream(key):
+        return replace(spec, seed=seed_sequence(spec.seed, key))
+
+    if spec.kind == KIND_DISPARATE_ERROR:
+        return gen_disparate_error(substream(0))
+    train = gen_disparate_utility(substream(0))
+    inst = gen_disparate_utility(substream(1))
     if tau > 0:
-        inst = inject_flip_noise(inst, tau, seed_sequence(ss, 2))
+        inst = inject_flip_noise(inst, tau, seed_sequence(spec.seed, 2))
     else:
         inst = inst.with_noisy_attrs(inst.true_attrs.copy())
-    q = estimate_q_by_utility_bins(inst, cfg.bins, train=train)
+    q = estimate_q_by_utility_bins(inst, bins, train=train)
     return inst.with_noise((q,))
-
-
-def _target_vector(cfg: ExperimentConfig, inst: Instance) -> np.ndarray:
-    p = inst.p[0]
-    if cfg.target == TARGET_EQUAL:
-        return np.full(p, 1.0 / p)
-    counts = np.bincount(inst.true_attrs[:, 0], minlength=p)
-    return counts / inst.m
 
 
 def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
@@ -187,39 +178,24 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     {algorithm: {metric: value or None}} with None marking an infeasible run."""
     alpha, lam, tau, n = _grid_settings(cfg, cfg.grid[grid_idx])
     ss = seed_sequence(cfg.seed, grid_idx, trial)
-    inst = _make_trial_instance(cfg, tau, n, ss)
-    t = _target_vector(cfg, inst)
+    inst = build_instance(replace(cfg.generator, m=cfg.m, n=n, seed=ss), tau, cfg.bins)
+    t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
     if np.any(t <= 0):
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
     cs = constraints_from_alpha(n, t, alpha, delta=cfg.delta)
-    blind_sel = selectors.blind(inst)
-    qprime = None
-    if "Thrsh" in cfg.algorithms or "MultObj" in cfg.algorithms:
-        qprime = selectors.impute_bayes(inst.noise_matrix(0), seed=seed_sequence(ss, 3))
+    problem = selectors.Problem(inst, cs, t, qprime_seed=seed_sequence(ss, 3),
+                                lambda_=lam, fw_iters=cfg.fw_iters)
+    blind_utility = problem.blind_selection.total_utility
 
     out = {}
     for a_idx, alg in enumerate(cfg.algorithms):
-        round_seed = seed_sequence(ss, 4, a_idx)
         try:
-            if alg == "Blind":
-                sel = blind_sel
-            elif alg == "FairExpec":
-                frac = selectors.denoised_bfs(inst, cs)
-                sel = selectors.dependent_round(frac.x, n, round_seed, inst.utilities)
-            elif alg == "FairExpecGrp":
-                frac = selectors.denoised_bfs(selectors.group_level_instance(inst), cs)
-                sel = selectors.dependent_round(frac.x, n, round_seed, inst.utilities)
-            elif alg == "Thrsh":
-                sel = selectors.thrsh(inst, cs, qprime=qprime)
-            else:  # MultObj
-                acfg = selectors.AlgorithmConfig(target=tuple(t), alpha=alpha, lambda_=lam,
-                                                 delta=cfg.delta, fw_iters=cfg.fw_iters)
-                frac_x = selectors.mult_obj(inst, acfg, qprime=qprime)
-                sel = selectors.dependent_round(frac_x, n, round_seed, inst.utilities)
+            sel = selectors.run_algorithm(alg, problem, seed_sequence(ss, 4, a_idx),
+                                          rounding=selectors.DEPENDENT)
         except InfeasibleError:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue
-        report = metrics_mod.compute_report(inst, sel, t, blind_sel.total_utility)
+        report = metrics_mod.compute_report(inst, sel, t, blind_utility)
         viol = violation_report(sel, inst, cs, attrs="true")
         out[alg] = {
             "risk_difference": report.risk_difference,
@@ -230,27 +206,22 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     return out
 
 
-def _worker(args) -> dict:
-    cfg_dict, grid_idx, trial = args
-    return run_trial(ExperimentConfig.from_dict(cfg_dict), grid_idx, trial)
-
-
 def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> ResultTable:
     """Full sweep. Output ordering is fixed by (grid index, algorithm,
     metric) regardless of scheduling; infeasible trials are excluded from
     means and counted in an extra ``excluded_trials`` row."""
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
-    tasks = [(cfg.to_dict(), gi, tr)
-             for gi in range(len(cfg.grid)) for tr in range(cfg.trials)]
+    tasks = [(gi, tr) for gi in range(len(cfg.grid)) for tr in range(cfg.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            results = list(pool.map(run_trial, repeat(cfg), *zip(*tasks),
+                                    chunksize=max(1, len(tasks) // (4 * workers))))
     else:
-        results = [run_trial(cfg, gi, tr) for _, gi, tr in tasks]
+        results = [run_trial(cfg, gi, tr) for gi, tr in tasks]
 
     by_point = {}
-    for (_, gi, tr), res in zip(tasks, results):
+    for (gi, tr), res in zip(tasks, results):
         by_point.setdefault(gi, []).append(res)
 
     rows = []

@@ -117,16 +117,6 @@ def count_fractional(x: np.ndarray, tol: float = FRAC_TOL) -> int:
     return int(np.sum((x > tol) & (x < 1.0 - tol)))
 
 
-def format_lp(lp: LinearProgram) -> str:
-    """Fixed plain-text dump (objective line, then 'lo <= coeffs <= hi' rows)."""
-    out = [f"vars {lp.num_vars}"]
-    out.append("max " + " ".join(f"{v:.17g}" for v in lp.objective))
-    for r in range(lp.num_rows):
-        coeffs = " ".join(f"{v:.17g}" for v in lp.rows[r])
-        out.append(f"{lp.row_lower[r]:.17g} <= {coeffs} <= {lp.row_upper[r]:.17g}")
-    return "\n".join(out) + "\n"
-
-
 class _Tableau:
     """Mutable simplex state for one solve. Not shared across threads."""
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence"
-
 
 def seed_sequence(seed, *key: int) -> np.random.SeedSequence:
     """Return the SeedSequence for `seed` refined by an integer key path."""

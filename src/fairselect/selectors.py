@@ -3,11 +3,15 @@
 All algorithms are pure given (instance, constraints, seed); stochastic
 steps (argmax tie-breaking, rounding) draw from substreams derived with
 seeding.make_rng, so runs are reproducible and order-independent.
+``ALGORITHMS`` maps each algorithm's name to its solve step, and
+``run_algorithm`` runs one by name for ``fairselect select`` and sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,16 +22,13 @@ from .seeding import make_rng, seed_sequence
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmConfig:
-    """Knobs shared by the selection algorithms.
+    """Knobs of the multi-objective baseline.
 
-    alpha controls constraint tightness, lambda_ the KL penalty weight of
-    the multi-objective baseline, target the desired group distribution.
+    lambda_ is the KL penalty weight, target the desired group distribution.
     """
 
     target: tuple
-    alpha: float = 0.0
     lambda_: float = 0.0
-    delta: float = 0.0
     seed: int = 0
     fw_iters: int = 500
     kl_epsilon: float = 1e-6
@@ -37,10 +38,8 @@ class AlgorithmConfig:
         if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
             raise ValueError("target must be a probability vector")
         object.__setattr__(self, "target", tuple(float(v) for v in t))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.lambda_ < 0:
-            raise ValueError("lambda_ must be nonnegative")
+        if not 0.0 <= self.lambda_ < np.inf:
+            raise ValueError("lambda_ must be finite and nonnegative")
         if not 0.0 < self.kl_epsilon <= 1e-3:
             raise ValueError("kl_epsilon must be in (0, 1e-3]")
         if self.fw_iters < 1:
@@ -266,3 +265,72 @@ def dependent_round(x: np.ndarray, n: int, seed, utilities: np.ndarray) -> Selec
     if int(mask.sum()) != n:  # pragma: no cover
         raise RuntimeError("systematic sampling failed to produce n distinct items")
     return Selection.from_mask(mask, utilities)
+
+
+# --- one entry point for every algorithm ------------------------------------
+
+CEIL = "ceil"            # round every fractional coordinate up
+DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
+
+
+@dataclass(eq=False)
+class Problem:
+    """One selection problem. The imputed matrix (drawn from ``qprime_seed``)
+    and the blind selection are computed on first use and then shared."""
+
+    inst: Instance
+    cs: ConstraintSet
+    target: np.ndarray
+    qprime_seed: object
+    lambda_: float
+    fw_iters: int
+
+    @cached_property
+    def qprime(self) -> np.ndarray:
+        return impute_bayes(self.inst.noise_matrix(0), seed=self.qprime_seed)
+
+    @cached_property
+    def blind_selection(self) -> Selection:
+        return blind(self.inst)
+
+
+@dataclass(frozen=True, eq=False)
+class Algorithm:
+    """``solve`` maps a Problem to a Selection or, if the algorithm has a
+    ``rounding`` rule, to a fractional vector. ``qprime_key`` is the spawn
+    key of the imputation seed under the seed of one ``select`` run."""
+
+    solve: Callable
+    rounding: Optional[str] = None
+    qprime_key: int = 0
+
+
+# The steps are lambdas so that each library function is looked up when the
+# step runs; rebinding one (as perfbench/bench_trace.py does) then takes effect.
+ALGORITHMS = {
+    "Blind": Algorithm(lambda pb: pb.blind_selection),
+    "FairExpec": Algorithm(lambda pb: denoised_bfs(pb.inst, pb.cs).x, CEIL),
+    "FairExpecGrp": Algorithm(
+        lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
+    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, qprime=pb.qprime)),
+    "MultObj": Algorithm(
+        lambda pb: mult_obj(pb.inst, AlgorithmConfig(target=tuple(pb.target), lambda_=pb.lambda_,
+                                                     fw_iters=pb.fw_iters), qprime=pb.qprime),
+        DEPENDENT, qprime_key=17),
+}
+
+
+def run_algorithm(name: str, pb: Problem, round_seed,
+                  rounding: Optional[str] = None) -> Selection:
+    """Run algorithm ``name`` on ``pb``; raises InfeasibleError like it.
+
+    A fractional solution is rounded with ``rounding`` (CEIL, or DEPENDENT
+    drawing from ``round_seed``); None keeps the algorithm's own rule.
+    """
+    algo = ALGORITHMS[name]
+    out = algo.solve(pb)
+    if algo.rounding is None:
+        return out
+    if (rounding or algo.rounding) == CEIL:
+        return ceil_round(out, pb.inst.utilities)
+    return dependent_round(out, pb.inst.n, round_seed, pb.inst.utilities)

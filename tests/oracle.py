@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintSet, Instance
-from .seeding import make_rng
+from fairselect.core import ConstraintSet, Instance
+from fairselect.seeding import make_rng
 
 MAX_SUBSETS = 10 ** 6
 

@@ -15,11 +15,11 @@ from fairselect.core import constraints_from_alpha, violation_report
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, gen_disparate_error
 from fairselect.experiment import ExperimentConfig, run_experiment, write_results
 from fairselect.lp import SolveStatus, build_denoised_lp, count_fractional, solve_bfs
-from fairselect.oracle import brute_force_target, concentration_trial, is_denoised_feasible
 from fairselect.selectors import blind, dependent_round, fair_expec, mult_obj, AlgorithmConfig
 from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import anchored_constraints, fact_one_constraints, fact_one_instance, random_instance
+from oracle import brute_force_target, concentration_trial, is_denoised_feasible
 
 
 @contextmanager

@@ -1,11 +1,16 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from fairselect.cli import main
-from fairselect.core import save_instance
+from fairselect.cli import _build_parser, main
+from fairselect.core import Instance, instance_to_dict, load_instance, save_instance
+from fairselect.datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
+from fairselect.experiment import build_instance
+from fairselect.selectors import ALGORITHMS
+from fairselect.seeding import seed_sequence
 
 TINY_LP_CEIL_UTILITY = 6.0  # ceiling-rounded vertex (1, 4/17, 0, 13/17)
 
@@ -117,7 +122,6 @@ def test_gen_disparate_utility_has_noise(tmp_path, capsys):
                            "--m", "200", "--n", "20", "--seed", "1",
                            "--tau", "0.2", "--out", str(out_path))
     assert code == 0
-    from fairselect.core import load_instance
     inst = load_instance(str(out_path))
     assert inst.noise is not None
     assert inst.noisy_attrs is not None
@@ -161,3 +165,109 @@ def test_cli_module_entry(tiny_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["indices"] == [1, 2]
+
+
+def test_gen_seed_is_the_root_of_a_trial_seed_tree(tmp_path, capsys):
+    out_path = tmp_path / "du.json"
+    code, _, _ = run_cli(capsys, "gen", "--kind", "disparate-utility", "--m", "120",
+                         "--n", "12", "--seed", "9", "--tau", "0.1", "--bins", "6",
+                         "--out", str(out_path))
+    assert code == 0
+    spec = GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=120, n=12, seed=seed_sequence(9))
+    expect = tmp_path / "expect.json"
+    save_instance(build_instance(spec, 0.1, 6), expect)
+    assert out_path.read_bytes() == expect.read_bytes()
+
+
+def test_gen_rejects_tau_out_of_range(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "gen", "--kind", "disparate-error", "--m", "10",
+                           "--n", "2", "--tau", "0.7", "--out", str(tmp_path / "x.json"))
+    assert code == 1
+    assert "tau" in err
+
+
+# --- bad input is rejected with exit code 1 ----------------------------------
+
+@pytest.mark.parametrize("field, value", [("w", float("nan")), ("w", float("inf")),
+                                          ("q", float("nan"))])
+def test_select_rejects_non_finite_input(tiny, tmp_path, capsys, field, value):
+    data = instance_to_dict(tiny)
+    if field == "w":
+        data["items"][1]["w"] = value
+    else:
+        data["items"][1]["q"][0][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "select", "--instance", str(path),
+                             "--algorithm", "FairExpec", "--alpha", "1.0")
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("flags", [("--lower", "nan,0", "--upper", "1,1"),
+                                   ("--lower", "0,0", "--upper", "nan,1"),
+                                   ("--lambda", "nan"), ("--lambda", "inf")])
+def test_select_rejects_non_finite_flags(tiny_path, capsys, flags):
+    code, out, err = run_cli(capsys, "select", "--instance", tiny_path,
+                             "--algorithm", "MultObj" if "--lambda" in flags else "FairExpec",
+                             *flags)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.fixture
+def two_attr_path(tmp_path):
+    inst = Instance(m=4, n=2, s=2, p=(2, 2), utilities=[3.0, 2.5, 1.0, 0.5],
+                    noise=([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]],
+                           [[0.5, 0.5], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]]),
+                    true_attrs=[[0, 0], [0, 1], [0, 0], [1, 1]])
+    path = tmp_path / "two_attr.json"
+    save_instance(inst, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_select_rejects_two_attributes(two_attr_path, capsys, algorithm):
+    code, out, err = run_cli(capsys, "select", "--instance", two_attr_path,
+                             "--algorithm", algorithm, "--alpha", "1.0", "--delta", "0.1")
+    assert code == 1
+    assert out == ""
+    assert "one protected attribute" in err
+
+
+def test_metrics_unsupported_shape_exit_code(two_attr_path, capsys):
+    code, out, err = run_cli(capsys, "metrics", "--instance", two_attr_path,
+                             "--indices", "1,2")
+    assert code == 1
+    assert out == ""
+    assert "single-attribute" in err
+
+
+def test_select_rejects_bounds_of_wrong_length(tiny_path, capsys):
+    code, out, err = run_cli(capsys, "select", "--instance", tiny_path,
+                             "--algorithm", "FairExpec", "--lower", "0", "--upper", "1")
+    assert code == 1
+    assert out == ""
+    assert "one bound per group (p=2)" in err
+
+
+# --- the algorithm registry ---------------------------------------------------
+
+def test_select_choices_are_the_registry():
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    select = verbs.choices["select"]
+    choices = next(a for a in select._actions if a.dest == "algorithm").choices
+    assert list(choices) == list(ALGORITHMS)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_select_smoke_every_algorithm(tiny_path, capsys, algorithm):
+    code, out, _ = run_cli(capsys, "select", "--instance", tiny_path, "--algorithm", algorithm,
+                           "--alpha", "0.5", "--delta", "0.1", "--lambda", "1.0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algorithm"] == algorithm
+    assert payload["cardinality"] == len(payload["indices"]) >= 2

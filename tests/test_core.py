@@ -38,6 +38,24 @@ def test_validate_negative_utility():
     assert not validate_instance(inst).ok
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_non_finite_utility(bad):
+    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, bad],
+                    noise=(np.full((2, 2), 0.5),))
+    result = validate_instance(inst)
+    assert not result.ok
+    assert result.violations == ("non-finite utility at item 1",)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_non_finite_noise(bad):
+    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=[1.0, 2.0, 3.0],
+                    noise=([[0.5, 0.5], [0.5, 0.5], [bad, 0.5]],))
+    result = validate_instance(inst)
+    assert not result.ok
+    assert result.violations == ("non-finite noise entry (item 2, attribute 0)",)
+
+
 def test_rows_renormalized_on_ingestion():
     q = np.array([[0.5, 0.5 + 5e-10], [0.3, 0.7]])
     inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, 1.0], noise=(q,))
@@ -162,9 +180,6 @@ def test_instance_json_optional_fields_roundtrip(tmp_path):
     assert loaded.true_attrs is None
 
 
-def test_items_view_roundtrip(tiny):
-    items = tiny.items
-    rebuilt = Instance.from_items(items, n=tiny.n, p=tiny.p)
-    assert np.array_equal(rebuilt.utilities, tiny.utilities)
-    assert np.array_equal(rebuilt.noise[0], tiny.noise[0])
-    assert np.array_equal(rebuilt.true_attrs, tiny.true_attrs)
+def test_package_exports_resolve():
+    import fairselect
+    assert [name for name in fairselect.__all__ if not hasattr(fairselect, name)] == []

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fairselect.core import Instance, UnsupportedError, validate_instance
-from fairselect.datagen import (DISPARATE_UTILITY_DEFAULTS, GeneratorSpec,
-                                KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY,
+from fairselect.datagen import (GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY,
                                 calibrate_scores_by_bins, estimate_q_by_utility_bins,
                                 gen_disparate_error, gen_disparate_utility,
                                 inject_flip_noise, truncated_normal)
@@ -247,15 +246,27 @@ def test_calibration_empty_bins_borrow_nearest(caplog):
     assert np.allclose(q.sum(axis=1), 1.0)
 
 
-def test_default_bin_count_matches_config():
-    assert DISPARATE_UTILITY_DEFAULTS["bins"] == 20
-    assert GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=10, n=2).bins == 20
-
-
 def test_generator_spec_roundtrip():
-    spec = GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=100, n=10, seed=5, tau=0.3,
+    spec = GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=100, n=10, seed=5,
                          params={"utility_means": {(0, 0): 1.0, (0, 1): 2.0,
                                                    (1, 0): 2.0, (1, 1): 3.0}})
     again = GeneratorSpec.from_dict(spec.to_dict())
-    assert again.kind == spec.kind and again.m == spec.m and again.tau == spec.tau
+    assert again.kind == spec.kind and again.m == spec.m and again.seed == spec.seed
     assert again.params == spec.params
+
+
+def test_generator_spec_seed_must_be_an_integer():
+    with pytest.raises(ValueError):
+        GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=10, n=2, seed=seed_sequence(3, 1)).to_dict()
+    data = GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=10, n=2, seed=np.int64(3)).to_dict()
+    assert data["seed"] == 3 and type(data["seed"]) is int
+    assert GeneratorSpec.from_dict(data).seed == 3
+    with pytest.raises(ValueError):
+        GeneratorSpec.from_dict({**data, "seed": None})
+
+
+def test_generator_spec_ignores_legacy_tau_and_bins():
+    spec = GeneratorSpec.from_dict({"kind": KIND_DISPARATE_UTILITY, "m": 10, "n": 2,
+                                    "seed": 1, "tau": 0.3, "bins": 20, "params": {}})
+    assert spec.to_dict() == {"kind": KIND_DISPARATE_UTILITY, "m": 10, "n": 2,
+                              "seed": 1, "params": {}}

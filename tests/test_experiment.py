@@ -194,3 +194,18 @@ def test_csv_six_significant_digits(tmp_path):
     write_results(table, path)
     line = path.read_text().splitlines()[1]
     assert line == "0,Blind,risk_difference,0.123457,0.000123457"
+
+
+def test_config_accepts_exactly_the_registry():
+    from fairselect.selectors import ALGORITHMS
+    assert small_config(algorithms=tuple(ALGORITHMS)).algorithms == tuple(ALGORITHMS)
+    for name in ("blind", "FairExpec ", "Oracle", ""):
+        with pytest.raises(ValueError):
+            small_config(algorithms=(name,))
+
+
+def test_run_trial_with_each_registry_algorithm():
+    from fairselect.selectors import ALGORITHMS
+    for name in ALGORITHMS:
+        res = run_trial(small_config(algorithms=(name,)), 1, 0)
+        assert set(res) == {name}

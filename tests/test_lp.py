@@ -4,7 +4,7 @@ from scipy.optimize import linprog
 
 from fairselect.core import Instance, make_constraints
 from fairselect.lp import (LinearProgram, SolveStatus, build_denoised_lp,
-                           count_fractional, format_lp, solve_bfs)
+                           count_fractional, solve_bfs)
 
 from conftest import anchored_constraints, fact_one_constraints, fact_one_instance, random_instance
 
@@ -163,17 +163,6 @@ def test_vertex_basic_count_bounded_by_rows():
         lp = build_denoised_lp(inst, cs)
         sol = solve_bfs(lp)
         assert count_fractional(sol.x) <= lp.num_rows
-
-
-def test_format_lp_stable(tiny, tiny_constraints):
-    lp = build_denoised_lp(tiny, tiny_constraints)
-    text = format_lp(lp)
-    assert text == format_lp(lp)
-    lines = text.strip().split("\n")
-    assert lines[0] == "vars 4"
-    assert lines[1].startswith("max 3 ")
-    assert len(lines) == 2 + lp.num_rows
-    assert lines[-1].startswith("2 <= ")
 
 
 def test_rejects_crossed_row_bounds():

@@ -3,11 +3,11 @@ import pytest
 
 from fairselect.core import Instance, make_constraints
 from fairselect.lp import SolveStatus, build_denoised_lp, solve_bfs
-from fairselect.oracle import (brute_force_denoised, brute_force_target,
-                               concentration_trial, is_denoised_feasible)
 from fairselect.selectors import blind
 
 from conftest import anchored_constraints, fact_one_constraints, fact_one_instance, random_instance
+from oracle import (brute_force_denoised, brute_force_target, concentration_trial,
+                    is_denoised_feasible)
 
 
 def test_target_tiny(tiny, tiny_constraints):

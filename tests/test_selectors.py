@@ -257,7 +257,7 @@ def test_thrsh_infeasible_lower_bound():
 
 
 def test_thrsh_matches_brute_force():
-    from fairselect.oracle import brute_force_target
+    from oracle import brute_force_target
     rng = np.random.default_rng(17)
     for _ in range(60):
         inst = random_instance(rng, s=1, m=int(rng.integers(6, 12)), with_true=True)
