@@ -8,12 +8,12 @@ from .lp import (BfsSolution, LinearProgram, SolveStatus, build_denoised_lp,
                  count_fractional, solve_bfs)
 from .metrics import (MetricsReport, compute_report, ndcg, risk_difference,
                       selection_lift, selection_rate, utility_ratio)
-from .selectors import (AlgorithmConfig, blind, ceil_round, dependent_round,
-                        denoised_bfs, estimate_group_level_q, fair_expec,
-                        fair_expec_grp, impute_bayes, mult_obj, thrsh)
+from .selectors import (blind, ceil_round, dependent_round, denoised_bfs,
+                        estimate_group_level_q, fair_expec, fair_expec_grp,
+                        impute_bayes, mult_obj, thrsh)
 
 __all__ = [
-    "AlgorithmConfig", "BfsSolution", "ConstraintSet", "InfeasibleError",
+    "BfsSolution", "ConstraintSet", "InfeasibleError",
     "Instance", "LinearProgram", "MetricsReport", "Selection",
     "SolveStatus", "UnsupportedError", "ValidationResult", "ViolationReport",
     "blind", "build_denoised_lp", "ceil_round", "compute_report",

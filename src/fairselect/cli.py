@@ -146,6 +146,10 @@ def cmd_metrics(args) -> int:
     indices = [int(v) - 1 for v in args.indices.split(",")]
     if any(i < 0 or i >= inst.m for i in indices):
         raise ValueError("indices out of range (they are 1-based)")
+    if len(set(indices)) != len(indices):
+        raise ValueError("--indices repeats an item")
+    if len(indices) != inst.n:
+        raise ValueError(f"--indices needs exactly n={inst.n} items, got {len(indices)}")
     mask = np.zeros(inst.m, dtype=int)
     mask[indices] = 1
     sel = Selection.from_mask(mask, inst.utilities)

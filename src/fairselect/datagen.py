@@ -16,7 +16,6 @@ regenerating reproduces the instance bit-exactly.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,8 +23,6 @@ import numpy as np
 
 from .core import Instance, UnsupportedError
 from .seeding import make_rng
-
-logger = logging.getLogger(__name__)
 
 KIND_DISPARATE_ERROR = "disparate_error"
 KIND_DISPARATE_UTILITY = "disparate_utility"
@@ -225,34 +222,3 @@ def estimate_q_by_utility_bins(inst: Instance, b: int, train: Optional[Instance]
     which = np.searchsorted(edges, inst.utilities, side="right")
     return freq[which]
 
-
-def calibrate_scores_by_bins(scores, labels, b: int, num_groups: Optional[int] = None) -> np.ndarray:
-    """Calibrate classifier scores by frequency in b equal-width bins on [0,1].
-
-    The row for an item whose score falls in bin j is the empirical class
-    distribution of that bin. Empty bins borrow the nearest nonempty bin's
-    estimate (ties prefer the lower bin) and are logged as warnings.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if b < 1:
-        raise ValueError("need at least one bin")
-    if np.any(scores < 0) or np.any(scores > 1):
-        raise ValueError("scores must lie in [0, 1]")
-    p = num_groups if num_groups is not None else int(labels.max()) + 1
-    which = np.minimum((scores * b).astype(int), b - 1)
-    freq = np.full((b, p), np.nan)
-    for j in range(b):
-        members = which == j
-        if members.any():
-            freq[j] = np.bincount(labels[members], minlength=p) / members.sum()
-    empty = np.flatnonzero(np.isnan(freq[:, 0]))
-    if empty.size:
-        filled = np.flatnonzero(~np.isnan(freq[:, 0]))
-        if filled.size == 0:
-            raise ValueError("no scores to calibrate")
-        logger.warning("calibration bins %s are empty; borrowing nearest estimates",
-                       empty.tolist())
-        for j in empty:
-            freq[j] = freq[filled[np.argmin(np.abs(filled - j))]]
-    return freq[which]

@@ -37,6 +37,8 @@ TARGET_EQUAL = "EqualRepresentation"
 TARGET_PROPORTIONAL = "Proportional"
 METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_violation")
 WORKERS_ENV = "FAIRSELECT_WORKERS"
+CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m", "target",
+                         "delta", "seed", "alpha", "lambda", "tau", "fw_iters", "bins"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,11 +66,21 @@ class ExperimentConfig:
             raise ValueError("the sweep grid must be nonempty")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not self.algorithms:
+            raise ValueError("list at least one algorithm")
         bad = [a for a in self.algorithms if a not in selectors.ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
         if self.target not in (TARGET_EQUAL, TARGET_PROPORTIONAL):
             raise ValueError(f"target must be {TARGET_EQUAL} or {TARGET_PROPORTIONAL}")
+        # every trial draws at the config's own m, n and seed (see run_trial)
+        gen = self.generator
+        if (gen.m, gen.n) != (self.m, self.n):
+            raise ValueError(f"the generator's m={gen.m}, n={gen.n} differ from the "
+                             f"config's m={self.m}, n={self.n}")
+        if gen.seed != 0:
+            raise ValueError(f"the generator seed must be 0, not {gen.seed}: trials draw "
+                             f"from the config seed ({self.seed})")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
@@ -85,6 +97,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        unknown = sorted(set(data) - CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         sweep = data["sweep"]
         if len(sweep) != 1:
             raise ValueError("the sweep section must contain exactly one grid")
@@ -106,11 +121,6 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2)
-
-
 @dataclass(frozen=True, eq=False)
 class ResultRow:
     grid: float
@@ -119,19 +129,12 @@ class ResultRow:
     mean: Optional[float]
     sem: Optional[float]
 
-    def key(self):
-        return (self.grid, self.algorithm, self.metric, self.mean, self.sem)
-
 
 @dataclass(frozen=True, eq=False)
 class ResultTable:
     rows: tuple
     per_trial: tuple = field(default_factory=tuple, repr=False)
     # per_trial entries: (grid, algorithm, metric, trial index, value or None)
-
-    def __eq__(self, other):
-        return isinstance(other, ResultTable) and \
-            [r.key() for r in self.rows] == [r.key() for r in other.rows]
 
     def mean_of(self, grid: float, algorithm: str, metric: str) -> Optional[float]:
         for row in self.rows:
@@ -278,27 +281,6 @@ def write_results(table: ResultTable, path, format: str = "csv") -> None:
             json.dump(payload, fh, indent=2)
     else:
         raise ValueError(f"unknown format {format!r}")
-
-
-def read_results(path, format: str = "csv") -> ResultTable:
-    if format == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        rows = tuple(ResultRow(r["grid"], r["algorithm"], r["metric"], r["mean"], r["sem"])
-                     for r in payload["rows"])
-        return ResultTable(rows=rows)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["grid", "algorithm", "metric", "mean", "sem"]:
-            raise ValueError(f"unexpected header {header}")
-        rows = []
-        for grid, alg, metric, mean, sem in reader:
-            rows.append(ResultRow(
-                float(grid), alg, metric,
-                None if mean == "NA" else float(mean),
-                None if sem == "NA" else float(sem)))
-    return ResultTable(rows=tuple(rows))
 
 
 def write_per_trial(table: ResultTable, path) -> None:

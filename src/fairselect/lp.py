@@ -132,7 +132,6 @@ class _Tableau:
         self.b = lp.row_upper.copy()
         self.status = np.full(m + 2 * k, _AT_LOWER, dtype=np.int8)
         self.basis = np.empty(k, dtype=int)
-        self.locked = np.zeros(m + 2 * k, dtype=bool)  # barred from entering
         self.artificial_start = m + k
 
         for r in range(k):
@@ -140,7 +139,6 @@ class _Tableau:
             if -FEAS_TOL <= self.b[r] <= rng_width[r] + FEAS_TOL:
                 self.basis[r] = slack
                 self.status[slack] = _BASIC
-                self.locked[art] = True
             else:
                 at_upper = self.b[r] > rng_width[r]
                 self.status[slack] = _AT_UPPER if at_upper else _AT_LOWER
@@ -149,8 +147,6 @@ class _Tableau:
                 self.ub[art] = np.inf
                 self.basis[r] = art
                 self.status[art] = _BASIC
-        # entering an artificial is never useful; they start basic or locked
-        self.locked[self.artificial_start:] = True
 
     def nonbasic_values(self) -> np.ndarray:
         vals = np.where(self.status == _AT_UPPER, self.ub, self.lb)
@@ -175,11 +171,13 @@ class _Tableau:
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise RuntimeError("singular basis in simplex") from exc
             reduced = c - y @ self.A
-            eligible = (~self.locked) & movable & (
+            eligible = movable & (
                 ((self.status == _AT_LOWER) & (reduced > OPT_TOL))
                 | ((self.status == _AT_UPPER) & (reduced < -OPT_TOL))
             )
             eligible[self.basis] = False
+            # entering an artificial is never useful
+            eligible[self.artificial_start:] = False
             cand = np.flatnonzero(eligible)
             if cand.size == 0:
                 return
@@ -217,7 +215,6 @@ class _Tableau:
             if leaving >= self.artificial_start:
                 self.status[leaving] = _AT_LOWER
                 self.ub[leaving] = 0.0
-                movable[leaving] = False
             self.basis[r] = j
             self.status[j] = _BASIC
             if t_min <= 1e-12:

@@ -17,33 +17,12 @@ import numpy as np
 
 from .core import ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError
 from .lp import FRAC_TOL, BfsSolution, SolveStatus, build_denoised_lp, solve_bfs
-from .seeding import make_rng, seed_sequence
+from .seeding import make_rng
 
 
-@dataclass(frozen=True, eq=False)
-class AlgorithmConfig:
-    """Knobs of the multi-objective baseline.
-
-    lambda_ is the KL penalty weight, target the desired group distribution.
-    """
-
-    target: tuple
-    lambda_: float = 0.0
-    seed: int = 0
-    fw_iters: int = 500
-    kl_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        t = np.asarray(self.target, dtype=float)
-        if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
-            raise ValueError("target must be a probability vector")
-        object.__setattr__(self, "target", tuple(float(v) for v in t))
-        if not 0.0 <= self.lambda_ < np.inf:
-            raise ValueError("lambda_ must be finite and nonnegative")
-        if not 0.0 < self.kl_epsilon <= 1e-3:
-            raise ValueError("kl_epsilon must be in (0, 1e-3]")
-        if self.fw_iters < 1:
-            raise ValueError("fw_iters must be positive")
+# Both KL arguments of MultObj's penalty are mixed with this much of the
+# uniform distribution, so an unselected group does not produce log 0.
+KL_EPSILON = 1e-6
 
 
 def _top_n_mask(scores: np.ndarray, n: int) -> np.ndarray:
@@ -142,8 +121,9 @@ def _integer_bounds(cs: ConstraintSet, k: int = 0):
     return np.maximum(lo, 0), hi
 
 
-def thrsh(inst: Instance, cs: ConstraintSet, seed=0, qprime: np.ndarray | None = None) -> Selection:
-    """Exact optimum of the count-bounded problem on imputed groups.
+def thrsh(inst: Instance, cs: ConstraintSet, qprime: np.ndarray) -> Selection:
+    """Exact optimum of the count-bounded problem on the groups imputed in
+    ``qprime`` (one one-hot row per item, see impute_bayes).
 
     Greedy: take the ceil(L) best items of each imputed group, then
     repeatedly add the globally best remaining item whose group is still
@@ -153,8 +133,6 @@ def thrsh(inst: Instance, cs: ConstraintSet, seed=0, qprime: np.ndarray | None =
     if inst.s != 1:
         raise UnsupportedError(
             "thrsh supports one attribute; for s > 1 run fair_expec on the imputed matrix")
-    if qprime is None:
-        qprime = impute_bayes(inst.noise_matrix(0), seed=seed)
     groups = np.argmax(qprime, axis=1)
     p = inst.p[0]
     lo, hi = _integer_bounds(cs)
@@ -191,23 +169,25 @@ def _kl(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * np.log(a / b)))
 
 
-def mult_obj_objective(x: np.ndarray, inst: Instance, cfg: AlgorithmConfig,
+def mult_obj_objective(x: np.ndarray, inst: Instance, target, lambda_: float,
                        qprime: np.ndarray) -> float:
     """Utility minus the scaled KL penalty between the selected imputed
-    distribution and the target. Both KL arguments are mixed with
-    epsilon-uniform so an unselected group does not produce log 0."""
-    t = np.asarray(cfg.target)
+    distribution and the target, both smoothed by KL_EPSILON."""
+    t = np.asarray(target, dtype=float)
     p = len(t)
-    eps = cfg.kl_epsilon
+    eps = KL_EPSILON
     dist = qprime.T @ x / inst.n
     dist_s = (1 - eps) * dist + eps / p
     t_s = (1 - eps) * t + eps / p
     scale = float(inst.utilities.sum()) / inst.m
-    return float(inst.utilities @ x) - cfg.lambda_ * _kl(dist_s, t_s) * scale
+    return float(inst.utilities @ x) - lambda_ * _kl(dist_s, t_s) * scale
 
 
-def mult_obj(inst: Instance, cfg: AlgorithmConfig, qprime: np.ndarray | None = None) -> np.ndarray:
-    """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n}.
+def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
+             fw_iters: int = 500) -> np.ndarray:
+    """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n},
+    with lambda_ the KL penalty weight, target the desired group distribution
+    and qprime the imputed groups.
 
     The linear minimization oracle over that polytope is exactly "top-n by
     gradient", so no projection is needed. Step size 2/(k+2), and the
@@ -215,28 +195,32 @@ def mult_obj(inst: Instance, cfg: AlgorithmConfig, qprime: np.ndarray | None = N
     lambda_=0 the gradient is the utility vector at every step and the
     blind indicator is returned unchanged.
     """
-    if qprime is None:
-        qprime = impute_bayes(inst.noise_matrix(0), seed=seed_sequence(cfg.seed, 17))
+    t = np.asarray(target, dtype=float)
+    if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
+        raise ValueError("target must be a probability vector")
+    if not 0.0 <= lambda_ < np.inf:
+        raise ValueError("lambda_ must be finite and nonnegative")
+    if fw_iters < 1:
+        raise ValueError("fw_iters must be positive")
     w = inst.utilities
     n, p = inst.n, qprime.shape[1]
-    t = np.asarray(cfg.target, dtype=float)
     if len(t) != p:
         raise ValueError(f"target has {len(t)} entries, imputed matrix has {p} groups")
     x = _top_n_mask(w, n).astype(float)
-    if cfg.lambda_ == 0.0:
+    if lambda_ == 0.0:
         return x
-    eps = cfg.kl_epsilon
+    eps = KL_EPSILON
     t_s = (1 - eps) * t + eps / p
-    scale = cfg.lambda_ * (float(w.sum()) / inst.m) * (1 - eps) / n
-    best_x, best_val = x, mult_obj_objective(x, inst, cfg, qprime)
-    for it in range(cfg.fw_iters):
+    scale = lambda_ * (float(w.sum()) / inst.m) * (1 - eps) / n
+    best_x, best_val = x, mult_obj_objective(x, inst, t, lambda_, qprime)
+    for it in range(fw_iters):
         dist = qprime.T @ x / n
         dist_s = (1 - eps) * dist + eps / p
         grad = w - scale * (qprime @ (np.log(dist_s / t_s) + 1.0))
         vertex = _top_n_mask(grad, n)
         gamma = 2.0 / (it + 2.0)
         x = x + gamma * (vertex - x)
-        val = mult_obj_objective(x, inst, cfg, qprime)
+        val = mult_obj_objective(x, inst, t, lambda_, qprime)
         if val > best_val + 1e-12:
             best_x, best_val = x, val
     return best_x
@@ -312,10 +296,9 @@ ALGORITHMS = {
     "FairExpec": Algorithm(lambda pb: denoised_bfs(pb.inst, pb.cs).x, CEIL),
     "FairExpecGrp": Algorithm(
         lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
-    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, qprime=pb.qprime)),
+    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.qprime)),
     "MultObj": Algorithm(
-        lambda pb: mult_obj(pb.inst, AlgorithmConfig(target=tuple(pb.target), lambda_=pb.lambda_,
-                                                     fw_iters=pb.fw_iters), qprime=pb.qprime),
+        lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.qprime, pb.fw_iters),
         DEPENDENT, qprime_key=17),
 }
 

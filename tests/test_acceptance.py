@@ -15,7 +15,7 @@ from fairselect.core import constraints_from_alpha, violation_report
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, gen_disparate_error
 from fairselect.experiment import ExperimentConfig, run_experiment, write_results
 from fairselect.lp import SolveStatus, build_denoised_lp, count_fractional, solve_bfs
-from fairselect.selectors import blind, dependent_round, fair_expec, mult_obj, AlgorithmConfig
+from fairselect.selectors import blind, dependent_round, fair_expec, impute_bayes, mult_obj
 from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import anchored_constraints, fact_one_constraints, fact_one_instance, random_instance
@@ -216,8 +216,9 @@ def test_acceptance_7_exact_identities():
 
         for _ in range(20):
             inst = random_instance(rng, s=1, p=[2])
-            acfg = AlgorithmConfig(target=(0.5, 0.5), lambda_=0.0)
-            assert np.array_equal(mult_obj(inst, acfg), blind(inst).chosen.astype(float))
+            qprime = impute_bayes(inst.noise[0], seed=seed_sequence(0, 17))
+            assert np.array_equal(mult_obj(inst, (0.5, 0.5), 0.0, qprime),
+                                  blind(inst).chosen.astype(float))
 
         from fairselect.datagen import gen_disparate_utility, inject_flip_noise
         spec = GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=5000, n=100, seed=1)

@@ -101,6 +101,18 @@ def test_metrics_command(tiny_path, capsys):
     assert "ndcg" in payload
 
 
+@pytest.mark.parametrize("indices, message", [
+    ("1,1", "--indices repeats an item"),
+    ("1,3,4", "--indices needs exactly n=2 items, got 3"),
+    ("2", "--indices needs exactly n=2 items, got 1"),
+])
+def test_metrics_rejects_repeated_or_miscounted_indices(tiny_path, capsys, indices, message):
+    code, out, err = run_cli(capsys, "metrics", "--instance", tiny_path, "--indices", indices)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_gen_select_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     code, out, _ = run_cli(capsys, "gen", "--kind", "disparate-error",

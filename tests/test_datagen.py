@@ -3,9 +3,8 @@ import pytest
 
 from fairselect.core import Instance, UnsupportedError, validate_instance
 from fairselect.datagen import (GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY,
-                                calibrate_scores_by_bins, estimate_q_by_utility_bins,
-                                gen_disparate_error, gen_disparate_utility,
-                                inject_flip_noise, truncated_normal)
+                                estimate_q_by_utility_bins, gen_disparate_error,
+                                gen_disparate_utility, inject_flip_noise, truncated_normal)
 from fairselect.metrics import risk_difference
 from fairselect.selectors import blind, impute_bayes
 from fairselect.seeding import make_rng, seed_sequence
@@ -210,40 +209,6 @@ def test_utility_bins_rejects_too_many_bins():
     inst = gen_disparate_utility(utility_spec(10, seed=20))
     with pytest.raises(ValueError):
         estimate_q_by_utility_bins(inst, 11)
-
-
-# --- score calibration ----------------------------------------------------
-
-def test_calibration_consistency():
-    rng = make_rng(21)
-    m = 10_000
-    scores = rng.random(m)
-    labels = (rng.random(m) >= scores).astype(int)  # class 0 w.p. score
-    q = calibrate_scores_by_bins(scores, labels, 20)
-    assert np.mean(np.abs(q[:, 0] - scores)) < 0.05
-
-
-def test_calibration_single_class():
-    q = calibrate_scores_by_bins([0.1, 0.6, 0.9], [0, 0, 0], 2, num_groups=2)
-    assert np.allclose(q, [[1.0, 0.0]] * 3)
-
-
-def test_calibration_separated_labels_one_hot():
-    scores = np.array([0.05, 0.1, 0.9, 0.95])
-    labels = np.array([1, 1, 0, 0])
-    q = calibrate_scores_by_bins(scores, labels, 2)
-    assert np.allclose(q[:2], [0.0, 1.0])
-    assert np.allclose(q[2:], [1.0, 0.0])
-
-
-def test_calibration_empty_bins_borrow_nearest(caplog):
-    import logging
-    scores = np.array([0.05, 0.06, 0.95, 0.96])
-    labels = np.array([1, 1, 0, 0])
-    with caplog.at_level(logging.WARNING):
-        q = calibrate_scores_by_bins(scores, labels, 10)
-    assert "empty" in caplog.text
-    assert np.allclose(q.sum(axis=1), 1.0)
 
 
 def test_generator_spec_roundtrip():

@@ -1,12 +1,13 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY
-from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable,
-                                   read_results, render_csv, run_experiment,
-                                   run_trial, write_per_trial, write_results)
+from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, load_config,
+                                   render_csv, run_experiment, run_trial, write_per_trial,
+                                   write_results)
 
 
 def small_config(**overrides):
@@ -24,8 +25,7 @@ def small_config(**overrides):
 def test_config_roundtrip(tmp_path):
     cfg = small_config()
     path = tmp_path / "cfg.json"
-    from fairselect.experiment import load_config, save_config
-    save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict()))
     again = load_config(path)
     assert again.to_dict() == cfg.to_dict()
 
@@ -39,6 +39,32 @@ def test_config_validation():
         small_config(trials=0)
     with pytest.raises(ValueError):
         small_config(algorithms=("Blind", "Oops"))
+
+
+def test_config_rejects_empty_algorithm_list():
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        small_config(algorithms=())
+
+
+def test_config_rejects_a_generator_section_that_is_not_read():
+    # trials draw at the config's m, n and seed, never at the generator's
+    with pytest.raises(ValueError, match="m=500, n=12 differ from the config's m=60, n=12"):
+        small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=500, n=12))
+    with pytest.raises(ValueError, match="m=60, n=5 differ from the config's m=60, n=12"):
+        small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=60, n=5))
+    with pytest.raises(ValueError, match=r"must be 0, not 3: trials draw from the config seed \(11\)"):
+        small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=60, n=12, seed=3))
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    data = small_config().to_dict()
+    data["lamda"] = 500
+    with pytest.raises(ValueError, match="unknown config keys: \\['lamda'\\]"):
+        ExperimentConfig.from_dict(data)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="lamda"):
+        load_config(path)
 
 
 def test_run_trial_reports_all_metrics():
@@ -93,7 +119,7 @@ def test_workers_env_variable(tmp_path, monkeypatch):
     base = run_experiment(cfg, workers=1)
     monkeypatch.setenv("FAIRSELECT_WORKERS", "2")
     from_env = run_experiment(cfg)
-    assert from_env == base
+    assert render_csv(from_env) == render_csv(base)
 
 
 def test_aggregation_matches_per_trial_dump(tmp_path):
@@ -162,11 +188,8 @@ def test_one_row_csv_roundtrip(tmp_path):
     table = ResultTable(rows=(ResultRow(0.5, "Blind", "risk_difference", 0.8125, 0.01),))
     path = tmp_path / "one.csv"
     write_results(table, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "grid,algorithm,metric,mean,sem"
-    assert len(text.splitlines()) == 2
-    again = read_results(path)
-    assert again.rows[0].mean == pytest.approx(0.8125)
+    assert path.read_text() == render_csv(table) == (
+        "grid,algorithm,metric,mean,sem\n0.5,Blind,risk_difference,0.8125,0.01\n")
 
 
 def test_json_roundtrip_identity(tmp_path):
@@ -174,17 +197,17 @@ def test_json_roundtrip_identity(tmp_path):
     table = run_experiment(cfg)
     path = tmp_path / "res.json"
     write_results(table, path, format="json")
-    again = read_results(path, format="json")
-    assert again == table
+    with open(path) as fh:
+        rows = json.load(fh)["rows"]
+    assert [(r["grid"], r["algorithm"], r["metric"], r["mean"], r["sem"]) for r in rows] == \
+        [(r.grid, r.algorithm, r.metric, r.mean, r.sem) for r in table.rows]
 
 
 def test_na_serialization(tmp_path):
     table = ResultTable(rows=(ResultRow(1.0, "Thrsh", "risk_difference", None, None),))
     path = tmp_path / "na.csv"
     write_results(table, path)
-    assert "NA,NA" in path.read_text()
-    again = read_results(path)
-    assert again.rows[0].mean is None
+    assert path.read_text().splitlines()[1] == "1,Thrsh,risk_difference,NA,NA"
 
 
 def test_csv_six_significant_digits(tmp_path):

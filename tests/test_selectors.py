@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fairselect.core import Instance, InfeasibleError, UnsupportedError, make_constraints, constraints_from_alpha
-from fairselect.selectors import (AlgorithmConfig, blind, ceil_round, dependent_round,
-                                  denoised_bfs, estimate_group_level_q, fair_expec,
-                                  fair_expec_grp, impute_bayes, mult_obj,
-                                  mult_obj_objective, thrsh)
+from fairselect.selectors import (blind, ceil_round, dependent_round, denoised_bfs,
+                                  estimate_group_level_q, fair_expec, fair_expec_grp,
+                                  impute_bayes, mult_obj, mult_obj_objective, thrsh)
 from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import fact_one_constraints, fact_one_instance, random_instance, anchored_constraints
@@ -235,7 +234,7 @@ def test_impute_rows_remain_one_hot():
 # --- thrsh ------------------------------------------------------------
 
 def test_thrsh_tiny(tiny, tiny_constraints):
-    sel = thrsh(tiny, tiny_constraints, seed=0)
+    sel = thrsh(tiny, tiny_constraints, impute_bayes(tiny.noise[0], seed=0))
     assert list(sel.indices) == [0, 3]
     assert sel.total_utility == 3.5
 
@@ -245,7 +244,8 @@ def test_thrsh_alpha_zero_equals_blind():
     for _ in range(10):
         inst = random_instance(rng, s=1, p=[2])
         cs = constraints_from_alpha(inst.n, [0.5, 0.5], alpha=0.0)
-        assert thrsh(inst, cs, seed=0).total_utility == blind(inst).total_utility
+        qprime = impute_bayes(inst.noise[0], seed=0)
+        assert thrsh(inst, cs, qprime).total_utility == blind(inst).total_utility
 
 
 def test_thrsh_infeasible_lower_bound():
@@ -253,7 +253,7 @@ def test_thrsh_infeasible_lower_bound():
     inst = Instance(m=3, n=2, s=1, p=(2,), utilities=[3.0, 2.0, 1.0], noise=(q,))
     cs = make_constraints([[2.0, 0.0]], [[2.0, 2.0]], delta=0.0, n=2)
     with pytest.raises(InfeasibleError):
-        thrsh(inst, cs, seed=0)
+        thrsh(inst, cs, impute_bayes(q, seed=0))
 
 
 def test_thrsh_matches_brute_force():
@@ -269,7 +269,7 @@ def test_thrsh_matches_brute_force():
         cs = anchored_constraints(rng, as_true, spread=0.4, delta=0.0)
         oracle = brute_force_target(as_true, cs)
         try:
-            sel = thrsh(inst, cs, qprime=qprime)
+            sel = thrsh(inst, cs, qprime)
         except InfeasibleError:
             assert not oracle.feasible
             continue
@@ -284,14 +284,13 @@ def test_thrsh_rejects_multi_attribute():
                           [np.full(2, float(inst.n)), np.full(2, float(inst.n))],
                           delta=0.0, n=inst.n)
     with pytest.raises(UnsupportedError):
-        thrsh(inst, cs)
+        thrsh(inst, cs, impute_bayes(inst.noise[0], seed=0))
 
 
 # --- mult_obj ---------------------------------------------------------
 
 def test_mult_obj_lambda_zero_is_blind(tiny):
-    cfg = AlgorithmConfig(target=(0.5, 0.5), lambda_=0.0)
-    x = mult_obj(tiny, cfg)
+    x = mult_obj(tiny, (0.5, 0.5), 0.0, impute_bayes(tiny.noise[0], seed=0))
     assert np.array_equal(x, blind(tiny).chosen.astype(float))
 
 
@@ -303,30 +302,27 @@ def test_mult_obj_huge_lambda_hits_target():
     qp[: m // 2, 0] = 1.0
     qp[m // 2:, 1] = 1.0
     inst = Instance(m=m, n=20, s=1, p=(2,), utilities=w, noise=(qp,))
-    cfg = AlgorithmConfig(target=(0.5, 0.5), lambda_=1e6, fw_iters=500)
-    x = mult_obj(inst, cfg, qprime=qp)
+    x = mult_obj(inst, (0.5, 0.5), 1e6, qp, fw_iters=500)
     dist = qp.T @ x / 20
     assert 0.5 * np.abs(dist - np.array([0.5, 0.5])).sum() <= 0.01
 
 
 def test_mult_obj_tiny_beats_integral_vertices(tiny):
     from itertools import combinations
-    cfg = AlgorithmConfig(target=(0.5, 0.5), lambda_=1.0, fw_iters=500)
     qp = impute_bayes(tiny.noise[0], seed=0)
-    x = mult_obj(tiny, cfg, qprime=qp)
-    fx = mult_obj_objective(x, tiny, cfg, qp)
+    x = mult_obj(tiny, (0.5, 0.5), 1.0, qp, fw_iters=500)
+    fx = mult_obj_objective(x, tiny, (0.5, 0.5), 1.0, qp)
     for subset in combinations(range(4), 2):
         vertex = np.isin(np.arange(4), subset).astype(float)
-        assert fx >= mult_obj_objective(vertex, tiny, cfg, qp) - 0.05
+        assert fx >= mult_obj_objective(vertex, tiny, (0.5, 0.5), 1.0, qp) - 0.05
 
 
 def test_mult_obj_best_objective_nondecreasing(tiny):
-    cfg_base = AlgorithmConfig(target=(0.5, 0.5), lambda_=5.0)
     qp = impute_bayes(tiny.noise[0], seed=0)
     best = -np.inf
     for iters in (1, 5, 20, 100, 400):
-        cfg = AlgorithmConfig(target=(0.5, 0.5), lambda_=5.0, fw_iters=iters)
-        val = mult_obj_objective(mult_obj(tiny, cfg, qprime=qp), tiny, cfg_base, qp)
+        x = mult_obj(tiny, (0.5, 0.5), 5.0, qp, fw_iters=iters)
+        val = mult_obj_objective(x, tiny, (0.5, 0.5), 5.0, qp)
         assert val >= best - 1e-9
         best = max(best, val)
 
@@ -334,10 +330,22 @@ def test_mult_obj_best_objective_nondecreasing(tiny):
 def test_mult_obj_keeps_cardinality():
     rng = np.random.default_rng(29)
     inst = random_instance(rng, s=1, p=[3])
-    cfg = AlgorithmConfig(target=(1 / 3, 1 / 3, 1 / 3), lambda_=10.0, fw_iters=200)
-    x = mult_obj(inst, cfg)
+    qp = impute_bayes(inst.noise[0], seed=seed_sequence(0, 17))
+    x = mult_obj(inst, (1 / 3, 1 / 3, 1 / 3), 10.0, qp, fw_iters=200)
     assert x.sum() == pytest.approx(inst.n, abs=1e-6)
     assert np.all(x >= 0) and np.all(x <= 1)
+
+
+@pytest.mark.parametrize("target, lambda_, fw_iters, message", [
+    ((0.6, 0.6), 1.0, 10, "target must be a probability vector"),
+    ((0.5, 0.5), float("nan"), 10, "lambda_ must be finite and nonnegative"),
+    ((0.5, 0.5), -1.0, 10, "lambda_ must be finite and nonnegative"),
+    ((0.5, 0.5), 0.0, 0, "fw_iters must be positive"),
+])
+def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, fw_iters, message):
+    # checked before the lambda_ = 0 shortcut returns the blind indicator
+    with pytest.raises(ValueError, match=message):
+        mult_obj(tiny, target, lambda_, impute_bayes(tiny.noise[0], seed=0), fw_iters)
 
 
 # --- rounding ---------------------------------------------------------
