@@ -4,8 +4,7 @@ from .core import (ConstraintSet, InfeasibleError, Instance, Selection,
                    UnsupportedError, ValidationResult, ViolationReport,
                    constraints_from_alpha, load_instance, make_constraints,
                    save_instance, validate_instance, violation_report)
-from .lp import (BfsSolution, LinearProgram, SolveStatus, build_denoised_lp,
-                 count_fractional, solve_bfs)
+from .lp import BfsSolution, LinearProgram, SolveStatus, build_denoised_lp, solve_bfs
 from .metrics import (MetricsReport, compute_report, ndcg, risk_difference,
                       selection_lift, selection_rate, utility_ratio)
 from .selectors import (blind, ceil_round, dependent_round, denoised_bfs,
@@ -17,7 +16,7 @@ __all__ = [
     "Instance", "LinearProgram", "MetricsReport", "Selection",
     "SolveStatus", "UnsupportedError", "ValidationResult", "ViolationReport",
     "blind", "build_denoised_lp", "ceil_round", "compute_report",
-    "constraints_from_alpha", "count_fractional", "denoised_bfs",
+    "constraints_from_alpha", "denoised_bfs",
     "dependent_round", "estimate_group_level_q", "fair_expec", "fair_expec_grp",
     "impute_bayes", "load_instance", "make_constraints", "mult_obj", "ndcg",
     "risk_difference", "save_instance", "selection_lift", "selection_rate",

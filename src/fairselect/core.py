@@ -285,45 +285,32 @@ def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") 
 
 
 # --- instance file format -------------------------------------------------
-# {m, n, s, p: [...], items: [{w, q: [[...], ...], z?, zhat?, a?}, ...]}
+# {n, p: [p_0, ...], w: [m utilities], q?: [one (m, p_k) matrix per attribute],
+#  z?: (m, s) true values, zhat?: (m, s) observed values, a?: (m, d) features}
+# m is len(w) and s is len(p); shapes are checked by validate_instance.
+
+INSTANCE_KEYS = frozenset({"n", "p", "w", "q", "z", "zhat", "a"})
+
 
 def instance_to_dict(inst: Instance) -> dict:
-    items = []
-    for i in range(inst.m):
-        rec = {"w": float(inst.utilities[i])}
-        if inst.noise is not None:
-            rec["q"] = [[float(v) for v in inst.noise[k][i]] for k in range(inst.s)]
-        if inst.true_attrs is not None:
-            rec["z"] = [int(v) for v in inst.true_attrs[i]]
-        if inst.noisy_attrs is not None:
-            rec["zhat"] = [int(v) for v in inst.noisy_attrs[i]]
-        if inst.features is not None:
-            rec["a"] = [float(v) for v in inst.features[i]]
-        items.append(rec)
-    return {"m": inst.m, "n": inst.n, "s": inst.s, "p": list(inst.p), "items": items}
+    data = {"n": inst.n, "p": list(inst.p), "w": inst.utilities.tolist()}
+    if inst.noise is not None:
+        data["q"] = [q.tolist() for q in inst.noise]
+    for key, col in (("z", inst.true_attrs), ("zhat", inst.noisy_attrs), ("a", inst.features)):
+        if col is not None:
+            data[key] = col.tolist()
+    return data
 
 
 def instance_from_dict(data: dict) -> Instance:
-    m, n, s = int(data["m"]), int(data["n"]), int(data["s"])
-    p = tuple(int(v) for v in data["p"])
-    items = data["items"]
-    if len(items) != m:
-        raise ValueError(f"items list has {len(items)} entries, header says m={m}")
-    utilities = np.array([it["w"] for it in items], dtype=float)
-    noise = None
-    if items and all("q" in it for it in items):
-        noise = tuple(np.array([it["q"][k] for it in items], dtype=float) for k in range(s))
-    true_attrs = None
-    if items and all("z" in it for it in items):
-        true_attrs = np.array([it["z"] for it in items], dtype=int)
-    noisy_attrs = None
-    if items and all("zhat" in it for it in items):
-        noisy_attrs = np.array([it["zhat"] for it in items], dtype=int)
-    features = None
-    if items and all("a" in it for it in items):
-        features = np.array([it["a"] for it in items], dtype=float)
-    return Instance(m=m, n=n, s=s, p=p, utilities=utilities, noise=noise,
-                    true_attrs=true_attrs, noisy_attrs=noisy_attrs, features=features)
+    unknown = sorted(set(data) - INSTANCE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown instance keys: {unknown}")
+    w = np.asarray(data["w"], dtype=float)
+    q = data.get("q")
+    return Instance(m=w.size, n=int(data["n"]), s=len(data["p"]), p=data["p"], utilities=w,
+                    noise=None if q is None else tuple(q), true_attrs=data.get("z"),
+                    noisy_attrs=data.get("zhat"), features=data.get("a"))
 
 
 def save_instance(inst: Instance, path) -> None:
@@ -333,4 +320,8 @@ def save_instance(inst: Instance, path) -> None:
 
 def load_instance(path) -> Instance:
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return instance_from_dict(data)
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed instance file {path}: {exc}") from exc

@@ -17,7 +17,6 @@ regenerating reproduces the instance bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -38,17 +37,21 @@ DISPARATE_ERROR_DEFAULTS = {
 }
 
 # Surrogate population for the disparate-utility setting. Rates are the
-# group frequencies; the mean table keys are (group, experience) cells.
+# group frequencies; utility_means[z][a] is the mean utility of the cell
+# with group z and experience flag a.
 # The magnitudes of the utility gaps are free parameters of the surrogate;
-# they are recorded here and echoed into every experiment config.
+# an experiment config's generator params can override each of them.
 DISPARATE_UTILITY_DEFAULTS = {
     "minority_rate": 0.37,
     "no_experience_rate": 0.37,
     "joint_rate": 0.137,
-    "utility_means": {(0, 0): 0.6, (0, 1): 1.6, (1, 0): 1.6, (1, 1): 2.6},
+    "utility_means": ((0.6, 1.6), (1.6, 2.6)),
     "feature_weight": 0.4,
     "utility_std": 0.4,
 }
+
+_DEFAULTS = {KIND_DISPARATE_ERROR: DISPARATE_ERROR_DEFAULTS,
+             KIND_DISPARATE_UTILITY: DISPARATE_UTILITY_DEFAULTS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,40 +65,18 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY):
+        if self.kind not in _DEFAULTS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.m < 1 or self.n < 1 or self.n > self.m:
             raise ValueError("need 1 <= n <= m")
+        unknown = sorted(set(self.params) - set(_DEFAULTS[self.kind]))
+        if unknown:
+            raise ValueError(f"unknown {self.kind} generator params: {unknown}")
 
     def merged_params(self) -> dict:
-        base = dict(DISPARATE_ERROR_DEFAULTS if self.kind == KIND_DISPARATE_ERROR
-                    else DISPARATE_UTILITY_DEFAULTS)
+        base = dict(_DEFAULTS[self.kind])
         base.update(self.params)
         return base
-
-    def to_dict(self) -> dict:
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("only an integer generator seed can be written out")
-        params = dict(self.params)
-        if "utility_means" in params:
-            params["utility_means"] = {
-                f"{z},{a}": v for (z, a), v in params["utility_means"].items()}
-        return {"kind": self.kind, "m": self.m, "n": self.n,
-                "seed": int(self.seed), "params": params}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GeneratorSpec":
-        """Inverse of to_dict; legacy ``tau``/``bins`` keys are ignored."""
-        if data.get("seed", 0) is None:
-            raise ValueError("the generator seed must be an integer, not null")
-        params = dict(data.get("params", {}))
-        if "utility_means" in params:
-            params["utility_means"] = {
-                tuple(int(v) for v in key.split(",")): val
-                for key, val in params["utility_means"].items()
-            }
-        return cls(kind=data["kind"], m=int(data["m"]), n=int(data["n"]),
-                   seed=int(data.get("seed", 0)), params=params)
 
 
 def truncated_normal(rng: np.random.Generator, mean, std, size: int) -> np.ndarray:
@@ -157,10 +138,7 @@ def gen_disparate_utility(spec: GeneratorSpec) -> Instance:
     z = (cell >= 2).astype(int)          # 0 = minority group
     a1 = (cell % 2).astype(int)          # 1 = has prior experience
     a2 = rng.normal(0.0, 1.0, m)
-    means = np.array([
-        par["utility_means"][(0, 0)], par["utility_means"][(0, 1)],
-        par["utility_means"][(1, 0)], par["utility_means"][(1, 1)],
-    ])[cell]
+    means = np.asarray(par["utility_means"], dtype=float).reshape(4)[cell]
     w = means + par["feature_weight"] * a2 + rng.normal(0.0, par["utility_std"], m)
     w = np.maximum(w, 0.0)
     return Instance(m=m, n=spec.n, s=1, p=(2,), utilities=w, noise=None,
@@ -197,15 +175,13 @@ def _equal_count_bins(train_w: np.ndarray, b: int):
     return assignment, edges
 
 
-def estimate_q_by_utility_bins(inst: Instance, b: int, train: Optional[Instance] = None) -> np.ndarray:
+def estimate_q_by_utility_bins(inst: Instance, b: int, train: Instance) -> np.ndarray:
     """Probability rows from class frequencies in equal-count utility bins.
 
-    Bin boundaries and per-bin frequencies come from the training instance
-    (by default the instance itself); items of ``inst`` are then assigned
-    to bins by utility value, so items in the same bin share a row.
+    Bin boundaries and per-bin frequencies come from the training instance;
+    items of ``inst`` are then assigned to bins by utility value, so items
+    in the same bin share a row.
     """
-    if train is None:
-        train = inst
     if train.true_attrs is None:
         raise ValueError("the training instance must carry true attributes")
     if b < 1:

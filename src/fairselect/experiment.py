@@ -39,6 +39,9 @@ METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_viola
 WORKERS_ENV = "FAIRSELECT_WORKERS"
 CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m", "target",
                          "delta", "seed", "alpha", "lambda", "tau", "fw_iters", "bins"})
+# a generator section names only what to draw: every trial draws at the
+# config's own m and n, from the config's seed (see run_trial)
+GENERATOR_KEYS = frozenset({"kind", "params"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,17 +87,6 @@ class ExperimentConfig:
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator.to_dict(),
-            "sweep": {self.sweep_kind: list(self.grid)},
-            "algorithms": list(self.algorithms),
-            "trials": self.trials, "n": self.n, "m": self.m,
-            "target": self.target, "delta": self.delta, "seed": self.seed,
-            "alpha": self.alpha, "lambda": self.lambda_, "tau": self.tau,
-            "fw_iters": self.fw_iters, "bins": self.bins,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         unknown = sorted(set(data) - CONFIG_KEYS)
@@ -104,11 +96,16 @@ class ExperimentConfig:
         if len(sweep) != 1:
             raise ValueError("the sweep section must contain exactly one grid")
         (kind, grid), = sweep.items()
+        gen = data["generator"]
+        unknown = sorted(set(gen) - GENERATOR_KEYS)
+        if unknown:
+            raise ValueError(f"unknown generator keys: {unknown}")
+        m, n = int(data["m"]), int(data["n"])
         return cls(
-            generator=GeneratorSpec.from_dict(data["generator"]),
+            generator=GeneratorSpec(kind=gen["kind"], m=m, n=n, params=dict(gen.get("params", {}))),
             sweep_kind=kind, grid=tuple(grid),
             algorithms=tuple(data["algorithms"]),
-            trials=int(data["trials"]), n=int(data["n"]), m=int(data["m"]),
+            trials=int(data["trials"]), n=n, m=m,
             target=data["target"], delta=float(data["delta"]), seed=int(data["seed"]),
             alpha=float(data.get("alpha", 1.0)), lambda_=float(data.get("lambda", 0.0)),
             tau=float(data.get("tau", 0.0)), fw_iters=int(data.get("fw_iters", 500)),
@@ -118,7 +115,11 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return ExperimentConfig.from_dict(data)
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +136,6 @@ class ResultTable:
     rows: tuple
     per_trial: tuple = field(default_factory=tuple, repr=False)
     # per_trial entries: (grid, algorithm, metric, trial index, value or None)
-
-    def mean_of(self, grid: float, algorithm: str, metric: str) -> Optional[float]:
-        for row in self.rows:
-            if (row.grid, row.algorithm, row.metric) == (grid, algorithm, metric):
-                return row.mean
-        raise KeyError((grid, algorithm, metric))
 
 
 def _grid_settings(cfg: ExperimentConfig, value: float):

@@ -109,14 +109,6 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
     )
 
 
-def count_fractional(x: np.ndarray, tol: float = FRAC_TOL) -> int:
-    """Number of entries strictly inside (tol, 1 - tol)."""
-    if not 0.0 < tol < 0.5:
-        raise ValueError(f"tol must be in (0, 0.5), got {tol}")
-    x = np.asarray(x, dtype=float)
-    return int(np.sum((x > tol) & (x < 1.0 - tol)))
-
-
 class _Tableau:
     """Mutable simplex state for one solve. Not shared across threads."""
 
@@ -125,9 +117,8 @@ class _Tableau:
         m, k = lp.num_vars, lp.num_rows
         self.m, self.k = m, k
         rng_width = lp.row_upper - lp.row_lower
-        # columns: [structural | slack | artificial]
+        # columns: [structural | slack | artificial]; every lower bound is 0
         self.A = np.hstack([lp.rows, np.eye(k), np.zeros((k, k))])
-        self.lb = np.concatenate([np.zeros(m), np.zeros(k), np.zeros(k)])
         self.ub = np.concatenate([np.ones(m), rng_width, np.zeros(k)])
         self.b = lp.row_upper.copy()
         self.status = np.full(m + 2 * k, _AT_LOWER, dtype=np.int8)
@@ -149,9 +140,7 @@ class _Tableau:
                 self.status[art] = _BASIC
 
     def nonbasic_values(self) -> np.ndarray:
-        vals = np.where(self.status == _AT_UPPER, self.ub, self.lb)
-        vals[self.status == _BASIC] = 0.0
-        return vals
+        return np.where(self.status == _AT_UPPER, self.ub, 0.0)
 
     def basic_values(self, B: np.ndarray, vals: np.ndarray) -> np.ndarray:
         rhs = self.b - self.A @ vals
@@ -161,7 +150,7 @@ class _Tableau:
         """Simplex loop for one phase; raises on iteration blowup."""
         bland = False
         degenerate_run = 0
-        movable = (self.ub - self.lb) > 0
+        movable = self.ub > 0
         for _ in range(max_iter):
             B = self.A[:, self.basis]
             vals = self.nonbasic_values()
@@ -175,7 +164,6 @@ class _Tableau:
                 ((self.status == _AT_LOWER) & (reduced > OPT_TOL))
                 | ((self.status == _AT_UPPER) & (reduced < -OPT_TOL))
             )
-            eligible[self.basis] = False
             # entering an artificial is never useful
             eligible[self.artificial_start:] = False
             cand = np.flatnonzero(eligible)
@@ -188,14 +176,14 @@ class _Tableau:
             sigma = 1.0 if self.status[j] == _AT_LOWER else -1.0
             d = np.linalg.solve(B, self.A[:, j])
             step = sigma * d
-            lbB, ubB = self.lb[self.basis], self.ub[self.basis]
+            ubB = self.ub[self.basis]
             ratios = np.full(self.k, np.inf)
             pos = step > PIVOT_TOL
             neg = step < -PIVOT_TOL
-            ratios[pos] = (x_B[pos] - lbB[pos]) / step[pos]
+            ratios[pos] = x_B[pos] / step[pos]
             ratios[neg] = (x_B[neg] - ubB[neg]) / step[neg]
             np.maximum(ratios, 0.0, out=ratios)
-            t_flip = self.ub[j] - self.lb[j]
+            t_flip = self.ub[j]
             t_min = min(float(ratios.min(initial=np.inf)), t_flip)
             if not np.isfinite(t_min):  # pragma: no cover
                 raise RuntimeError("unbounded direction in box-bounded program")
@@ -214,7 +202,6 @@ class _Tableau:
             self.status[leaving] = _AT_LOWER if step[r] > 0 else _AT_UPPER
             if leaving >= self.artificial_start:
                 self.status[leaving] = _AT_LOWER
-                self.ub[leaving] = 0.0
             self.basis[r] = j
             self.status[j] = _BASIC
             if t_min <= 1e-12:

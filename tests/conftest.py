@@ -20,6 +20,14 @@ def tiny_constraints():
     return make_constraints([np.zeros(2)], [np.ones(2)], delta=0.1, n=2)
 
 
+def mean_of(table, grid: float, algorithm: str, metric: str):
+    """The mean of one (grid, algorithm, metric) row of a ResultTable."""
+    for row in table.rows:
+        if (row.grid, row.algorithm, row.metric) == (grid, algorithm, metric):
+            return row.mean
+    raise KeyError((grid, algorithm, metric))
+
+
 def fact_one_instance(p: int) -> Instance:
     """p+1 items: p unit-vector rows worth 1 each, one uniform row worth 2.
 

@@ -141,17 +141,19 @@ def test_gen_disparate_utility_has_noise(tmp_path, capsys):
     assert 0.1 < flipped < 0.3
 
 
-def test_experiment_command(tmp_path, capsys):
-    cfg = {
-        "generator": {"kind": "disparate_error", "m": 50, "n": 10, "seed": 0,
-                      "tau": 0.0, "bins": 20, "params": {}},
+def experiment_config(**generator):
+    return {
+        "generator": {"kind": "disparate_error", "params": {}, **generator},
         "sweep": {"alpha_grid": [0.0, 1.0]},
         "algorithms": ["Blind", "FairExpec"],
         "trials": 3, "n": 10, "m": 50,
         "target": "EqualRepresentation", "delta": 0.05, "seed": 3,
     }
+
+
+def test_experiment_command(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(experiment_config()))
     out_path = tmp_path / "results.csv"
     per_trial = tmp_path / "per_trial.csv"
     code, out, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
@@ -205,9 +207,9 @@ def test_gen_rejects_tau_out_of_range(tmp_path, capsys):
 def test_select_rejects_non_finite_input(tiny, tmp_path, capsys, field, value):
     data = instance_to_dict(tiny)
     if field == "w":
-        data["items"][1]["w"] = value
+        data["w"][1] = value
     else:
-        data["items"][1]["q"][0][0] = value
+        data["q"][0][1][0] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "select", "--instance", str(path),
@@ -215,6 +217,46 @@ def test_select_rejects_non_finite_input(tiny, tmp_path, capsys, field, value):
     assert code == 1
     assert out == ""
     assert "non-finite" in err
+
+
+def _per_item(data):
+    """The same instance in the per-item layout that files used to have."""
+    items = [{"w": w, "q": [q], "z": z} for w, q, z in zip(data["w"], data["q"][0], data["z"])]
+    return {"m": len(items), "n": data["n"], "s": 1, "p": data["p"], "items": items}
+
+
+@pytest.mark.parametrize("reshape, message", [
+    (_per_item, "unknown instance keys: ['items', 'm', 's']"),
+    (lambda data: {**data, "weights": data["w"]}, "unknown instance keys: ['weights']"),
+    (lambda data: {**data, "q": [data["q"][0][:-1]]}, "noise block 0 shape (3, 2) != (4, 2)"),
+    (lambda data: {**data, "p": 2}, "malformed instance file"),
+], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list"])
+def test_select_rejects_malformed_instance_file(tiny, tmp_path, capsys, reshape, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(reshape(instance_to_dict(tiny))))
+    code, out, err = run_cli(capsys, "select", "--instance", str(path), "--algorithm", "Blind")
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("generator, message", [
+    ({"sed": 3}, "unknown generator keys: ['sed']"),
+    ({"m": 50}, "unknown generator keys: ['m']"),
+    ({"tau": 0.0, "bins": 20}, "unknown generator keys: ['bins', 'tau']"),
+    ({"params": {"mixture_weight": [0.5, 0.5]}},
+     "unknown disparate_error generator params: ['mixture_weight']"),
+    ({"params": 5}, "malformed config file"),
+], ids=["seed-typo", "m", "tau-bins", "params-typo", "params-not-an-object"])
+def test_experiment_rejects_bad_generator_section(tmp_path, capsys, generator, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(experiment_config(**generator)))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "results.csv"))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [("--lower", "nan,0", "--upper", "1,1"),

@@ -162,8 +162,9 @@ def test_instance_json_roundtrip(tiny, tmp_path):
 
 def test_instance_json_field_names(tiny):
     data = instance_to_dict(tiny)
-    assert set(data) == {"m", "n", "s", "p", "items"}
-    assert set(data["items"][0]) == {"w", "q", "z"}
+    assert set(data) == {"n", "p", "w", "q", "z"}
+    assert data["w"] == [3.0, 2.5, 1.0, 0.5]
+    assert data["z"] == [[0], [0], [0], [1]]
     again = instance_from_dict(json.loads(json.dumps(data)))
     assert np.array_equal(again.noise[0], tiny.noise[0])
 

@@ -105,7 +105,7 @@ def test_disparate_utility_group_gap_is_large():
 
 
 def test_disparate_utility_identical_means_proportional_blind():
-    flat = {(0, 0): 2.0, (0, 1): 2.0, (1, 0): 2.0, (1, 1): 2.0}
+    flat = ((2.0, 2.0), (2.0, 2.0))
     vals = []
     for trial in range(200):
         spec = GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=10_000, n=2000,
@@ -117,6 +117,14 @@ def test_disparate_utility_identical_means_proportional_blind():
         sel = blind(inst)
         vals.append(risk_difference(sel.chosen, z, t, inst.n))
     assert abs(np.mean(vals) - 1.0) < 0.02
+
+
+def test_disparate_utility_means_are_indexed_by_group_then_experience():
+    means = ((1.0, 2.0), (3.0, 4.0))
+    inst = gen_disparate_utility(utility_spec(200, seed=7, utility_means=means,
+                                              feature_weight=0.0, utility_std=0.0))
+    z, a = inst.true_attrs[:, 0], inst.features[:, 0].astype(int)
+    assert np.array_equal(inst.utilities, np.asarray(means)[z, a])
 
 
 def test_disparate_utility_nonnegative():
@@ -161,7 +169,7 @@ def test_flip_noise_requires_binary():
 
 def test_utility_bins_single_bin_global_frequency():
     inst = gen_disparate_utility(utility_spec(1000, seed=16))
-    q = estimate_q_by_utility_bins(inst, 1)
+    q = estimate_q_by_utility_bins(inst, 1, train=inst)
     base = (inst.true_attrs[:, 0] == 0).mean()
     assert np.allclose(q[:, 0], base)
     assert np.allclose(q.sum(axis=1), 1.0)
@@ -170,7 +178,7 @@ def test_utility_bins_single_bin_global_frequency():
 def test_utility_bins_pure_bins():
     inst = Instance(m=4, n=2, s=1, p=(2,), utilities=[1.0, 2.0, 3.0, 4.0],
                     noise=None, true_attrs=[[0], [0], [1], [1]])
-    q = estimate_q_by_utility_bins(inst, 2)
+    q = estimate_q_by_utility_bins(inst, 2, train=inst)
     assert np.allclose(q[0], [1.0, 0.0]) and np.allclose(q[1], [1.0, 0.0])
     assert np.allclose(q[2], [0.0, 1.0]) and np.allclose(q[3], [0.0, 1.0])
 
@@ -182,14 +190,14 @@ def test_utility_bins_independent_labels_near_base_rate():
     z = (rng.random(m) < 0.63).astype(int)  # label 0 has rate 0.37
     inst = Instance(m=m, n=100, s=1, p=(2,), utilities=w, noise=None,
                     true_attrs=z[:, None])
-    q = estimate_q_by_utility_bins(inst, 20)
+    q = estimate_q_by_utility_bins(inst, 20, train=inst)
     assert np.all(np.abs(q[:, 0] - 0.37) < 0.05)
 
 
 def test_utility_bins_last_bin_absorbs_remainder():
     inst = Instance(m=7, n=2, s=1, p=(2,), utilities=np.arange(7, dtype=float),
                     noise=None, true_attrs=[[0]] * 3 + [[1]] * 4)
-    q = estimate_q_by_utility_bins(inst, 3)
+    q = estimate_q_by_utility_bins(inst, 3, train=inst)
     # bins of sizes 2, 2, 3 over sorted utilities
     assert np.allclose(q[6], q[4])
 
@@ -208,30 +216,12 @@ def test_utility_bins_transfer_to_fresh_instance():
 def test_utility_bins_rejects_too_many_bins():
     inst = gen_disparate_utility(utility_spec(10, seed=20))
     with pytest.raises(ValueError):
-        estimate_q_by_utility_bins(inst, 11)
+        estimate_q_by_utility_bins(inst, 11, train=inst)
 
 
-def test_generator_spec_roundtrip():
-    spec = GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=100, n=10, seed=5,
-                         params={"utility_means": {(0, 0): 1.0, (0, 1): 2.0,
-                                                   (1, 0): 2.0, (1, 1): 3.0}})
-    again = GeneratorSpec.from_dict(spec.to_dict())
-    assert again.kind == spec.kind and again.m == spec.m and again.seed == spec.seed
-    assert again.params == spec.params
-
-
-def test_generator_spec_seed_must_be_an_integer():
-    with pytest.raises(ValueError):
-        GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=10, n=2, seed=seed_sequence(3, 1)).to_dict()
-    data = GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=10, n=2, seed=np.int64(3)).to_dict()
-    assert data["seed"] == 3 and type(data["seed"]) is int
-    assert GeneratorSpec.from_dict(data).seed == 3
-    with pytest.raises(ValueError):
-        GeneratorSpec.from_dict({**data, "seed": None})
-
-
-def test_generator_spec_ignores_legacy_tau_and_bins():
-    spec = GeneratorSpec.from_dict({"kind": KIND_DISPARATE_UTILITY, "m": 10, "n": 2,
-                                    "seed": 1, "tau": 0.3, "bins": 20, "params": {}})
-    assert spec.to_dict() == {"kind": KIND_DISPARATE_UTILITY, "m": 10, "n": 2,
-                              "seed": 1, "params": {}}
+def test_generator_spec_rejects_unknown_params():
+    with pytest.raises(ValueError, match=r"disparate_error generator params: \['mixture_weight'\]"):
+        error_spec(10, mixture_weight=(0.5, 0.5))
+    # each kind takes only its own parameters
+    with pytest.raises(ValueError, match=r"\['component_means'\]"):
+        utility_spec(10, component_means=(0.6, 0.05))

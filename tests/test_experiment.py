@@ -9,6 +9,8 @@ from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, loa
                                    render_csv, run_experiment, run_trial, write_per_trial,
                                    write_results)
 
+from conftest import mean_of
+
 
 def small_config(**overrides):
     base = dict(
@@ -22,12 +24,25 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_config_roundtrip(tmp_path):
-    cfg = small_config()
+def small_config_dict():
+    """small_config() as a config file states it."""
+    return {"generator": {"kind": KIND_DISPARATE_ERROR}, "sweep": {"alpha_grid": [0.0, 1.0]},
+            "algorithms": ["Blind", "FairExpec", "Thrsh"], "trials": 6, "n": 12, "m": 60,
+            "target": "EqualRepresentation", "delta": 0.05, "seed": 11}
+
+
+def test_config_file_reads_the_documented_schema(tmp_path):
+    data = small_config_dict()
+    data["generator"]["params"] = {"component_stds": [0.1, 0.1]}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    again = load_config(path)
-    assert again.to_dict() == cfg.to_dict()
+    path.write_text(json.dumps(data))
+    cfg = load_config(path)
+    gen = cfg.generator
+    assert (gen.kind, gen.m, gen.n, gen.seed) == (KIND_DISPARATE_ERROR, 60, 12, 0)
+    assert gen.params == {"component_stds": [0.1, 0.1]}
+    assert (cfg.sweep_kind, cfg.grid, cfg.algorithms) == ("alpha_grid", (0.0, 1.0),
+                                                           ("Blind", "FairExpec", "Thrsh"))
+    assert (cfg.trials, cfg.m, cfg.n, cfg.seed, cfg.delta) == (6, 60, 12, 11, 0.05)
 
 
 def test_config_validation():
@@ -57,7 +72,7 @@ def test_config_rejects_a_generator_section_that_is_not_read():
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    data = small_config().to_dict()
+    data = small_config_dict()
     data["lamda"] = 500
     with pytest.raises(ValueError, match="unknown config keys: \\['lamda'\\]"):
         ExperimentConfig.from_dict(data)
@@ -80,7 +95,7 @@ def test_run_trial_reports_all_metrics():
 def test_blind_utility_ratio_is_one():
     table = run_experiment(small_config(algorithms=("Blind",), trials=3))
     for g in (0.0, 1.0):
-        assert table.mean_of(g, "Blind", "utility_ratio") == pytest.approx(1.0)
+        assert mean_of(table, g, "Blind", "utility_ratio") == pytest.approx(1.0)
 
 
 def test_single_trial_has_zero_sem():
@@ -152,9 +167,9 @@ def test_infeasible_trials_recorded_not_fatal():
         m=12, n=8, trials=12, delta=0.0, grid=(1.0,),
         algorithms=("Thrsh", "FairExpec"))
     table = run_experiment(cfg)
-    excluded = table.mean_of(1.0, "Thrsh", "excluded_trials")
+    excluded = mean_of(table, 1.0, "Thrsh", "excluded_trials")
     assert excluded >= 1
-    rd = table.mean_of(1.0, "Thrsh", "risk_difference")
+    rd = mean_of(table, 1.0, "Thrsh", "risk_difference")
     assert rd is None or 0.0 <= rd <= 1.0
 
 
@@ -167,7 +182,7 @@ def test_tau_sweep_uses_disparate_utility_pipeline():
     table = run_experiment(cfg)
     for g in (0.0, 0.4):
         for alg in cfg.algorithms:
-            rd = table.mean_of(g, alg, "risk_difference")
+            rd = mean_of(table, g, alg, "risk_difference")
             assert 0.0 <= rd <= 1.0
 
 
@@ -175,7 +190,7 @@ def test_n_sweep():
     cfg = small_config(sweep_kind="n_grid", grid=(6.0, 12.0),
                        algorithms=("Blind",), trials=2)
     table = run_experiment(cfg)
-    assert table.mean_of(6.0, "Blind", "utility_ratio") == pytest.approx(1.0)
+    assert mean_of(table, 6.0, "Blind", "utility_ratio") == pytest.approx(1.0)
 
 
 # --- results serialization -------------------------------------------------

@@ -3,8 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from fairselect.core import Instance, make_constraints
-from fairselect.lp import (LinearProgram, SolveStatus, build_denoised_lp,
-                           count_fractional, solve_bfs)
+from fairselect.lp import LinearProgram, SolveStatus, build_denoised_lp, solve_bfs
 
 from conftest import anchored_constraints, fact_one_constraints, fact_one_instance, random_instance
 
@@ -65,7 +64,7 @@ def test_fact_one_exactly_p_fractional(p):
     assert sol.objective_value == pytest.approx(p + 1, abs=1e-9)
     expected = np.array([1.0 - 1.0 / p] * p + [1.0])
     assert np.allclose(sol.x, expected, atol=1e-9)
-    assert count_fractional(sol.x) == p
+    assert len(sol.fractional_indices) == p
 
 
 def test_solve_infeasible_zero_upper(tiny):
@@ -73,14 +72,6 @@ def test_solve_infeasible_zero_upper(tiny):
     sol = solve_bfs(build_denoised_lp(tiny, cs))
     assert sol.status is SolveStatus.INFEASIBLE
     assert sol.x is None
-
-
-def test_count_fractional_examples():
-    assert count_fractional(np.array([0.0, 1.0, 1.0, 0.0])) == 0
-    assert count_fractional(np.array([0.5, 0.5, 1.0])) == 2
-    assert count_fractional(np.array([1e-9, 1 - 1e-9])) == 0
-    with pytest.raises(ValueError):
-        count_fractional(np.array([0.5]), tol=0.7)
 
 
 def test_fractional_bound_random_instances():
@@ -92,7 +83,7 @@ def test_fractional_bound_random_instances():
         sol = solve_bfs(build_denoised_lp(inst, cs))
         assert sol.status is SolveStatus.OPTIMAL
         bound = min(inst.m, 1 + sum(pk - 1 for pk in inst.p))
-        assert count_fractional(sol.x) <= bound
+        assert len(sol.fractional_indices) <= bound
         solved += 1
     assert solved == 300
 
@@ -162,7 +153,7 @@ def test_vertex_basic_count_bounded_by_rows():
         cs = anchored_constraints(rng, inst)
         lp = build_denoised_lp(inst, cs)
         sol = solve_bfs(lp)
-        assert count_fractional(sol.x) <= lp.num_rows
+        assert len(sol.fractional_indices) <= lp.num_rows
 
 
 def test_rejects_crossed_row_bounds():

@@ -89,5 +89,3 @@ def test_sweep_configs_build(perfbench, workload):
     _, bench_workloads = perfbench
     cfgs = bench_workloads.sweep_configs(workload, 1)
     assert cfgs and all(isinstance(cfg, ExperimentConfig) for cfg in cfgs)
-    for cfg in cfgs:
-        assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
