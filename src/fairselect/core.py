@@ -302,15 +302,42 @@ def instance_to_dict(inst: Instance) -> dict:
     return data
 
 
+def integer(name: str, value) -> int:
+    """A JSON number that must be an integer (3.0 reads as 3).
+
+    Raises ValueError naming ``name`` for anything else, such as 1.9,
+    which ``int`` would truncate to 1.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def integer_array(name: str, value) -> np.ndarray:
+    """A JSON list (nested or not) whose numbers must all be integers."""
+    a = np.asarray(value)
+    if a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.round(a))):
+        a = a.astype(int)
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers only")
+    return a
+
+
 def instance_from_dict(data: dict) -> Instance:
     unknown = sorted(set(data) - INSTANCE_KEYS)
     if unknown:
         raise ValueError(f"unknown instance keys: {unknown}")
+    if not isinstance(data["w"], list):
+        raise ValueError("w must be a list of utilities")
     w = np.asarray(data["w"], dtype=float)
-    q = data.get("q")
-    return Instance(m=w.size, n=int(data["n"]), s=len(data["p"]), p=data["p"], utilities=w,
-                    noise=None if q is None else tuple(q), true_attrs=data.get("z"),
-                    noisy_attrs=data.get("zhat"), features=data.get("a"))
+    p, q = integer_array("p", data["p"]), data.get("q")
+    z, zhat = (None if data.get(key) is None else integer_array(key, data[key])
+               for key in ("z", "zhat"))
+    return Instance(m=w.size, n=integer("n", data["n"]), s=len(p), p=p, utilities=w,
+                    noise=None if q is None else tuple(q), true_attrs=z,
+                    noisy_attrs=zhat, features=data.get("a"))
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import selectors
-from .core import (InfeasibleError, Instance, constraints_from_alpha, target_vector,
-                   violation_report)
+from .core import (InfeasibleError, Instance, constraints_from_alpha, integer,
+                   target_vector, violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -100,16 +100,17 @@ class ExperimentConfig:
         unknown = sorted(set(gen) - GENERATOR_KEYS)
         if unknown:
             raise ValueError(f"unknown generator keys: {unknown}")
-        m, n = int(data["m"]), int(data["n"])
+        m, n = integer("m", data["m"]), integer("n", data["n"])
         return cls(
             generator=GeneratorSpec(kind=gen["kind"], m=m, n=n, params=dict(gen.get("params", {}))),
             sweep_kind=kind, grid=tuple(grid),
             algorithms=tuple(data["algorithms"]),
-            trials=int(data["trials"]), n=n, m=m,
-            target=data["target"], delta=float(data["delta"]), seed=int(data["seed"]),
+            trials=integer("trials", data["trials"]), n=n, m=m,
+            target=data["target"], delta=float(data["delta"]), seed=integer("seed", data["seed"]),
             alpha=float(data.get("alpha", 1.0)), lambda_=float(data.get("lambda", 0.0)),
-            tau=float(data.get("tau", 0.0)), fw_iters=int(data.get("fw_iters", 500)),
-            bins=int(data.get("bins", 20)),
+            tau=float(data.get("tau", 0.0)),
+            fw_iters=integer("fw_iters", data.get("fw_iters", 500)),
+            bins=integer("bins", data.get("bins", 20)),
         )
 
 

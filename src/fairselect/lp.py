@@ -12,8 +12,16 @@ Implementation notes:
 * Each ranged row gets one slack with box [0, hi - lo]; rows with lo == hi
   degenerate to equalities (slack fixed at 0). Keeping a row single-sided
   preserves the basis-size argument behind the fractional-count bound.
-* Phase I installs one artificial per initially violated row and maximizes
-  minus their sum; artificials never re-enter once driven out.
+* The simplex starts from a crash point: the variables listed in
+  ``LinearProgram.start`` sit at their upper bound of 1 and every other
+  variable at 0. ``build_denoised_lp`` lists the n highest-utility items
+  (the blind selection), which already meets the cardinality row, so
+  Phase I repairs at most the group rows instead of raising n variables
+  one bound flip at a time (Bixby, "Implementing the simplex method: the
+  initial basis", 1992). ``start=()`` is the cold start at x = 0.
+* Phase I installs one artificial per row the start violates and
+  maximizes minus their sum; it is skipped when the start meets every
+  row. Artificials never re-enter once driven out.
 * Pricing is Dantzig (most improving reduced cost, lowest index on ties)
   and switches to Bland's rule after a run of degenerate pivots, which
   guarantees termination; a nondegenerate step switches back.
@@ -51,24 +59,34 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """max objective'x, s.t. row_lower <= rows @ x <= row_upper, 0 <= x <= 1."""
+    """max objective'x, s.t. row_lower <= rows @ x <= row_upper, 0 <= x <= 1.
+
+    ``start`` lists the variables that sit at their upper bound of 1 when
+    the simplex starts; the others start at 0. It changes the pivots taken,
+    not the optimum.
+    """
 
     num_vars: int
     objective: np.ndarray
     rows: np.ndarray        # (k, num_vars)
     row_lower: np.ndarray   # (k,)
     row_upper: np.ndarray   # (k,)
+    start: np.ndarray = ()  # distinct variable indices
 
     def __post_init__(self):
         object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
         object.__setattr__(self, "row_lower", np.asarray(self.row_lower, dtype=float))
         object.__setattr__(self, "row_upper", np.asarray(self.row_upper, dtype=float))
+        object.__setattr__(self, "start", np.asarray(self.start, dtype=int))
         k = self.rows.shape[0]
         if self.rows.shape != (k, self.num_vars):
             raise ValueError(f"rows shape {self.rows.shape} != ({k}, {self.num_vars})")
         if np.any(self.row_lower > self.row_upper + 1e-12):
             raise ValueError("row lower bound exceeds row upper bound")
+        if (np.any((self.start < 0) | (self.start >= self.num_vars))
+                or np.unique(self.start).size != self.start.size):
+            raise ValueError("start must list distinct variable indices")
 
     @property
     def num_rows(self) -> int:
@@ -106,6 +124,7 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
         rows=np.vstack(blocks),
         row_lower=np.concatenate(lowers),
         row_upper=np.concatenate(uppers),
+        start=np.argsort(-inst.utilities, kind="stable")[: inst.n],  # the blind top-n
     )
 
 
@@ -122,19 +141,21 @@ class _Tableau:
         self.ub = np.concatenate([np.ones(m), rng_width, np.zeros(k)])
         self.b = lp.row_upper.copy()
         self.status = np.full(m + 2 * k, _AT_LOWER, dtype=np.int8)
+        self.status[lp.start] = _AT_UPPER
         self.basis = np.empty(k, dtype=int)
         self.artificial_start = m + k
 
+        # what each row's slack must absorb at the start point
+        residual = self.b - lp.rows[:, lp.start].sum(axis=1)
         for r in range(k):
             slack, art = m + r, m + k + r
-            if -FEAS_TOL <= self.b[r] <= rng_width[r] + FEAS_TOL:
+            if -FEAS_TOL <= residual[r] <= rng_width[r] + FEAS_TOL:
                 self.basis[r] = slack
                 self.status[slack] = _BASIC
             else:
-                at_upper = self.b[r] > rng_width[r]
+                at_upper = residual[r] > rng_width[r]
                 self.status[slack] = _AT_UPPER if at_upper else _AT_LOWER
-                resid = self.b[r] - (rng_width[r] if at_upper else 0.0)
-                self.A[r, art] = 1.0 if resid > 0 else -1.0
+                self.A[r, art] = 1.0 if at_upper else -1.0
                 self.ub[art] = np.inf
                 self.basis[r] = art
                 self.status[art] = _BASIC

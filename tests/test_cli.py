@@ -230,7 +230,13 @@ def _per_item(data):
     (lambda data: {**data, "weights": data["w"]}, "unknown instance keys: ['weights']"),
     (lambda data: {**data, "q": [data["q"][0][:-1]]}, "noise block 0 shape (3, 2) != (4, 2)"),
     (lambda data: {**data, "p": 2}, "malformed instance file"),
-], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list"])
+    (lambda data: {**data, "w": 3, "q": [data["q"][0][:1]]}, "w must be a list"),
+    (lambda data: {**data, "n": 1.9}, "n must be an integer, not 1.9"),
+    (lambda data: {**data, "p": [2.5]}, "p must hold integers only"),
+    (lambda data: {**data, "z": [[0], [0], [0.7], [1.2]]}, "z must hold integers only"),
+    (lambda data: {**data, "zhat": [[0], [0.5], [0], [1]]}, "zhat must hold integers only"),
+], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list", "w-scalar",
+        "n-fraction", "p-fraction", "z-fraction", "zhat-fraction"])
 def test_select_rejects_malformed_instance_file(tiny, tmp_path, capsys, reshape, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(reshape(instance_to_dict(tiny))))
@@ -256,6 +262,19 @@ def test_experiment_rejects_bad_generator_section(tmp_path, capsys, generator, m
     assert code == 1
     assert out == ""
     assert message in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("m", 50.5), ("n", 9.9), ("trials", 2.5),
+                                          ("seed", 3.2), ("fw_iters", 10.5), ("bins", 19.5)])
+def test_experiment_rejects_non_integral_numbers(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**experiment_config(), field: value}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "results.csv"))
+    assert code == 1
+    assert out == ""
+    assert f"{field} must be an integer, not {value}" in err
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -49,11 +49,14 @@ def test_fair_expec_fact_one():
 
 
 def test_fair_expec_alpha_zero_equals_blind():
+    # at alpha=0 the simplex's start, the blind top-n, is already the optimal vertex
     rng = np.random.default_rng(21)
     for _ in range(20):
         inst = random_instance(rng, s=1, p=[2])
         cs = constraints_from_alpha(inst.n, [0.5, 0.5], alpha=0.0, delta=0.1)
         assert fair_expec(inst, cs).total_utility == blind(inst).total_utility
+        assert np.array_equal(fair_expec(inst, cs).chosen, blind(inst).chosen)
+        assert denoised_bfs(inst, cs).fractional_indices == frozenset()
 
 
 def test_fair_expec_dominates_vertex_and_bounds_cardinality():
