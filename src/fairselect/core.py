@@ -208,6 +208,23 @@ def target_vector(inst: Instance, proportional: bool) -> np.ndarray:
     return np.bincount(inst.true_attrs[:, 0], minlength=p) / inst.m
 
 
+def top_n(scores: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the n largest scores, ties going to the lowest index.
+
+    Returns the same array as ``np.argsort(-scores, kind="stable")[:n]``
+    (best first), but partitions around the n-th largest score instead of
+    sorting all m, so only the n picked indices are sorted.
+    """
+    s = np.asarray(scores, dtype=float)
+    n = min(n, s.size)
+    if n <= 0:
+        return np.empty(0, dtype=np.intp)
+    tau = np.partition(s, s.size - n)[s.size - n]
+    above = np.flatnonzero(s > tau)
+    picked = np.concatenate([above, np.flatnonzero(s == tau)[: n - above.size]])
+    return picked[np.argsort(-s[picked], kind="stable")]
+
+
 @dataclass(frozen=True, eq=False)
 class Selection:
     """Binary inclusion vector with its utility and cardinality."""

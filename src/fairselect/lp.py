@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintSet, Instance
+from .core import ConstraintSet, Instance, top_n
 
 FEAS_TOL = 1e-8    # row and box feasibility
 OPT_TOL = 1e-9     # reduced-cost optimality
@@ -124,7 +124,7 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
         rows=np.vstack(blocks),
         row_lower=np.concatenate(lowers),
         row_upper=np.concatenate(uppers),
-        start=np.argsort(-inst.utilities, kind="stable")[: inst.n],  # the blind top-n
+        start=top_n(inst.utilities, inst.n),  # the blind selection
     )
 
 

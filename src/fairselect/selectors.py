@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError
+from .core import ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError, top_n
 from .lp import FRAC_TOL, BfsSolution, SolveStatus, build_denoised_lp, solve_bfs
 from .seeding import make_rng
 
@@ -25,17 +25,11 @@ from .seeding import make_rng
 KL_EPSILON = 1e-6
 
 
-def _top_n_mask(scores: np.ndarray, n: int) -> np.ndarray:
-    """Indicator of the n largest scores, ties broken by lowest index."""
-    order = np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-    mask = np.zeros(len(scores), dtype=int)
-    mask[order[:n]] = 1
-    return mask
-
-
 def blind(inst: Instance) -> Selection:
     """The n highest-utility items, ignoring all fairness information."""
-    return Selection.from_mask(_top_n_mask(inst.utilities, inst.n), inst.utilities)
+    chosen = np.zeros(inst.m, dtype=int)
+    chosen[top_n(inst.utilities, inst.n)] = 1
+    return Selection.from_mask(chosen, inst.utilities)
 
 
 def denoised_bfs(inst: Instance, cs: ConstraintSet) -> BfsSolution:
@@ -165,35 +159,23 @@ def thrsh(inst: Instance, cs: ConstraintSet, qprime: np.ndarray) -> Selection:
     return Selection.from_mask(taken, inst.utilities)
 
 
-def _kl(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * np.log(a / b)))
-
-
-def mult_obj_objective(x: np.ndarray, inst: Instance, target, lambda_: float,
-                       qprime: np.ndarray) -> float:
-    """Utility minus the scaled KL penalty between the selected imputed
-    distribution and the target, both smoothed by KL_EPSILON."""
-    t = np.asarray(target, dtype=float)
-    p = len(t)
-    eps = KL_EPSILON
-    dist = qprime.T @ x / inst.n
-    dist_s = (1 - eps) * dist + eps / p
-    t_s = (1 - eps) * t + eps / p
-    scale = float(inst.utilities.sum()) / inst.m
-    return float(inst.utilities @ x) - lambda_ * _kl(dist_s, t_s) * scale
-
-
 def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
              fw_iters: int = 500) -> np.ndarray:
     """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n},
     with lambda_ the KL penalty weight, target the desired group distribution
-    and qprime the imputed groups.
+    and qprime the imputed groups (one one-hot row per item).
 
-    The linear minimization oracle over that polytope is exactly "top-n by
-    gradient", so no projection is needed. Step size 2/(k+2), and the
-    best-so-far iterate is returned, so more iterations never hurt. With
-    lambda_=0 the gradient is the utility vector at every step and the
-    blind indicator is returned unchanged.
+    The objective is utility minus lambda_ times the KL divergence between
+    the selected imputed distribution and the target, both smoothed by
+    KL_EPSILON, times the mean utility. The linear minimization oracle over
+    the polytope is "top-n by gradient", so no projection is needed. Step
+    size 2/(k+2), and the best-so-far iterate is returned, so more iterations
+    never hurt. With lambda_=0 the blind indicator is returned.
+
+    The gradient is w_i - c[g(i)] for a p-vector c, so within a group it
+    orders items by utility. The top n therefore lies among each group's
+    n best items, and each step searches only those (plus one more per
+    group, which shows whether a tie runs past them) instead of sorting m.
     """
     t = np.asarray(target, dtype=float)
     if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
@@ -203,24 +185,51 @@ def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
     if fw_iters < 1:
         raise ValueError("fw_iters must be positive")
     w = inst.utilities
-    n, p = inst.n, qprime.shape[1]
+    m, n = inst.m, inst.n
+    qprime = np.asarray(qprime)
+    if qprime.ndim != 2 or qprime.shape[0] != m:
+        raise ValueError(f"imputed matrix has shape {qprime.shape}, expected one row per item (m={m})")
+    if not (np.all((qprime == 0) | (qprime == 1)) and np.all(qprime.sum(axis=1) == 1)):
+        raise ValueError("imputed matrix must be one-hot: one 1.0 per row, zeros elsewhere")
+    groups = np.argmax(qprime, axis=1)
+    p = qprime.shape[1]
     if len(t) != p:
         raise ValueError(f"target has {len(t)} entries, imputed matrix has {p} groups")
-    x = _top_n_mask(w, n).astype(float)
+    x = np.zeros(m)
+    x[top_n(w, n)] = 1.0
     if lambda_ == 0.0:
         return x
     eps = KL_EPSILON
     t_s = (1 - eps) * t + eps / p
-    scale = lambda_ * (float(w.sum()) / inst.m) * (1 - eps) / n
-    best_x, best_val = x, mult_obj_objective(x, inst, t, lambda_, qprime)
+    mean_w = float(w.sum()) / m
+    scale = lambda_ * mean_w * (1 - eps) / n
+    # each group's n + 1 best items by (utility descending, index)
+    order = np.lexsort((-w, groups))
+    sorted_groups = groups[order]
+    heads = order[np.arange(m) - np.searchsorted(sorted_groups, sorted_groups) <= n]
+    head_w, head_g = w[heads], groups[heads]
+    cut = heads.size - n
+
+    def log_ratio_and_value(x):
+        dist_s = (1 - eps) * (qprime.T @ x / n) + eps / p
+        log_ratio = np.log(dist_s / t_s)
+        return log_ratio, float(w @ x) - lambda_ * float((dist_s * log_ratio).sum()) * mean_w
+
+    log_ratio, best_val = log_ratio_and_value(x)
+    best_x = x
     for it in range(fw_iters):
-        dist = qprime.T @ x / n
-        dist_s = (1 - eps) * dist + eps / p
-        grad = w - scale * (qprime @ (np.log(dist_s / t_s) + 1.0))
-        vertex = _top_n_mask(grad, n)
+        c = scale * (log_ratio + 1.0)
+        head_grad = head_w - c[head_g]
+        tau = np.partition(head_grad, cut)[cut]  # the n-th largest gradient entry
+        top = head_grad >= tau
+        vertex = np.zeros(m)
+        if np.count_nonzero(top) == n:
+            vertex[heads[top]] = 1.0
+        else:  # a tie at tau, which may run past the heads; the lowest indices win it
+            vertex[top_n(w - c[groups], n)] = 1.0
         gamma = 2.0 / (it + 2.0)
         x = x + gamma * (vertex - x)
-        val = mult_obj_objective(x, inst, t, lambda_, qprime)
+        log_ratio, val = log_ratio_and_value(x)
         if val > best_val + 1e-12:
             best_x, best_val = x, val
     return best_x

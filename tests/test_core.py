@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fairselect.core import (Instance, Selection, constraints_from_alpha,
                              instance_from_dict, instance_to_dict, load_instance,
-                             make_constraints, save_instance, validate_instance,
+                             make_constraints, save_instance, top_n, validate_instance,
                              violation_report)
 
 from conftest import fact_one_constraints, fact_one_instance
@@ -102,6 +102,17 @@ def test_make_constraints_clamps_to_n():
 def test_constraints_reject_crossed_bounds():
     with pytest.raises(ValueError):
         make_constraints([[3.0]], [[2.0]], delta=0.0, n=5)
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=40), st.data())
+def test_top_n_matches_a_stable_sort(scores, data):
+    # few distinct values, so most cuts fall inside a run of ties
+    s = np.array(scores, dtype=float)
+    n = data.draw(st.integers(0, s.size))
+    picked = top_n(s, n)
+    expected = np.argsort(-s, kind="stable")[:n]
+    assert set(picked.tolist()) == set(expected.tolist())
+    assert np.array_equal(picked, expected)  # the same order, best first
 
 
 def test_selection_consistency(tiny):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fairselect.core import Instance, InfeasibleError, UnsupportedError, make_constraints, constraints_from_alpha
 from fairselect.selectors import (blind, ceil_round, dependent_round, denoised_bfs,
                                   estimate_group_level_q, fair_expec, fair_expec_grp,
-                                  impute_bayes, mult_obj, mult_obj_objective, thrsh)
+                                  impute_bayes, mult_obj, thrsh)
 from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import fact_one_constraints, fact_one_instance, random_instance, anchored_constraints
+from reference_mult_obj import mult_obj_objective, reference_mult_obj
 
 
 # --- blind ------------------------------------------------------------
@@ -349,6 +351,61 @@ def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, fw_iters, message)
     # checked before the lambda_ = 0 shortcut returns the blind indicator
     with pytest.raises(ValueError, match=message):
         mult_obj(tiny, target, lambda_, impute_bayes(tiny.noise[0], seed=0), fw_iters)
+
+
+@pytest.mark.parametrize("qprime, message", [
+    (np.eye(2)[[0, 0, 1]], "one row per item"),
+    (np.array([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]]), "one-hot"),
+    (np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "one-hot"),
+    (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "one-hot"),
+])
+def test_mult_obj_rejects_an_imputed_matrix_it_cannot_use(tiny, qprime, message):
+    with pytest.raises(ValueError, match=message):
+        mult_obj(tiny, (0.5, 0.5), 1.0, qprime)
+
+
+def test_mult_obj_breaks_a_rounded_gradient_tie_by_lowest_index():
+    # Items 1 and 2 share group 1 and item 2 has the higher utility, but once
+    # the group's penalty is subtracted their gradients round to the same
+    # value. The tie goes to item 1, the lower index, not to the group's
+    # utility leader.
+    qp = np.eye(2)[[0, 1, 1]]
+    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=[2.0, 2.0, 2.0 + 2.0 ** -51], noise=(qp,))
+    x = mult_obj(inst, (0.5, 0.5), 1000.0, qp, fw_iters=5)
+    assert np.array_equal(x, reference_mult_obj(inst, (0.5, 0.5), 1000.0, qp, fw_iters=5))
+    assert x[1] > 0.0 and x[2] == 0.0
+
+
+@st.composite
+def mult_obj_cases(draw):
+    p = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, m))
+    items = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
+    qp = np.eye(p)[draw(items)]
+    kind = draw(st.sampled_from(["tied", "near-tied", "continuous"]))
+    if kind == "continuous":
+        w = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+    else:
+        w = np.array(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)), dtype=float)
+        if kind == "near-tied":  # a few ulps apart, so gradients can round together
+            w += np.array(draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))) * np.spacing(w)
+    if draw(st.booleans()):
+        target = np.full(p, 1.0 / p)
+    else:
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p)))
+        assume(raw.sum() > 0)
+        target = raw / raw.sum()
+    lambda_ = 10.0 ** draw(st.floats(-2.0, 6.0))
+    fw_iters = draw(st.integers(1, 300))
+    inst = Instance(m=m, n=n, s=1, p=(p,), utilities=w, noise=(qp,))
+    return inst, target, lambda_, qp, fw_iters
+
+
+@settings(max_examples=200, deadline=None)
+@given(mult_obj_cases())
+def test_mult_obj_matches_the_full_sort_reference(case):
+    assert np.array_equal(mult_obj(*case), reference_mult_obj(*case))
 
 
 # --- rounding ---------------------------------------------------------
