@@ -108,6 +108,16 @@ def impute_bayes(q: np.ndarray, seed=0) -> np.ndarray:
     return out
 
 
+def _imputed_groups(qprime: np.ndarray, m: int) -> np.ndarray:
+    """Each item's group in a one-hot imputed matrix (one row per item, see
+    impute_bayes); raises ValueError for any other matrix."""
+    if qprime.ndim != 2 or qprime.shape[0] != m:
+        raise ValueError(f"imputed matrix has shape {qprime.shape}, expected one row per item (m={m})")
+    if not (np.all((qprime == 0) | (qprime == 1)) and np.all(qprime.sum(axis=1) == 1)):
+        raise ValueError("imputed matrix must be one-hot: one 1.0 per row, zeros elsewhere")
+    return np.argmax(qprime, axis=1)
+
+
 def _integer_bounds(cs: ConstraintSet, k: int = 0):
     # integer count window implied by real bounds; 1e-9 guards float dust
     lo = np.ceil(cs.lower[k] - 1e-9).astype(int)
@@ -127,8 +137,11 @@ def thrsh(inst: Instance, cs: ConstraintSet, qprime: np.ndarray) -> Selection:
     if inst.s != 1:
         raise UnsupportedError(
             "thrsh supports one attribute; for s > 1 run fair_expec on the imputed matrix")
-    groups = np.argmax(qprime, axis=1)
+    qprime = np.asarray(qprime)
+    groups = _imputed_groups(qprime, inst.m)
     p = inst.p[0]
+    if qprime.shape[1] != p:
+        raise ValueError(f"imputed matrix has {qprime.shape[1]} groups, the instance has {p}")
     lo, hi = _integer_bounds(cs)
     sizes = np.bincount(groups, minlength=p)
     caps = np.minimum(hi, sizes)
@@ -187,11 +200,7 @@ def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
     w = inst.utilities
     m, n = inst.m, inst.n
     qprime = np.asarray(qprime)
-    if qprime.ndim != 2 or qprime.shape[0] != m:
-        raise ValueError(f"imputed matrix has shape {qprime.shape}, expected one row per item (m={m})")
-    if not (np.all((qprime == 0) | (qprime == 1)) and np.all(qprime.sum(axis=1) == 1)):
-        raise ValueError("imputed matrix must be one-hot: one 1.0 per row, zeros elsewhere")
-    groups = np.argmax(qprime, axis=1)
+    groups = _imputed_groups(qprime, m)
     p = qprime.shape[1]
     if len(t) != p:
         raise ValueError(f"target has {len(t)} entries, imputed matrix has {p} groups")

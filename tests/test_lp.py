@@ -1,8 +1,6 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from fairselect.core import Instance, make_constraints
@@ -165,20 +163,12 @@ def test_rejects_crossed_row_bounds():
                       row_lower=[3.0], row_upper=[2.0])
 
 
-@st.composite
-def denoised_lps(draw):
-    """Expected-count LPs of the shapes that stress a start: several
-    attributes (each attribute's rows sum to the cardinality row, so the
-    rows are linearly dependent), one-hot noise rows, L = U at delta 0,
-    tied utilities, n = m, and systems with no feasible point."""
-    s = draw(st.integers(1, 3))
-    p = draw(st.lists(st.integers(2, 4), min_size=s, max_size=s))
-    m = draw(st.integers(2, 30))
-    n = draw(st.integers(1, m))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tied = draw(st.booleans())
-    one_hot_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
-    bounds = draw(st.sampled_from(["anchored", "equal", "zero_upper"]))
+def expected_count_lp(p, m, n, seed, tied, one_hot_share, bounds):
+    """An expected-count LP with one attribute per entry of ``p``, drawn from
+    ``seed``: integer utilities in {0, 1, 2} if ``tied``, dirichlet noise rows
+    of which ``one_hot_share`` are one-hot, and bounds that are "anchored",
+    "equal" (L = U at delta 0) or "zero_upper" (infeasible)."""
+    rng = np.random.default_rng(seed)
     utilities = rng.integers(0, 3, m).astype(float) if tied else rng.random(m)
     noise = []
     for pk in p:
@@ -186,7 +176,7 @@ def denoised_lps(draw):
         one_hot = rng.random(m) < one_hot_share
         q[one_hot] = np.eye(pk)[rng.integers(0, pk, one_hot.sum())]
         noise.append(q)
-    inst = Instance(m=m, n=n, s=s, p=tuple(p), utilities=utilities, noise=tuple(noise))
+    inst = Instance(m=m, n=n, s=len(p), p=tuple(p), utilities=utilities, noise=tuple(noise))
     if bounds == "anchored":
         cs = anchored_constraints(rng, inst)
     elif bounds == "equal":  # L = U = the expected counts of a random n-subset
@@ -200,33 +190,47 @@ def denoised_lps(draw):
     return inst, build_denoised_lp(inst, cs)
 
 
+@st.composite
+def denoised_lps(draw):
+    """Expected-count LPs of the shapes that stress the solver: several
+    attributes (each attribute's rows sum to the cardinality row, so the
+    rows are linearly dependent), one-hot noise rows, L = U at delta 0,
+    tied utilities, n = m, and systems with no feasible point."""
+    s = draw(st.integers(1, 3))
+    p = draw(st.lists(st.integers(2, 4), min_size=s, max_size=s))
+    m = draw(st.integers(2, 30))
+    n = draw(st.integers(1, m))
+    return expected_count_lp(p, m, n, seed=draw(st.integers(0, 2**32 - 1)),
+                             tied=draw(st.booleans()),
+                             one_hot_share=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                             bounds=draw(st.sampled_from(["anchored", "equal", "zero_upper"])))
+
+
+def _equal_bounds_case(counts):
+    """Three items, two groups, n = 2 and L = U = ``counts`` at delta 0."""
+    inst = Instance(m=3, n=2, s=1, p=(2,), utilities=[1.0, 2.0, 3.0],
+                    noise=(np.array([[0.1, 0.9], [0.1, 0.9], [0.2, 0.8]]),))
+    return inst, build_denoised_lp(inst, make_constraints([counts], [counts], delta=0.0, n=2))
+
+
 @settings(max_examples=150, deadline=None)
 @given(denoised_lps())
-def test_blind_start_and_cold_start_match_independent_solver(case):
+# items 0 and 1 are the only feasible pair; the flips that close the group
+# row fall short of its violation by ~3e-17, inside FEAS_TOL
+@example(_equal_bounds_case(np.array([0.2, 1.8])))
+# the group row misses by 1e-6, well beyond FEAS_TOL
+@example(_equal_bounds_case(np.array([0.2 - 1e-6, 1.8 + 1e-6])))
+# tied utilities and L = U: without COST_SHIFT the ratio test cycles here
+@example(expected_count_lp([4, 4], 151, 145, seed=1088449068, tied=True,
+                           one_hot_share=0.0, bounds="equal"))
+def test_solver_matches_independent_solver(case):
     inst, lp = case
     reference = scipy_lp_value(lp)
     bound = min(inst.m, 1 + sum(pk - 1 for pk in inst.p))
-    for start_lp in (lp, replace(lp, start=())):
-        sol = solve_bfs(start_lp)
-        if reference is None:
-            assert sol.status is SolveStatus.INFEASIBLE
-            continue
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(reference, abs=1e-8)
-        assert len(sol.fractional_indices) <= bound
-
-
-def test_start_is_the_blind_top_n(tiny):
-    lp = build_denoised_lp(tiny, make_constraints([np.zeros(2)], [np.ones(2)], delta=0.0, n=2))
-    assert list(lp.start) == [0, 1]
-    tied = Instance(m=4, n=2, s=1, p=(2,), utilities=[1.0, 2.0, 2.0, 2.0],
-                    noise=(np.full((4, 2), 0.5),))
-    assert list(build_denoised_lp(tied, make_constraints([np.zeros(2)], [np.full(2, 2.0)],
-                                                         delta=0.0, n=2)).start) == [1, 2]
-
-
-@pytest.mark.parametrize("start", [[2], [-1], [0, 0]])
-def test_rejects_a_bad_start(start):
-    with pytest.raises(ValueError, match="start"):
-        LinearProgram(num_vars=2, objective=[1.0, 1.0], rows=[[1.0, 1.0]],
-                      row_lower=[1.0], row_upper=[1.0], start=start)
+    sol = solve_bfs(lp)
+    if reference is None:
+        assert sol.status is SolveStatus.INFEASIBLE
+        return
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective_value == pytest.approx(reference, abs=1e-8)
+    assert len(sol.fractional_indices) <= bound

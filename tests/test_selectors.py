@@ -51,7 +51,7 @@ def test_fair_expec_fact_one():
 
 
 def test_fair_expec_alpha_zero_equals_blind():
-    # at alpha=0 the simplex's start, the blind top-n, is already the optimal vertex
+    # at alpha=0 only the cardinality row binds, so the optimal vertex is the blind top-n
     rng = np.random.default_rng(21)
     for _ in range(20):
         inst = random_instance(rng, s=1, p=[2])
@@ -358,10 +358,14 @@ def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, fw_iters, message)
     (np.array([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]]), "one-hot"),
     (np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "one-hot"),
     (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "one-hot"),
+    (np.eye(3)[[0, 0, 1, 2]], "imputed matrix has 3 groups"),
 ])
-def test_mult_obj_rejects_an_imputed_matrix_it_cannot_use(tiny, qprime, message):
+def test_mult_obj_rejects_an_imputed_matrix_it_cannot_use(tiny, tiny_constraints, qprime, message):
+    # thrsh rejects the same matrices
     with pytest.raises(ValueError, match=message):
         mult_obj(tiny, (0.5, 0.5), 1.0, qprime)
+    with pytest.raises(ValueError, match=message):
+        thrsh(tiny, tiny_constraints, qprime)
 
 
 def test_mult_obj_breaks_a_rounded_gradient_tie_by_lowest_index():
