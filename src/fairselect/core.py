@@ -302,20 +302,24 @@ def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") 
 
 
 # --- instance file format -------------------------------------------------
-# {n, p: [p_0, ...], w: [m utilities], q?: [one (m, p_k) matrix per attribute],
-#  z?: (m, s) true values, zhat?: (m, s) observed values, a?: (m, d) features}
-# m is len(w) and s is len(p); shapes are checked by validate_instance.
+# {n, p: [p_0, ...], w: [m utilities], q?: [one (p_k, m) matrix per attribute],
+#  z?: (s, m) true values, zhat?: (s, m) observed values}
+# Matrices are stored one row per group value or attribute, so a file holds
+# a few long lists rather than m short ones; Instance keeps them as (m, p_k)
+# and (m, s). m is len(w) and s is len(p); shapes are checked by
+# validate_instance.
 
-INSTANCE_KEYS = frozenset({"n", "p", "w", "q", "z", "zhat", "a"})
+INSTANCE_KEYS = frozenset({"n", "p", "w", "q", "z", "zhat"})
+REQUIRED_KEYS = frozenset({"n", "p", "w"})
 
 
 def instance_to_dict(inst: Instance) -> dict:
     data = {"n": inst.n, "p": list(inst.p), "w": inst.utilities.tolist()}
     if inst.noise is not None:
-        data["q"] = [q.tolist() for q in inst.noise]
-    for key, col in (("z", inst.true_attrs), ("zhat", inst.noisy_attrs), ("a", inst.features)):
+        data["q"] = [q.T.tolist() for q in inst.noise]
+    for key, col in (("z", inst.true_attrs), ("zhat", inst.noisy_attrs)):
         if col is not None:
-            data[key] = col.tolist()
+            data[key] = col.T.tolist()
     return data
 
 
@@ -332,34 +336,60 @@ def integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _number_array(name: str, value, what: str) -> np.ndarray:
+    """A JSON list (nested or not) as an array, if it is rectangular and
+    holds numbers only. numpy reads a true among numbers as 1, so the
+    innermost lists are also scanned for booleans."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged: numpy cannot give it one shape
+        raise ValueError(f"{name} is ragged: its lists differ in length") from None
+    rows = [value] if a.ndim else [[value]]
+    for _ in range(a.ndim - 1):
+        rows = [row for block in rows for row in block]
+    if a.dtype.kind not in "iuf" or any(bool in set(map(type, row)) for row in rows):
+        raise ValueError(f"{name} must hold {what} only")
+    return a
+
+
 def integer_array(name: str, value) -> np.ndarray:
     """A JSON list (nested or not) whose numbers must all be integers."""
-    a = np.asarray(value)
-    if a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.round(a))):
+    a = _number_array(name, value, "integers")
+    if a.dtype.kind == "f":
+        if not np.all(np.isfinite(a) & (a == np.round(a))):
+            raise ValueError(f"{name} must hold integers only")
         a = a.astype(int)
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"{name} must hold integers only")
     return a
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """A JSON list (nested or not) of numbers, as floats."""
+    return _number_array(name, value, "numbers").astype(float, copy=False)
 
 
 def instance_from_dict(data: dict) -> Instance:
     unknown = sorted(set(data) - INSTANCE_KEYS)
     if unknown:
         raise ValueError(f"unknown instance keys: {unknown}")
+    missing = sorted(REQUIRED_KEYS - set(data))
+    if missing:
+        raise ValueError(f"missing instance keys: {missing}")
     if not isinstance(data["w"], list):
         raise ValueError("w must be a list of utilities")
-    w = np.asarray(data["w"], dtype=float)
+    w = real_array("w", data["w"])
     p, q = integer_array("p", data["p"]), data.get("q")
-    z, zhat = (None if data.get(key) is None else integer_array(key, data[key])
+    if q is not None:
+        q = tuple(real_array(f"q[{k}]", qk).T for k, qk in enumerate(q))
+    z, zhat = (None if data.get(key) is None else integer_array(key, data[key]).T
                for key in ("z", "zhat"))
     return Instance(m=w.size, n=integer("n", data["n"]), s=len(p), p=p, utilities=w,
-                    noise=None if q is None else tuple(q), true_attrs=z,
-                    noisy_attrs=zhat, features=data.get("a"))
+                    noise=q, true_attrs=z, noisy_attrs=zhat)
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh)
+    text = json.dumps(instance_to_dict(inst))
+    with open(path, "w") as fh:  # one write: json.dump writes many small chunks
+        fh.write(text)
 
 
 def load_instance(path) -> Instance:

@@ -225,18 +225,36 @@ def _per_item(data):
     return {"m": len(items), "n": data["n"], "s": 1, "p": data["p"], "items": items}
 
 
+def _item_zero_q(data, *values):
+    """The instance with item 0's probabilities of attribute 0 replaced."""
+    q = [list(row) for row in data["q"][0]]
+    for row, value in zip(q, values):
+        row[0] = value
+    return {**data, "q": [q]}
+
+
 @pytest.mark.parametrize("reshape, message", [
     (_per_item, "unknown instance keys: ['items', 'm', 's']"),
     (lambda data: {**data, "weights": data["w"]}, "unknown instance keys: ['weights']"),
-    (lambda data: {**data, "q": [data["q"][0][:-1]]}, "noise block 0 shape (3, 2) != (4, 2)"),
+    (lambda data: {**data, "q": [[row[:-1] for row in data["q"][0]]]},
+     "noise block 0 shape (3, 2) != (4, 2)"),
     (lambda data: {**data, "p": 2}, "malformed instance file"),
     (lambda data: {**data, "w": 3, "q": [data["q"][0][:1]]}, "w must be a list"),
     (lambda data: {**data, "n": 1.9}, "n must be an integer, not 1.9"),
     (lambda data: {**data, "p": [2.5]}, "p must hold integers only"),
     (lambda data: {**data, "z": [[0], [0], [0.7], [1.2]]}, "z must hold integers only"),
     (lambda data: {**data, "zhat": [[0], [0.5], [0], [1]]}, "zhat must hold integers only"),
+    (lambda data: {**data, "w": ["3.0", "2.5", "1.0", "0.5"]}, "w must hold numbers only"),
+    (lambda data: {**data, "w": [True, False, True, False]}, "w must hold numbers only"),
+    (lambda data: _item_zero_q(data, "0.9", 0.1), "q[0] must hold numbers only"),
+    (lambda data: _item_zero_q(data, True, 0.0), "q[0] must hold numbers only"),
+    (lambda data: {**data, "q": [[data["q"][0][0], data["q"][0][1][:-1]]]}, "q[0] is ragged"),
+    (lambda data: {**data, "z": [[0, 0, 0, 1], [0]]}, "z is ragged"),
+    (lambda data: {key: data[key] for key in data if key != "w"}, "missing instance keys: ['w']"),
+    (lambda data: {"w": data["w"]}, "missing instance keys: ['n', 'p']"),
 ], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list", "w-scalar",
-        "n-fraction", "p-fraction", "z-fraction", "zhat-fraction"])
+        "n-fraction", "p-fraction", "z-fraction", "zhat-fraction", "w-strings", "w-booleans",
+        "q-string", "q-boolean", "q-ragged", "z-ragged", "w-missing", "n-p-missing"])
 def test_select_rejects_malformed_instance_file(tiny, tmp_path, capsys, reshape, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(reshape(instance_to_dict(tiny))))

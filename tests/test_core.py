@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairselect.core import (Instance, Selection, constraints_from_alpha,
                              instance_from_dict, instance_to_dict, load_instance,
@@ -175,7 +176,7 @@ def test_instance_json_field_names(tiny):
     data = instance_to_dict(tiny)
     assert set(data) == {"n", "p", "w", "q", "z"}
     assert data["w"] == [3.0, 2.5, 1.0, 0.5]
-    assert data["z"] == [[0], [0], [0], [1]]
+    assert data["z"] == [[0, 0, 0, 1]]
     again = instance_from_dict(json.loads(json.dumps(data)))
     assert np.array_equal(again.noise[0], tiny.noise[0])
 
@@ -188,8 +189,64 @@ def test_instance_json_optional_fields_roundtrip(tmp_path):
     save_instance(inst, path)
     loaded = load_instance(path)
     assert np.array_equal(loaded.noisy_attrs, inst.noisy_attrs)
-    assert np.allclose(loaded.features, inst.features)
+    assert loaded.features is None  # features stay in memory; the file has no key for them
     assert loaded.true_attrs is None
+
+
+def test_instance_file_stores_matrices_by_group_value():
+    q0 = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    inst = Instance(m=5, n=2, s=2, p=(3, 2), utilities=np.arange(5.0),
+                    noise=(q0, np.full((5, 2), 0.5)),
+                    true_attrs=[[0, 1], [1, 0], [2, 1], [0, 0], [1, 1]])
+    assert validate_instance(inst).ok
+    data = instance_to_dict(inst)
+    for k, pk in enumerate(inst.p):
+        assert len(data["q"][k]) == pk
+        for value in range(pk):
+            assert data["q"][k][value] == inst.noise[k][:, value].tolist()
+    assert data["z"] == [[0, 1, 2, 0, 1], [1, 0, 1, 0, 1]]
+    # a file in the earlier one-row-per-item layout loads transposed and fails validation
+    rows = {**data, "q": [np.transpose(q).tolist() for q in data["q"]]}
+    assert "noise block 0 shape (3, 5) != (5, 3)" in validate_instance(instance_from_dict(rows)).violations
+
+
+@st.composite
+def saved_instances(draw):
+    """Instances with any finite utilities, dyadic probability rows (they
+    sum to exactly 1, so loading does not renormalize them) and z and zhat
+    each present or absent; m = p_k is drawn on purpose."""
+    s = draw(st.integers(1, 3))
+    p = draw(st.lists(st.integers(1, 4), min_size=s, max_size=s))
+    m = draw(st.one_of(st.sampled_from(p), st.integers(1, 50)))
+    w = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m))
+    scale = 2 ** 20
+    noise = []
+    for pk in p:
+        cuts = draw(arrays(np.int64, (m, pk - 1), elements=st.integers(0, scale)))
+        edges = np.hstack([np.zeros((m, 1), np.int64), np.sort(cuts, axis=1),
+                           np.full((m, 1), scale)])
+        noise.append(np.diff(edges, axis=1) / scale)
+    attrs = st.one_of(st.none(), st.tuples(*(arrays(np.int64, m, elements=st.integers(0, pk - 1))
+                                             for pk in p)).map(np.column_stack))
+    return Instance(m=m, n=draw(st.integers(1, m)), s=s, p=p, utilities=w, noise=noise,
+                    true_attrs=draw(attrs), noisy_attrs=draw(attrs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(saved_instances())
+def test_instance_file_roundtrip_is_exact(tmp_path_factory, inst):
+    path = tmp_path_factory.mktemp("roundtrip") / "inst.json"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    assert (loaded.m, loaded.n, loaded.s, loaded.p) == (inst.m, inst.n, inst.s, inst.p)
+    for before, after in [(inst.utilities, loaded.utilities), *zip(inst.noise, loaded.noise),
+                          (inst.true_attrs, loaded.true_attrs),
+                          (inst.noisy_attrs, loaded.noisy_attrs)]:
+        if before is None:
+            assert after is None
+            continue
+        assert (after.dtype, after.shape) == (before.dtype, before.shape)
+        assert after.tobytes() == before.tobytes()
 
 
 def test_package_exports_resolve():
