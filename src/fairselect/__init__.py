@@ -1,7 +1,7 @@
 """Fair subset selection under noisy protected attributes."""
 
 from .core import (ConstraintSet, InfeasibleError, Instance, Selection,
-                   UnsupportedError, ValidationResult, ViolationReport,
+                   UnsupportedError, ViolationReport,
                    constraints_from_alpha, load_instance, make_constraints,
                    save_instance, validate_instance, violation_report)
 from .lp import BfsSolution, LinearProgram, SolveStatus, build_denoised_lp, solve_bfs
@@ -14,7 +14,7 @@ from .selectors import (blind, ceil_round, dependent_round, denoised_bfs,
 __all__ = [
     "BfsSolution", "ConstraintSet", "InfeasibleError",
     "Instance", "LinearProgram", "MetricsReport", "Selection",
-    "SolveStatus", "UnsupportedError", "ValidationResult", "ViolationReport",
+    "SolveStatus", "UnsupportedError", "ViolationReport",
     "blind", "build_denoised_lp", "ceil_round", "compute_report",
     "constraints_from_alpha", "denoised_bfs",
     "dependent_round", "estimate_group_level_q", "fair_expec", "fair_expec_grp",

@@ -85,9 +85,9 @@ def _build_parser() -> _Parser:
 
 def _load_checked_instance(path) -> Instance:
     inst = load_instance(path)
-    check = validate_instance(inst)
-    if not check.ok:
-        raise ValueError("invalid instance: " + "; ".join(check.violations))
+    violations = validate_instance(inst)
+    if violations:
+        raise ValueError("invalid instance: " + "; ".join(violations))
     return inst
 
 
@@ -118,8 +118,8 @@ def cmd_select(args) -> int:
     else:
         cs = constraints_from_alpha(inst.n, t, args.alpha, delta=args.delta)
 
-    qprime_key = selectors.ALGORITHMS[args.algorithm].qprime_key
-    problem = selectors.Problem(inst, cs, t, qprime_seed=seed_sequence(args.seed, qprime_key),
+    imputed_key = selectors.ALGORITHMS[args.algorithm].imputed_key
+    problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(args.seed, imputed_key),
                                 lambda_=args.lambda_, fw_iters=args.fw_iters)
     sel = selectors.run_algorithm(args.algorithm, problem, seed_sequence(args.seed, 1))
     payload = {
@@ -150,8 +150,8 @@ def cmd_metrics(args) -> int:
         raise ValueError("--indices repeats an item")
     if len(indices) != inst.n:
         raise ValueError(f"--indices needs exactly n={inst.n} items, got {len(indices)}")
-    mask = np.zeros(inst.m, dtype=int)
-    mask[indices] = 1
+    mask = np.zeros(inst.m, dtype=bool)
+    mask[indices] = True
     sel = Selection.from_mask(mask, inst.utilities)
     t = target_vector(inst, proportional=args.target == "proportional")
     blind_sel = selectors.blind(inst)

@@ -9,8 +9,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -40,12 +40,11 @@ class Instance:
     Arrays are stored column-major by attribute: ``noise[k]`` is the
     (m, p[k]) probability matrix for attribute k, ``true_attrs`` is an
     (m, s) integer matrix. ``noise`` may be None for generator output that
-    has not had its probability estimate attached yet.
+    has not had its probability estimate attached yet. m and s are read off
+    the arrays: m = len(utilities), s = len(p).
     """
 
-    m: int
     n: int
-    s: int
     p: tuple
     utilities: np.ndarray
     noise: Optional[tuple]  # tuple of s arrays, each (m, p[k])
@@ -73,29 +72,25 @@ class Instance:
         if self.features is not None:
             object.__setattr__(self, "features", _readonly(np.asarray(self.features, dtype=float)))
 
+    @property
+    def m(self) -> int:
+        return len(self.utilities)
+
+    @property
+    def s(self) -> int:
+        return len(self.p)
+
     def noise_matrix(self, k: int = 0) -> np.ndarray:
         if self.noise is None:
             raise ValueError("instance carries no noise information")
         return self.noise[k]
 
-    def with_noise(self, noise: Sequence[np.ndarray]) -> "Instance":
-        return replace(self, noise=tuple(noise))
 
-    def with_noisy_attrs(self, noisy_attrs: np.ndarray) -> "Instance":
-        return replace(self, noisy_attrs=noisy_attrs)
-
-
-@dataclass(frozen=True, eq=False)
-class ValidationResult:
-    ok: bool
-    violations: tuple
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_instance(inst: Instance) -> ValidationResult:
-    """Check structural invariants; reports every violation, never raises."""
+def validate_instance(inst: Instance) -> tuple:
+    """Check structural invariants and return one message per violation;
+    an empty tuple means the instance is valid. Never raises."""
+    if inst.utilities.ndim != 1:
+        return (f"utilities must be 1-D, not of shape {inst.utilities.shape}",)
     bad = []
     if inst.m < 1:
         bad.append("m must be positive")
@@ -105,14 +100,10 @@ def validate_instance(inst: Instance) -> ValidationResult:
         bad.append(f"selection size n={inst.n} exceeds item count m={inst.m}")
     if inst.s < 1:
         bad.append("s must be at least 1")
-    if len(inst.p) != inst.s:
-        bad.append(f"p has {len(inst.p)} entries, expected s={inst.s}")
     for k, pk in enumerate(inst.p):
         if pk < 1:
             bad.append(f"attribute {k} has p={pk} < 1")
-    if inst.utilities.shape != (inst.m,):
-        bad.append(f"utilities shape {inst.utilities.shape} != ({inst.m},)")
-    elif not np.all(np.isfinite(inst.utilities)):
+    if not np.all(np.isfinite(inst.utilities)):
         idx = int(np.argmin(np.isfinite(inst.utilities)))
         bad.append(f"non-finite utility at item {idx}")
     elif np.any(inst.utilities < 0):
@@ -147,7 +138,7 @@ def validate_instance(inst: Instance) -> ValidationResult:
         for k, pk in enumerate(inst.p):
             if np.any((col[:, k] < 0) | (col[:, k] >= pk)):
                 bad.append(f"{name} column {k} outside [0, {pk})")
-    return ValidationResult(ok=not bad, violations=tuple(bad))
+    return tuple(bad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,24 +218,22 @@ def top_n(scores: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Selection:
-    """Binary inclusion vector with its utility and cardinality."""
+    """Boolean inclusion mask with the utility of the chosen items."""
 
     chosen: np.ndarray
     total_utility: float
-    cardinality: int
 
     def __post_init__(self):
-        object.__setattr__(self, "chosen", _readonly(np.asarray(self.chosen, dtype=int)))
-        recomputed = int(self.chosen.sum())
-        if recomputed != self.cardinality:
-            raise ValueError(f"cardinality {self.cardinality} != sum of chosen {recomputed}")
+        object.__setattr__(self, "chosen", _readonly(np.asarray(self.chosen, dtype=bool)))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, utilities: np.ndarray) -> "Selection":
-        mask = np.asarray(mask)
-        chosen = (mask != 0).astype(int)
-        total = float(np.dot(chosen, np.asarray(utilities, dtype=float)))
-        return cls(chosen=chosen, total_utility=total, cardinality=int(chosen.sum()))
+        mask = np.array(mask, dtype=bool)  # a copy: the Selection freezes its mask
+        return cls(chosen=mask, total_utility=float(np.dot(mask, np.asarray(utilities, dtype=float))))
+
+    @property
+    def cardinality(self) -> int:
+        return int(np.count_nonzero(self.chosen))
 
     @property
     def indices(self) -> np.ndarray:
@@ -275,10 +264,7 @@ def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") 
     the expected counts sum_i q_il * x_i. Either way the bounds checked are
     the raw [L, U] (no delta slack).
     """
-    if isinstance(x, Selection):
-        vec = x.chosen.astype(float)
-    else:
-        vec = np.asarray(x, dtype=float)
+    vec = x.chosen if isinstance(x, Selection) else np.asarray(x, dtype=float)
     if attrs not in ("true", "expected"):
         raise ValueError(f"attrs must be 'true' or 'expected', got {attrs!r}")
     if attrs == "true" and inst.true_attrs is None:
@@ -382,8 +368,8 @@ def instance_from_dict(data: dict) -> Instance:
         q = tuple(real_array(f"q[{k}]", qk).T for k, qk in enumerate(q))
     z, zhat = (None if data.get(key) is None else integer_array(key, data[key]).T
                for key in ("z", "zhat"))
-    return Instance(m=w.size, n=integer("n", data["n"]), s=len(p), p=p, utilities=w,
-                    noise=q, true_attrs=z, noisy_attrs=zhat)
+    return Instance(n=integer("n", data["n"]), p=p, utilities=w, noise=q, true_attrs=z,
+                    noisy_attrs=zhat)
 
 
 def save_instance(inst: Instance, path) -> None:

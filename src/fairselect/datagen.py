@@ -16,7 +16,7 @@ regenerating reproduces the instance bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,8 +112,8 @@ def gen_disparate_error(spec: GeneratorSpec) -> Instance:
     utilities = rng.random(m)
     z = (rng.random(m) >= q0).astype(int)  # group 0 with probability q0
     noise = np.column_stack([q0, 1.0 - q0])
-    return Instance(m=m, n=spec.n, s=1, p=(2,), utilities=utilities,
-                    noise=(noise,), true_attrs=z[:, None])
+    return Instance(n=spec.n, p=(2,), utilities=utilities, noise=(noise,),
+                    true_attrs=z[:, None])
 
 
 def gen_disparate_utility(spec: GeneratorSpec) -> Instance:
@@ -141,8 +141,7 @@ def gen_disparate_utility(spec: GeneratorSpec) -> Instance:
     means = np.asarray(par["utility_means"], dtype=float).reshape(4)[cell]
     w = means + par["feature_weight"] * a2 + rng.normal(0.0, par["utility_std"], m)
     w = np.maximum(w, 0.0)
-    return Instance(m=m, n=spec.n, s=1, p=(2,), utilities=w, noise=None,
-                    true_attrs=z[:, None],
+    return Instance(n=spec.n, p=(2,), utilities=w, noise=None, true_attrs=z[:, None],
                     features=np.column_stack([a1.astype(float), a2]))
 
 
@@ -158,7 +157,7 @@ def inject_flip_noise(inst: Instance, tau: float, seed) -> Instance:
     rng = make_rng(seed)
     flips = rng.random(inst.m) < tau
     zhat = np.where(flips, 1 - inst.true_attrs[:, 0], inst.true_attrs[:, 0])
-    return inst.with_noisy_attrs(zhat[:, None])
+    return replace(inst, noisy_attrs=zhat[:, None])
 
 
 def _equal_count_bins(train_w: np.ndarray, b: int):

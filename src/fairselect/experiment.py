@@ -84,6 +84,9 @@ class ExperimentConfig:
         if gen.seed != 0:
             raise ValueError(f"the generator seed must be 0, not {gen.seed}: trials draw "
                              f"from the config seed ({self.seed})")
+        if self.sweep_kind == "n_grid":
+            for g in self.grid:
+                integer("n_grid", g)
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
@@ -167,22 +170,24 @@ def build_instance(spec: GeneratorSpec, tau: float, bins: int) -> Instance:
     if tau > 0:
         inst = inject_flip_noise(inst, tau, seed_sequence(spec.seed, 2))
     else:
-        inst = inst.with_noisy_attrs(inst.true_attrs.copy())
+        inst = replace(inst, noisy_attrs=inst.true_attrs.copy())
     q = estimate_q_by_utility_bins(inst, bins, train=train)
-    return inst.with_noise((q,))
+    return replace(inst, noise=(q,))
 
 
 def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     """All algorithms on one freshly drawn instance; returns
-    {algorithm: {metric: value or None}} with None marking an infeasible run."""
+    {algorithm: {metric: value or None}} with None marking an infeasible run.
+    A draw with an empty true group has no metrics, so every algorithm's
+    run on it counts as infeasible."""
     alpha, lam, tau, n = _grid_settings(cfg, cfg.grid[grid_idx])
     ss = seed_sequence(cfg.seed, grid_idx, trial)
     inst = build_instance(replace(cfg.generator, m=cfg.m, n=n, seed=ss), tau, cfg.bins)
-    t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
-    if np.any(t <= 0):
+    if np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0):
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
+    t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
     cs = constraints_from_alpha(n, t, alpha, delta=cfg.delta)
-    problem = selectors.Problem(inst, cs, t, qprime_seed=seed_sequence(ss, 3),
+    problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(ss, 3),
                                 lambda_=lam, fw_iters=cfg.fw_iters)
     blind_utility = problem.blind_selection.total_utility
 

@@ -17,8 +17,8 @@ from .core import Instance, Selection, UnsupportedError
 
 
 def _selected_counts(selected, groups, p: int) -> np.ndarray:
-    mask = np.asarray(selected) != 0
-    return np.bincount(np.asarray(groups, dtype=int)[mask], minlength=p).astype(float)
+    return np.bincount(np.asarray(groups, dtype=int)[np.asarray(selected, dtype=bool)],
+                       minlength=p).astype(float)
 
 
 def _check_target(t: np.ndarray) -> np.ndarray:
@@ -36,7 +36,7 @@ def risk_difference(selected, groups, t, n: int) -> float:
     """
     t = _check_target(t)
     counts = _selected_counts(selected, groups, len(t))
-    if int(np.asarray(selected).astype(bool).sum()) != n:
+    if np.count_nonzero(selected) != n:
         raise ValueError("risk difference is defined for selections of size exactly n")
     ratios = counts / (n * t)
     return float(1.0 - t.min() * (ratios.max() - ratios.min()))
@@ -65,7 +65,7 @@ def selection_rate(selected, groups, group: int, n: int, m: int) -> float:
     size = int(np.sum(groups == group))
     if size == 0:
         raise ValueError(f"group {group} has no members")
-    count = float(np.sum((np.asarray(selected) != 0) & (groups == group)))
+    count = float(np.count_nonzero(np.asarray(selected, dtype=bool) & (groups == group)))
     return (count / n) * (m / size)
 
 
@@ -93,7 +93,7 @@ def ndcg_for_selection(utilities: np.ndarray, selected) -> float:
     """NDCG of a selection ordered by decreasing utility, against the
     ideal ordering of the top-n utilities overall."""
     utilities = np.asarray(utilities, dtype=float)
-    chosen = np.sort(utilities[np.asarray(selected) != 0])[::-1]
+    chosen = np.sort(utilities[np.asarray(selected, dtype=bool)])[::-1]
     ideal = np.sort(utilities)[::-1][: len(chosen)]
     return ndcg(chosen, ideal)
 

@@ -9,7 +9,7 @@ seeding.make_rng, so runs are reproducible and order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -27,8 +27,8 @@ KL_EPSILON = 1e-6
 
 def blind(inst: Instance) -> Selection:
     """The n highest-utility items, ignoring all fairness information."""
-    chosen = np.zeros(inst.m, dtype=int)
-    chosen[top_n(inst.utilities, inst.n)] = 1
+    chosen = np.zeros(inst.m, dtype=bool)
+    chosen[top_n(inst.utilities, inst.n)] = True
     return Selection.from_mask(chosen, inst.utilities)
 
 
@@ -41,14 +41,12 @@ def denoised_bfs(inst: Instance, cs: ConstraintSet) -> BfsSolution:
 
 
 def ceil_round(x: np.ndarray, utilities: np.ndarray) -> Selection:
-    """Round every fractional coordinate up to 1.
+    """Round every fractional coordinate of x in [0, 1] up to 1.
 
-    Entries below the fractionality tolerance are clamped to 0 first so
-    floating-point dust cannot select spurious items.
+    Entries below the fractionality tolerance count as 0, so floating-point
+    dust cannot select spurious items.
     """
-    x = np.array(x, dtype=float)
-    x[x < FRAC_TOL] = 0.0
-    return Selection.from_mask(np.ceil(x).astype(int), utilities)
+    return Selection.from_mask(np.asarray(x) >= FRAC_TOL, utilities)
 
 
 def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:
@@ -84,7 +82,7 @@ def estimate_group_level_q(inst: Instance) -> np.ndarray:
 
 
 def group_level_instance(inst: Instance) -> Instance:
-    return inst.with_noise((estimate_group_level_q(inst),))
+    return replace(inst, noise=(estimate_group_level_q(inst),))
 
 
 def fair_expec_grp(inst: Instance, cs: ConstraintSet) -> Selection:
@@ -93,29 +91,31 @@ def fair_expec_grp(inst: Instance, cs: ConstraintSet) -> Selection:
 
 
 def impute_bayes(q: np.ndarray, seed=0) -> np.ndarray:
-    """One-hot each row at its argmax; exact ties are broken uniformly at
-    random from the seeded stream."""
+    """Each item's imputed group: the argmax of its row of q. Exact ties are
+    broken uniformly at random from the seeded stream."""
     q = np.asarray(q, dtype=float)
     rng = make_rng(seed)
-    out = np.zeros_like(q)
     row_max = q.max(axis=1)
     is_max = q == row_max[:, None]
     picks = np.argmax(is_max, axis=1)
     for i in np.flatnonzero(is_max.sum(axis=1) > 1):
         winners = np.flatnonzero(is_max[i])
         picks[i] = winners[rng.integers(winners.size)]
-    out[np.arange(q.shape[0]), picks] = 1.0
-    return out
+    return picks
 
 
-def _imputed_groups(qprime: np.ndarray, m: int) -> np.ndarray:
-    """Each item's group in a one-hot imputed matrix (one row per item, see
-    impute_bayes); raises ValueError for any other matrix."""
-    if qprime.ndim != 2 or qprime.shape[0] != m:
-        raise ValueError(f"imputed matrix has shape {qprime.shape}, expected one row per item (m={m})")
-    if not (np.all((qprime == 0) | (qprime == 1)) and np.all(qprime.sum(axis=1) == 1)):
-        raise ValueError("imputed matrix must be one-hot: one 1.0 per row, zeros elsewhere")
-    return np.argmax(qprime, axis=1)
+def _check_imputed(groups: np.ndarray, m: int, p: int) -> np.ndarray:
+    """``groups`` as imputed labels, one per item in [0, p); raises
+    ValueError naming what is wrong otherwise."""
+    groups = np.asarray(groups)
+    if groups.shape != (m,):
+        raise ValueError(
+            f"imputed groups have shape {groups.shape}, expected one label per item (m={m})")
+    if groups.dtype.kind not in "iu":
+        raise ValueError(f"imputed groups must be integer labels, not {groups.dtype}")
+    if np.any((groups < 0) | (groups >= p)):
+        raise ValueError(f"imputed group labels must lie in [0, {p})")
+    return groups
 
 
 def _integer_bounds(cs: ConstraintSet, k: int = 0):
@@ -125,9 +125,9 @@ def _integer_bounds(cs: ConstraintSet, k: int = 0):
     return np.maximum(lo, 0), hi
 
 
-def thrsh(inst: Instance, cs: ConstraintSet, qprime: np.ndarray) -> Selection:
-    """Exact optimum of the count-bounded problem on the groups imputed in
-    ``qprime`` (one one-hot row per item, see impute_bayes).
+def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:
+    """Exact optimum of the count-bounded problem on the ``imputed`` groups
+    (one label per item, see impute_bayes).
 
     Greedy: take the ceil(L) best items of each imputed group, then
     repeatedly add the globally best remaining item whose group is still
@@ -135,13 +135,9 @@ def thrsh(inst: Instance, cs: ConstraintSet, qprime: np.ndarray) -> Selection:
     with a cardinality bound, for which this greedy is optimal.
     """
     if inst.s != 1:
-        raise UnsupportedError(
-            "thrsh supports one attribute; for s > 1 run fair_expec on the imputed matrix")
-    qprime = np.asarray(qprime)
-    groups = _imputed_groups(qprime, inst.m)
+        raise UnsupportedError("thrsh supports one attribute; for s > 1 run fair_expec")
     p = inst.p[0]
-    if qprime.shape[1] != p:
-        raise ValueError(f"imputed matrix has {qprime.shape[1]} groups, the instance has {p}")
+    groups = _check_imputed(imputed, inst.m, p)
     lo, hi = _integer_bounds(cs)
     sizes = np.bincount(groups, minlength=p)
     caps = np.minimum(hi, sizes)
@@ -172,11 +168,11 @@ def thrsh(inst: Instance, cs: ConstraintSet, qprime: np.ndarray) -> Selection:
     return Selection.from_mask(taken, inst.utilities)
 
 
-def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
+def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
              fw_iters: int = 500) -> np.ndarray:
     """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n},
-    with lambda_ the KL penalty weight, target the desired group distribution
-    and qprime the imputed groups (one one-hot row per item).
+    with lambda_ the KL penalty weight, target the desired distribution over
+    p = len(target) groups and ``imputed`` one group label per item.
 
     The objective is utility minus lambda_ times the KL divergence between
     the selected imputed distribution and the target, both smoothed by
@@ -198,12 +194,8 @@ def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
     if fw_iters < 1:
         raise ValueError("fw_iters must be positive")
     w = inst.utilities
-    m, n = inst.m, inst.n
-    qprime = np.asarray(qprime)
-    groups = _imputed_groups(qprime, m)
-    p = qprime.shape[1]
-    if len(t) != p:
-        raise ValueError(f"target has {len(t)} entries, imputed matrix has {p} groups")
+    m, n, p = inst.m, inst.n, len(t)
+    groups = _check_imputed(imputed, m, p)
     x = np.zeros(m)
     x[top_n(w, n)] = 1.0
     if lambda_ == 0.0:
@@ -212,6 +204,7 @@ def mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
     t_s = (1 - eps) * t + eps / p
     mean_w = float(w.sum()) / m
     scale = lambda_ * mean_w * (1 - eps) / n
+    qprime = np.eye(p)[groups]  # one-hot (m, p), so qprime.T @ x sums x by group
     # each group's n + 1 best items by (utility descending, index)
     order = np.lexsort((-w, groups))
     sorted_groups = groups[order]
@@ -262,9 +255,9 @@ def dependent_round(x: np.ndarray, n: int, seed, utilities: np.ndarray) -> Selec
     points = rng.random() + np.arange(n)
     idx = np.searchsorted(cum, points, side="right")
     idx = np.minimum(idx, len(x) - 1)
-    mask = np.zeros(len(x), dtype=int)
-    mask[perm[idx]] = 1
-    if int(mask.sum()) != n:  # pragma: no cover
+    mask = np.zeros(len(x), dtype=bool)
+    mask[perm[idx]] = True
+    if np.count_nonzero(mask) != n:  # pragma: no cover
         raise RuntimeError("systematic sampling failed to produce n distinct items")
     return Selection.from_mask(mask, utilities)
 
@@ -277,19 +270,20 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 
 @dataclass(eq=False)
 class Problem:
-    """One selection problem. The imputed matrix (drawn from ``qprime_seed``)
-    and the blind selection are computed on first use and then shared."""
+    """One selection problem. The imputed groups (drawn from
+    ``imputed_seed``) and the blind selection are computed on first use and
+    then shared."""
 
     inst: Instance
     cs: ConstraintSet
     target: np.ndarray
-    qprime_seed: object
+    imputed_seed: object
     lambda_: float
     fw_iters: int
 
     @cached_property
-    def qprime(self) -> np.ndarray:
-        return impute_bayes(self.inst.noise_matrix(0), seed=self.qprime_seed)
+    def imputed(self) -> np.ndarray:
+        return impute_bayes(self.inst.noise_matrix(0), seed=self.imputed_seed)
 
     @cached_property
     def blind_selection(self) -> Selection:
@@ -299,12 +293,12 @@ class Problem:
 @dataclass(frozen=True, eq=False)
 class Algorithm:
     """``solve`` maps a Problem to a Selection or, if the algorithm has a
-    ``rounding`` rule, to a fractional vector. ``qprime_key`` is the spawn
+    ``rounding`` rule, to a fractional vector. ``imputed_key`` is the spawn
     key of the imputation seed under the seed of one ``select`` run."""
 
     solve: Callable
     rounding: Optional[str] = None
-    qprime_key: int = 0
+    imputed_key: int = 0
 
 
 # The steps are lambdas so that each library function is looked up when the
@@ -314,10 +308,10 @@ ALGORITHMS = {
     "FairExpec": Algorithm(lambda pb: denoised_bfs(pb.inst, pb.cs).x, CEIL),
     "FairExpecGrp": Algorithm(
         lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
-    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.qprime)),
+    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed)),
     "MultObj": Algorithm(
-        lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.qprime, pb.fw_iters),
-        DEPENDENT, qprime_key=17),
+        lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed, pb.fw_iters),
+        DEPENDENT, imputed_key=17),
 }
 
 

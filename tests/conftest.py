@@ -8,7 +8,7 @@ from fairselect.core import Instance, make_constraints
 def tiny() -> Instance:
     """Four items, two groups: items 0-2 lean group 0, item 3 leans group 1."""
     return Instance(
-        m=4, n=2, s=1, p=(2,),
+        n=2, p=(2,),
         utilities=[3.0, 2.5, 1.0, 0.5],
         noise=([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]],),
         true_attrs=[[0], [0], [0], [1]],
@@ -35,7 +35,7 @@ def fact_one_instance(p: int) -> Instance:
     p fractional entries.
     """
     rows = np.vstack([np.eye(p), np.full(p, 1.0 / p)])
-    return Instance(m=p + 1, n=p, s=1, p=(p,),
+    return Instance(n=p, p=(p,),
                     utilities=[1.0] * p + [2.0], noise=(rows,))
 
 
@@ -64,7 +64,7 @@ def random_instance(rng: np.random.Generator, m=None, n=None, s=None, p=None,
             cum = np.cumsum(noise[k], axis=1)
             cols.append((u[:, None] > cum).sum(axis=1))
         true_attrs = np.column_stack(cols)
-    return Instance(m=m, n=n, s=s, p=tuple(p), utilities=rng.random(m),
+    return Instance(n=n, p=tuple(p), utilities=rng.random(m),
                     noise=noise, true_attrs=true_attrs)
 
 

@@ -27,20 +27,21 @@ def _kl(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def mult_obj_objective(x: np.ndarray, inst: Instance, target, lambda_: float,
-                       qprime: np.ndarray) -> float:
-    """Utility minus the scaled KL penalty between the selected imputed
-    distribution and the target, both smoothed by KL_EPSILON."""
+                       imputed: np.ndarray) -> float:
+    """Utility minus the scaled KL penalty between the distribution of x over
+    the imputed groups (one label per item) and the target, both smoothed by
+    KL_EPSILON."""
     t = np.asarray(target, dtype=float)
     p = len(t)
     eps = KL_EPSILON
-    dist = qprime.T @ x / inst.n
+    dist = np.eye(p)[imputed].T @ x / inst.n
     dist_s = (1 - eps) * dist + eps / p
     t_s = (1 - eps) * t + eps / p
     scale = float(inst.utilities.sum()) / inst.m
     return float(inst.utilities @ x) - lambda_ * _kl(dist_s, t_s) * scale
 
 
-def reference_mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarray,
+def reference_mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
                        fw_iters: int = 500) -> np.ndarray:
     """Frank-Wolfe on the KL-penalized utility with a full sort per step."""
     t = np.asarray(target, dtype=float)
@@ -51,16 +52,15 @@ def reference_mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarra
     if fw_iters < 1:
         raise ValueError("fw_iters must be positive")
     w = inst.utilities
-    n, p = inst.n, qprime.shape[1]
-    if len(t) != p:
-        raise ValueError(f"target has {len(t)} entries, imputed matrix has {p} groups")
+    n, p = inst.n, len(t)
+    qprime = np.eye(p)[imputed]  # one-hot rows
     x = _top_n_mask(w, n).astype(float)
     if lambda_ == 0.0:
         return x
     eps = KL_EPSILON
     t_s = (1 - eps) * t + eps / p
     scale = lambda_ * (float(w.sum()) / inst.m) * (1 - eps) / n
-    best_x, best_val = x, mult_obj_objective(x, inst, t, lambda_, qprime)
+    best_x, best_val = x, mult_obj_objective(x, inst, t, lambda_, imputed)
     for it in range(fw_iters):
         dist = qprime.T @ x / n
         dist_s = (1 - eps) * dist + eps / p
@@ -68,7 +68,7 @@ def reference_mult_obj(inst: Instance, target, lambda_: float, qprime: np.ndarra
         vertex = _top_n_mask(grad, n)
         gamma = 2.0 / (it + 2.0)
         x = x + gamma * (vertex - x)
-        val = mult_obj_objective(x, inst, t, lambda_, qprime)
+        val = mult_obj_objective(x, inst, t, lambda_, imputed)
         if val > best_val + 1e-12:
             best_x, best_val = x, val
     return best_x

@@ -216,8 +216,8 @@ def test_acceptance_7_exact_identities():
 
         for _ in range(20):
             inst = random_instance(rng, s=1, p=[2])
-            qprime = impute_bayes(inst.noise[0], seed=seed_sequence(0, 17))
-            assert np.array_equal(mult_obj(inst, (0.5, 0.5), 0.0, qprime),
+            imputed = impute_bayes(inst.noise[0], seed=seed_sequence(0, 17))
+            assert np.array_equal(mult_obj(inst, (0.5, 0.5), 0.0, imputed),
                                   blind(inst).chosen.astype(float))
 
         from fairselect.datagen import gen_disparate_utility, inject_flip_noise

@@ -240,6 +240,7 @@ def _item_zero_q(data, *values):
      "noise block 0 shape (3, 2) != (4, 2)"),
     (lambda data: {**data, "p": 2}, "malformed instance file"),
     (lambda data: {**data, "w": 3, "q": [data["q"][0][:1]]}, "w must be a list"),
+    (lambda data: {**data, "w": [[w] for w in data["w"]]}, "utilities must be 1-D"),
     (lambda data: {**data, "n": 1.9}, "n must be an integer, not 1.9"),
     (lambda data: {**data, "p": [2.5]}, "p must hold integers only"),
     (lambda data: {**data, "z": [[0], [0], [0.7], [1.2]]}, "z must hold integers only"),
@@ -252,7 +253,7 @@ def _item_zero_q(data, *values):
     (lambda data: {**data, "z": [[0, 0, 0, 1], [0]]}, "z is ragged"),
     (lambda data: {key: data[key] for key in data if key != "w"}, "missing instance keys: ['w']"),
     (lambda data: {"w": data["w"]}, "missing instance keys: ['n', 'p']"),
-], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list", "w-scalar",
+], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list", "w-scalar", "w-nested",
         "n-fraction", "p-fraction", "z-fraction", "zhat-fraction", "w-strings", "w-booleans",
         "q-string", "q-boolean", "q-ragged", "z-ragged", "w-missing", "n-p-missing"])
 def test_select_rejects_malformed_instance_file(tiny, tmp_path, capsys, reshape, message):
@@ -296,6 +297,19 @@ def test_experiment_rejects_non_integral_numbers(tmp_path, capsys, field, value)
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_experiment_rejects_a_non_integral_n_grid(tmp_path, capsys):
+    # int() would draw every instance at n=10 while the CSV says 10.7
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**experiment_config(), "sweep": {"n_grid": [10.7]},
+                                    "algorithms": ["Blind"]}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "results.csv"))
+    assert code == 1
+    assert out == ""
+    assert "n_grid must be an integer, not 10.7" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [("--lower", "nan,0", "--upper", "1,1"),
                                    ("--lower", "0,0", "--upper", "nan,1"),
                                    ("--lambda", "nan"), ("--lambda", "inf")])
@@ -310,7 +324,7 @@ def test_select_rejects_non_finite_flags(tiny_path, capsys, flags):
 
 @pytest.fixture
 def two_attr_path(tmp_path):
-    inst = Instance(m=4, n=2, s=2, p=(2, 2), utilities=[3.0, 2.5, 1.0, 0.5],
+    inst = Instance(n=2, p=(2, 2), utilities=[3.0, 2.5, 1.0, 0.5],
                     noise=([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]],
                            [[0.5, 0.5], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]]),
                     true_attrs=[[0, 0], [0, 1], [0, 0], [1, 1]])

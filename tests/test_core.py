@@ -14,52 +14,48 @@ from conftest import fact_one_constraints, fact_one_instance
 
 
 def test_validate_tiny_ok(tiny):
-    assert validate_instance(tiny).ok
+    assert validate_instance(tiny) == ()
 
 
 def test_validate_bad_row_sum():
-    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, 1.0],
+    inst = Instance(n=1, p=(2,), utilities=[1.0, 1.0],
                     noise=([[0.6, 0.6], [0.5, 0.5]],))
-    result = validate_instance(inst)
-    assert not result.ok
-    assert any("sums to" in v for v in result.violations)
+    violations = validate_instance(inst)
+    assert any("sums to" in v for v in violations)
 
 
 def test_validate_n_exceeds_m():
-    inst = Instance(m=4, n=5, s=1, p=(2,), utilities=np.ones(4),
+    inst = Instance(n=5, p=(2,), utilities=np.ones(4),
                     noise=(np.full((4, 2), 0.5),))
-    result = validate_instance(inst)
-    assert not result.ok
-    assert any("exceeds item count" in v for v in result.violations)
+    violations = validate_instance(inst)
+    assert any("exceeds item count" in v for v in violations)
 
 
 def test_validate_negative_utility():
-    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, -0.5],
+    inst = Instance(n=1, p=(2,), utilities=[1.0, -0.5],
                     noise=(np.full((2, 2), 0.5),))
-    assert not validate_instance(inst).ok
+    assert validate_instance(inst) == ("negative utility at item 1",)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validate_non_finite_utility(bad):
-    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, bad],
+    inst = Instance(n=1, p=(2,), utilities=[1.0, bad],
                     noise=(np.full((2, 2), 0.5),))
-    result = validate_instance(inst)
-    assert not result.ok
-    assert result.violations == ("non-finite utility at item 1",)
+    violations = validate_instance(inst)
+    assert violations == ("non-finite utility at item 1",)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_non_finite_noise(bad):
-    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=[1.0, 2.0, 3.0],
+    inst = Instance(n=1, p=(2,), utilities=[1.0, 2.0, 3.0],
                     noise=([[0.5, 0.5], [0.5, 0.5], [bad, 0.5]],))
-    result = validate_instance(inst)
-    assert not result.ok
-    assert result.violations == ("non-finite noise entry (item 2, attribute 0)",)
+    violations = validate_instance(inst)
+    assert violations == ("non-finite noise entry (item 2, attribute 0)",)
 
 
 def test_rows_renormalized_on_ingestion():
     q = np.array([[0.5, 0.5 + 5e-10], [0.3, 0.7]])
-    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, 1.0], noise=(q,))
+    inst = Instance(n=1, p=(2,), utilities=[1.0, 1.0], noise=(q,))
     assert np.all(np.abs(inst.noise[0].sum(axis=1) - 1.0) < 1e-15)
 
 
@@ -120,8 +116,7 @@ def test_selection_consistency(tiny):
     sel = Selection.from_mask([1, 0, 0, 1], tiny.utilities)
     assert sel.total_utility == 3.5
     assert sel.cardinality == 2
-    with pytest.raises(ValueError):
-        Selection(chosen=[1, 0, 0, 1], total_utility=3.5, cardinality=3)
+    assert sel.chosen.dtype == bool and list(sel.indices) == [0, 3]
 
 
 def test_violation_report_feasible_point(tiny, tiny_constraints):
@@ -182,7 +177,7 @@ def test_instance_json_field_names(tiny):
 
 
 def test_instance_json_optional_fields_roundtrip(tmp_path):
-    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=[1.0, 2.0],
+    inst = Instance(n=1, p=(2,), utilities=[1.0, 2.0],
                     noise=(np.full((2, 2), 0.5),),
                     noisy_attrs=[[1], [0]], features=[[0.1, 0.2], [0.3, 0.4]])
     path = tmp_path / "inst.json"
@@ -195,10 +190,10 @@ def test_instance_json_optional_fields_roundtrip(tmp_path):
 
 def test_instance_file_stores_matrices_by_group_value():
     q0 = [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    inst = Instance(m=5, n=2, s=2, p=(3, 2), utilities=np.arange(5.0),
+    inst = Instance(n=2, p=(3, 2), utilities=np.arange(5.0),
                     noise=(q0, np.full((5, 2), 0.5)),
                     true_attrs=[[0, 1], [1, 0], [2, 1], [0, 0], [1, 1]])
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == ()
     data = instance_to_dict(inst)
     for k, pk in enumerate(inst.p):
         assert len(data["q"][k]) == pk
@@ -207,7 +202,7 @@ def test_instance_file_stores_matrices_by_group_value():
     assert data["z"] == [[0, 1, 2, 0, 1], [1, 0, 1, 0, 1]]
     # a file in the earlier one-row-per-item layout loads transposed and fails validation
     rows = {**data, "q": [np.transpose(q).tolist() for q in data["q"]]}
-    assert "noise block 0 shape (3, 5) != (5, 3)" in validate_instance(instance_from_dict(rows)).violations
+    assert "noise block 0 shape (3, 5) != (5, 3)" in validate_instance(instance_from_dict(rows))
 
 
 @st.composite
@@ -228,7 +223,7 @@ def saved_instances(draw):
         noise.append(np.diff(edges, axis=1) / scale)
     attrs = st.one_of(st.none(), st.tuples(*(arrays(np.int64, m, elements=st.integers(0, pk - 1))
                                              for pk in p)).map(np.column_stack))
-    return Instance(m=m, n=draw(st.integers(1, m)), s=s, p=p, utilities=w, noise=noise,
+    return Instance(n=draw(st.integers(1, m)), p=p, utilities=w, noise=noise,
                     true_attrs=draw(attrs), noisy_attrs=draw(attrs))
 
 

@@ -24,7 +24,7 @@ def utility_spec(m, seed=0, **params):
 
 def test_disparate_error_instances_validate():
     inst = gen_disparate_error(error_spec(500, seed=3))
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == ()
     assert inst.true_attrs is not None
 
 
@@ -36,7 +36,7 @@ def test_disparate_error_minority_fraction():
 
 def test_disparate_error_fdr_gap():
     inst = gen_disparate_error(error_spec(100_000, seed=2))
-    imputed = np.argmax(impute_bayes(inst.noise[0], seed=0), axis=1)
+    imputed = impute_bayes(inst.noise[0], seed=0)
     z = inst.true_attrs[:, 0]
     fdr_minority = np.mean(z[imputed == 0] != 0)
     fdr_majority = np.mean(z[imputed == 1] != 1)
@@ -158,7 +158,7 @@ def test_flip_noise_fraction():
 
 def test_flip_noise_requires_binary():
     rng = np.random.default_rng(15)
-    inst = Instance(m=10, n=2, s=1, p=(3,), utilities=rng.random(10),
+    inst = Instance(n=2, p=(3,), utilities=rng.random(10),
                     noise=(rng.dirichlet([1, 1, 1], 10),),
                     true_attrs=rng.integers(0, 3, (10, 1)))
     with pytest.raises(UnsupportedError):
@@ -176,7 +176,7 @@ def test_utility_bins_single_bin_global_frequency():
 
 
 def test_utility_bins_pure_bins():
-    inst = Instance(m=4, n=2, s=1, p=(2,), utilities=[1.0, 2.0, 3.0, 4.0],
+    inst = Instance(n=2, p=(2,), utilities=[1.0, 2.0, 3.0, 4.0],
                     noise=None, true_attrs=[[0], [0], [1], [1]])
     q = estimate_q_by_utility_bins(inst, 2, train=inst)
     assert np.allclose(q[0], [1.0, 0.0]) and np.allclose(q[1], [1.0, 0.0])
@@ -188,14 +188,14 @@ def test_utility_bins_independent_labels_near_base_rate():
     m = 20_000
     w = rng.random(m)
     z = (rng.random(m) < 0.63).astype(int)  # label 0 has rate 0.37
-    inst = Instance(m=m, n=100, s=1, p=(2,), utilities=w, noise=None,
+    inst = Instance(n=100, p=(2,), utilities=w, noise=None,
                     true_attrs=z[:, None])
     q = estimate_q_by_utility_bins(inst, 20, train=inst)
     assert np.all(np.abs(q[:, 0] - 0.37) < 0.05)
 
 
 def test_utility_bins_last_bin_absorbs_remainder():
-    inst = Instance(m=7, n=2, s=1, p=(2,), utilities=np.arange(7, dtype=float),
+    inst = Instance(n=2, p=(2,), utilities=np.arange(7, dtype=float),
                     noise=None, true_attrs=[[0]] * 3 + [[1]] * 4)
     q = estimate_q_by_utility_bins(inst, 3, train=inst)
     # bins of sizes 2, 2, 3 over sorted utilities

@@ -173,6 +173,18 @@ def test_infeasible_trials_recorded_not_fatal():
     assert rd is None or 0.0 <= rd <= 1.0
 
 
+def test_draws_with_an_empty_true_group_are_excluded_under_an_equal_target():
+    # at m=3 some draws put every item in one true group; no metric is
+    # defined on them, so they count as excluded instead of ending the sweep
+    cfg = small_config(
+        generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=3, n=1, seed=0),
+        m=3, n=1, trials=40, seed=0, grid=(1.0,), algorithms=("Blind",))
+    table = run_experiment(cfg)
+    excluded = mean_of(table, 1.0, "Blind", "excluded_trials")
+    assert 1 <= excluded < 40
+    assert mean_of(table, 1.0, "Blind", "utility_ratio") == pytest.approx(1.0)
+
+
 def test_tau_sweep_uses_disparate_utility_pipeline():
     cfg = ExperimentConfig(
         generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=300, n=30, seed=0),

@@ -40,7 +40,7 @@ def test_build_zero_delta_bounds_verbatim(tiny):
 
 def test_build_row_count_multi_attribute():
     rng = np.random.default_rng(1)
-    inst = Instance(m=10, n=3, s=2, p=(2, 3), utilities=rng.random(10),
+    inst = Instance(n=3, p=(2, 3), utilities=rng.random(10),
                     noise=(rng.dirichlet([1, 1], 10), rng.dirichlet([1, 1, 1], 10)))
     cs = make_constraints([np.zeros(2), np.zeros(3)], [np.full(2, 3.0), np.full(3, 3.0)],
                           delta=0.1, n=3)
@@ -109,7 +109,7 @@ def test_relaxation_dominates_integral_points():
     rng = np.random.default_rng(5)
     for _ in range(40):
         inst = random_instance(rng, m=int(rng.integers(6, 12)), s=1)
-        inst = Instance(m=inst.m, n=min(inst.n, 5), s=1, p=inst.p,
+        inst = Instance(n=min(inst.n, 5), p=inst.p,
                         utilities=inst.utilities, noise=inst.noise)
         cs = anchored_constraints(rng, inst)
         lp = build_denoised_lp(inst, cs)
@@ -176,7 +176,7 @@ def expected_count_lp(p, m, n, seed, tied, one_hot_share, bounds):
         one_hot = rng.random(m) < one_hot_share
         q[one_hot] = np.eye(pk)[rng.integers(0, pk, one_hot.sum())]
         noise.append(q)
-    inst = Instance(m=m, n=n, s=len(p), p=tuple(p), utilities=utilities, noise=tuple(noise))
+    inst = Instance(n=n, p=tuple(p), utilities=utilities, noise=tuple(noise))
     if bounds == "anchored":
         cs = anchored_constraints(rng, inst)
     elif bounds == "equal":  # L = U = the expected counts of a random n-subset
@@ -208,7 +208,7 @@ def denoised_lps(draw):
 
 def _equal_bounds_case(counts):
     """Three items, two groups, n = 2 and L = U = ``counts`` at delta 0."""
-    inst = Instance(m=3, n=2, s=1, p=(2,), utilities=[1.0, 2.0, 3.0],
+    inst = Instance(n=2, p=(2,), utilities=[1.0, 2.0, 3.0],
                     noise=(np.array([[0.1, 0.9], [0.1, 0.9], [0.2, 0.8]]),))
     return inst, build_denoised_lp(inst, make_constraints([counts], [counts], delta=0.0, n=2))
 

@@ -158,7 +158,7 @@ def test_metrics_mean_of_trials_equals_trial_mean():
 
 
 def test_compute_report_refuses_missing_true_attrs():
-    inst = Instance(m=4, n=2, s=1, p=(2,), utilities=[3.0, 2.5, 1.0, 0.5],
+    inst = Instance(n=2, p=(2,), utilities=[3.0, 2.5, 1.0, 0.5],
                     noise=(np.full((4, 2), 0.5),))
     sel = Selection.from_mask([1, 1, 0, 0], inst.utilities)
     with pytest.raises(ValueError):

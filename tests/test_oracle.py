@@ -77,7 +77,7 @@ def test_value_chain_lp_dominates_oracles():
     checked = 0
     for _ in range(80):
         inst = random_instance(rng, m=int(rng.integers(6, 12)), s=1, with_true=True)
-        inst = Instance(m=inst.m, n=min(inst.n, 6), s=1, p=inst.p,
+        inst = Instance(n=min(inst.n, 6), p=inst.p,
                         utilities=inst.utilities, noise=inst.noise,
                         true_attrs=inst.true_attrs)
         cs = anchored_constraints(rng, inst, delta=float(rng.uniform(0.05, 0.4)))

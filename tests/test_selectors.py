@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,13 +23,13 @@ def test_blind_tiny(tiny):
 
 
 def test_blind_tie_rule():
-    inst = Instance(m=4, n=2, s=1, p=(2,), utilities=[1.0, 1.0, 1.0, 1.0],
+    inst = Instance(n=2, p=(2,), utilities=[1.0, 1.0, 1.0, 1.0],
                     noise=(np.full((4, 2), 0.5),))
     assert list(blind(inst).indices) == [0, 1]
 
 
 def test_blind_full_selection():
-    inst = Instance(m=3, n=3, s=1, p=(2,), utilities=[3.0, 1.0, 2.0],
+    inst = Instance(n=3, p=(2,), utilities=[3.0, 1.0, 2.0],
                     noise=(np.full((3, 2), 0.5),))
     assert list(blind(inst).indices) == [0, 1, 2]
 
@@ -100,7 +102,7 @@ def test_fair_expec_propagates_infeasible(tiny):
 
 def test_group_level_single_class():
     q = np.array([[0.9, 0.1], [0.7, 0.3], [0.8, 0.2]])
-    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=np.ones(3), noise=(q,),
+    inst = Instance(n=1, p=(2,), utilities=np.ones(3), noise=(q,),
                     noisy_attrs=[[0], [0], [0]])
     qbar = estimate_group_level_q(inst)
     assert np.allclose(qbar, q.mean(axis=0))
@@ -108,7 +110,7 @@ def test_group_level_single_class():
 
 def test_group_level_two_classes():
     q = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8]])
-    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=np.ones(3), noise=(q,),
+    inst = Instance(n=1, p=(2,), utilities=np.ones(3), noise=(q,),
                     noisy_attrs=[[0], [0], [1]])
     qbar = estimate_group_level_q(inst)
     assert np.allclose(qbar[0], [0.8, 0.2])
@@ -118,14 +120,14 @@ def test_group_level_two_classes():
 
 def test_group_level_singleton_classes_identity():
     q = np.array([[0.9, 0.1], [0.2, 0.8]])
-    inst = Instance(m=2, n=1, s=1, p=(2,), utilities=np.ones(2), noise=(q,),
+    inst = Instance(n=1, p=(2,), utilities=np.ones(2), noise=(q,),
                     noisy_attrs=[[0], [1]])
     assert np.allclose(estimate_group_level_q(inst), q)
 
 
 def test_group_level_derives_labels_from_argmax():
     q = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8]])
-    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=np.ones(3), noise=(q,))
+    inst = Instance(n=1, p=(2,), utilities=np.ones(3), noise=(q,))
     qbar = estimate_group_level_q(inst)
     assert np.allclose(qbar[0], [0.8, 0.2])
     assert np.allclose(qbar[2], [0.2, 0.8])
@@ -134,7 +136,7 @@ def test_group_level_derives_labels_from_argmax():
 def test_group_level_rows_sum_to_one():
     rng = np.random.default_rng(3)
     inst = random_instance(rng, s=1, p=[3], with_true=True)
-    inst = inst.with_noisy_attrs(inst.true_attrs)
+    inst = replace(inst, noisy_attrs=inst.true_attrs)
     qbar = estimate_group_level_q(inst)
     assert np.allclose(qbar.sum(axis=1), 1.0)
 
@@ -150,7 +152,7 @@ def test_fair_expec_grp_identical_when_classes_singleton():
     # every item its own noisy-label class -> the estimate is q itself
     rng = np.random.default_rng(61)
     q = rng.dirichlet(np.ones(4), 4)
-    inst = Instance(m=4, n=2, s=1, p=(4,), utilities=[3.0, 2.5, 1.0, 0.5],
+    inst = Instance(n=2, p=(4,), utilities=[3.0, 2.5, 1.0, 0.5],
                     noise=(q,), noisy_attrs=[[0], [1], [2], [3]])
     assert np.allclose(estimate_group_level_q(inst), q)
     cs = make_constraints([np.zeros(4)], [np.ones(4)], delta=0.2, n=2)
@@ -195,7 +197,7 @@ def test_grp_selects_fewer_minority_when_utilities_shifted():
         like0 = norm.pdf(g, gap, sigma) * np.where(zhat == 0, 1 - tau, tau)
         like1 = norm.pdf(g, 0.0, sigma) * np.where(zhat == 1, 1 - tau, tau)
         q1 = like1 / (like0 + like1)
-        inst = Instance(m=200, n=40, s=1, p=(2,), utilities=w,
+        inst = Instance(n=40, p=(2,), utilities=w,
                         noise=(np.column_stack([1 - q1, q1]),),
                         true_attrs=z[:, None], noisy_attrs=zhat[:, None])
         for fn, bucket in ((fair_expec, "fe"), (fair_expec_grp, "grp")):
@@ -211,29 +213,30 @@ def test_grp_selects_fewer_minority_when_utilities_shifted():
 # --- impute_bayes -----------------------------------------------------
 
 def test_impute_argmax():
-    out = impute_bayes(np.array([[0.7, 0.3]]), seed=0)
-    assert np.array_equal(out, [[1.0, 0.0]])
+    out = impute_bayes(np.array([[0.7, 0.3], [0.2, 0.8]]), seed=0)
+    assert out.dtype.kind == "i" and list(out) == [0, 1]
 
 
 def test_impute_one_hot_fixed_point():
     out = impute_bayes(np.array([[1.0, 0.0]]), seed=0)
-    assert np.array_equal(out, [[1.0, 0.0]])
+    assert list(out) == [0]
 
 
 def test_impute_tie_frequencies():
     hits = 0
     for i in range(10000):
         out = impute_bayes(np.array([[0.5, 0.5]]), seed=seed_sequence(7, i))
-        hits += int(out[0, 0] == 1.0)
+        hits += int(out[0] == 0)
     assert abs(hits / 10000 - 0.5) < 0.02
 
 
-def test_impute_rows_remain_one_hot():
+def test_impute_picks_a_row_maximum():
     rng = np.random.default_rng(8)
     q = rng.dirichlet([1, 1, 1], 50)
+    q[:10] = [0.4, 0.4, 0.2]  # ties between the first two groups
     out = impute_bayes(q, seed=1)
-    assert np.all(out.sum(axis=1) == 1.0)
-    assert np.all((out == 0) | (out == 1))
+    assert out.shape == (50,)
+    assert np.all(q[np.arange(50), out] == q.max(axis=1))
 
 
 # --- thrsh ------------------------------------------------------------
@@ -249,13 +252,13 @@ def test_thrsh_alpha_zero_equals_blind():
     for _ in range(10):
         inst = random_instance(rng, s=1, p=[2])
         cs = constraints_from_alpha(inst.n, [0.5, 0.5], alpha=0.0)
-        qprime = impute_bayes(inst.noise[0], seed=0)
-        assert thrsh(inst, cs, qprime).total_utility == blind(inst).total_utility
+        imputed = impute_bayes(inst.noise[0], seed=0)
+        assert thrsh(inst, cs, imputed).total_utility == blind(inst).total_utility
 
 
 def test_thrsh_infeasible_lower_bound():
     q = np.array([[0.9, 0.1], [0.1, 0.9], [0.1, 0.9]])
-    inst = Instance(m=3, n=2, s=1, p=(2,), utilities=[3.0, 2.0, 1.0], noise=(q,))
+    inst = Instance(n=2, p=(2,), utilities=[3.0, 2.0, 1.0], noise=(q,))
     cs = make_constraints([[2.0, 0.0]], [[2.0, 2.0]], delta=0.0, n=2)
     with pytest.raises(InfeasibleError):
         thrsh(inst, cs, impute_bayes(q, seed=0))
@@ -266,15 +269,12 @@ def test_thrsh_matches_brute_force():
     rng = np.random.default_rng(17)
     for _ in range(60):
         inst = random_instance(rng, s=1, m=int(rng.integers(6, 12)), with_true=True)
-        qprime = impute_bayes(inst.noise[0], seed=seed_sequence(1, _))
-        imputed = np.argmax(qprime, axis=1)[:, None]
-        as_true = Instance(m=inst.m, n=inst.n, s=1, p=inst.p,
-                           utilities=inst.utilities, noise=inst.noise,
-                           true_attrs=imputed)
+        imputed = impute_bayes(inst.noise[0], seed=seed_sequence(1, _))
+        as_true = replace(inst, true_attrs=imputed[:, None])
         cs = anchored_constraints(rng, as_true, spread=0.4, delta=0.0)
         oracle = brute_force_target(as_true, cs)
         try:
-            sel = thrsh(inst, cs, qprime)
+            sel = thrsh(inst, cs, imputed)
         except InfeasibleError:
             assert not oracle.feasible
             continue
@@ -303,31 +303,30 @@ def test_mult_obj_huge_lambda_hits_target():
     rng = np.random.default_rng(23)
     m = 100
     w = rng.random(m)
-    qp = np.zeros((m, 2))
-    qp[: m // 2, 0] = 1.0
-    qp[m // 2:, 1] = 1.0
-    inst = Instance(m=m, n=20, s=1, p=(2,), utilities=w, noise=(qp,))
-    x = mult_obj(inst, (0.5, 0.5), 1e6, qp, fw_iters=500)
+    groups = (np.arange(m) >= m // 2).astype(int)
+    qp = np.eye(2)[groups]
+    inst = Instance(n=20, p=(2,), utilities=w, noise=(qp,))
+    x = mult_obj(inst, (0.5, 0.5), 1e6, groups, fw_iters=500)
     dist = qp.T @ x / 20
     assert 0.5 * np.abs(dist - np.array([0.5, 0.5])).sum() <= 0.01
 
 
 def test_mult_obj_tiny_beats_integral_vertices(tiny):
     from itertools import combinations
-    qp = impute_bayes(tiny.noise[0], seed=0)
-    x = mult_obj(tiny, (0.5, 0.5), 1.0, qp, fw_iters=500)
-    fx = mult_obj_objective(x, tiny, (0.5, 0.5), 1.0, qp)
+    imputed = impute_bayes(tiny.noise[0], seed=0)
+    x = mult_obj(tiny, (0.5, 0.5), 1.0, imputed, fw_iters=500)
+    fx = mult_obj_objective(x, tiny, (0.5, 0.5), 1.0, imputed)
     for subset in combinations(range(4), 2):
         vertex = np.isin(np.arange(4), subset).astype(float)
-        assert fx >= mult_obj_objective(vertex, tiny, (0.5, 0.5), 1.0, qp) - 0.05
+        assert fx >= mult_obj_objective(vertex, tiny, (0.5, 0.5), 1.0, imputed) - 0.05
 
 
 def test_mult_obj_best_objective_nondecreasing(tiny):
-    qp = impute_bayes(tiny.noise[0], seed=0)
+    imputed = impute_bayes(tiny.noise[0], seed=0)
     best = -np.inf
     for iters in (1, 5, 20, 100, 400):
-        x = mult_obj(tiny, (0.5, 0.5), 5.0, qp, fw_iters=iters)
-        val = mult_obj_objective(x, tiny, (0.5, 0.5), 5.0, qp)
+        x = mult_obj(tiny, (0.5, 0.5), 5.0, imputed, fw_iters=iters)
+        val = mult_obj_objective(x, tiny, (0.5, 0.5), 5.0, imputed)
         assert val >= best - 1e-9
         best = max(best, val)
 
@@ -335,8 +334,8 @@ def test_mult_obj_best_objective_nondecreasing(tiny):
 def test_mult_obj_keeps_cardinality():
     rng = np.random.default_rng(29)
     inst = random_instance(rng, s=1, p=[3])
-    qp = impute_bayes(inst.noise[0], seed=seed_sequence(0, 17))
-    x = mult_obj(inst, (1 / 3, 1 / 3, 1 / 3), 10.0, qp, fw_iters=200)
+    imputed = impute_bayes(inst.noise[0], seed=seed_sequence(0, 17))
+    x = mult_obj(inst, (1 / 3, 1 / 3, 1 / 3), 10.0, imputed, fw_iters=200)
     assert x.sum() == pytest.approx(inst.n, abs=1e-6)
     assert np.all(x >= 0) and np.all(x <= 1)
 
@@ -353,19 +352,19 @@ def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, fw_iters, message)
         mult_obj(tiny, target, lambda_, impute_bayes(tiny.noise[0], seed=0), fw_iters)
 
 
-@pytest.mark.parametrize("qprime, message", [
-    (np.eye(2)[[0, 0, 1]], "one row per item"),
-    (np.array([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]]), "one-hot"),
-    (np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "one-hot"),
-    (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), "one-hot"),
-    (np.eye(3)[[0, 0, 1, 2]], "imputed matrix has 3 groups"),
+@pytest.mark.parametrize("imputed, message", [
+    (np.array([0, 0, 1]), "one label per item"),
+    (np.eye(2)[[0, 0, 0, 1]], "one label per item"),
+    (np.array([0.0, 0.0, 0.0, 1.0]), "must be integer labels"),
+    (np.array([0, 0, 1, 2]), "must lie in"),
+    (np.array([0, -1, 0, 1]), "must lie in"),
 ])
-def test_mult_obj_rejects_an_imputed_matrix_it_cannot_use(tiny, tiny_constraints, qprime, message):
-    # thrsh rejects the same matrices
+def test_mult_obj_rejects_imputed_groups_it_cannot_use(tiny, tiny_constraints, imputed, message):
+    # thrsh rejects the same label vectors
     with pytest.raises(ValueError, match=message):
-        mult_obj(tiny, (0.5, 0.5), 1.0, qprime)
+        mult_obj(tiny, (0.5, 0.5), 1.0, imputed)
     with pytest.raises(ValueError, match=message):
-        thrsh(tiny, tiny_constraints, qprime)
+        thrsh(tiny, tiny_constraints, imputed)
 
 
 def test_mult_obj_breaks_a_rounded_gradient_tie_by_lowest_index():
@@ -373,10 +372,10 @@ def test_mult_obj_breaks_a_rounded_gradient_tie_by_lowest_index():
     # the group's penalty is subtracted their gradients round to the same
     # value. The tie goes to item 1, the lower index, not to the group's
     # utility leader.
-    qp = np.eye(2)[[0, 1, 1]]
-    inst = Instance(m=3, n=1, s=1, p=(2,), utilities=[2.0, 2.0, 2.0 + 2.0 ** -51], noise=(qp,))
-    x = mult_obj(inst, (0.5, 0.5), 1000.0, qp, fw_iters=5)
-    assert np.array_equal(x, reference_mult_obj(inst, (0.5, 0.5), 1000.0, qp, fw_iters=5))
+    groups = np.array([0, 1, 1])
+    inst = Instance(n=1, p=(2,), utilities=[2.0, 2.0, 2.0 + 2.0 ** -51], noise=(np.eye(2)[groups],))
+    x = mult_obj(inst, (0.5, 0.5), 1000.0, groups, fw_iters=5)
+    assert np.array_equal(x, reference_mult_obj(inst, (0.5, 0.5), 1000.0, groups, fw_iters=5))
     assert x[1] > 0.0 and x[2] == 0.0
 
 
@@ -385,8 +384,7 @@ def mult_obj_cases(draw):
     p = draw(st.integers(1, 4))
     m = draw(st.integers(1, 30))
     n = draw(st.integers(1, m))
-    items = st.lists(st.integers(0, p - 1), min_size=m, max_size=m)
-    qp = np.eye(p)[draw(items)]
+    groups = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
     kind = draw(st.sampled_from(["tied", "near-tied", "continuous"]))
     if kind == "continuous":
         w = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
@@ -402,8 +400,8 @@ def mult_obj_cases(draw):
         target = raw / raw.sum()
     lambda_ = 10.0 ** draw(st.floats(-2.0, 6.0))
     fw_iters = draw(st.integers(1, 300))
-    inst = Instance(m=m, n=n, s=1, p=(p,), utilities=w, noise=(qp,))
-    return inst, target, lambda_, qp, fw_iters
+    inst = Instance(n=n, p=(p,), utilities=w, noise=(np.eye(p)[groups],))
+    return inst, target, lambda_, groups, fw_iters
 
 
 @settings(max_examples=200, deadline=None)
