@@ -86,7 +86,8 @@ class ExperimentConfig:
                              f"from the config seed ({self.seed})")
         if self.sweep_kind == "n_grid":
             for g in self.grid:
-                integer("n_grid", g)
+                if not 1 <= integer("n_grid", g) <= self.m:
+                    raise ValueError(f"n_grid values must lie in [1, m={self.m}], not {g!r}")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 

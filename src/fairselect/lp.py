@@ -18,13 +18,24 @@ Implementation notes:
   objective at 1 and every other at 0, and the dual simplex then only
   repairs rows that lie outside their range: there is no Phase I.
 * Each iteration picks the basic variable furthest outside its box (lowest
-  row on ties) to leave. The bound-flipping ratio test sorts the eligible
-  columns stably by dual ratio, flips each one whose full move still
-  leaves that row short of its bound, and pivots in the first one that
-  reaches it (Koberstein, "The dual simplex method", 2005, ch. 3; Kostina,
-  "The long step rule in the bounded-variable dual simplex method", 2002).
-  One iteration thus moves as many items as the row needs, so the
-  iteration count grows with the row count, not with m or n.
+  row on ties) to leave. The bound-flipping ratio test walks the eligible
+  columns by ascending dual ratio (lowest index on ties), flips each one
+  whose full move still leaves that row short of its bound, and pivots in
+  the first one that reaches it (Koberstein, "The dual simplex method",
+  2005, ch. 3; Kostina, "The long step rule in the bounded-variable dual
+  simplex method", 2002). One iteration thus moves as many items as the
+  row needs, so the iteration count grows with the row count, not with m
+  or n.
+* The walk is ordered only up to its breakpoint (``_ratio_order``). When
+  every move is exactly 1 (the cardinality row) the breakpoint's depth is
+  known and one partition splits the columns there; otherwise a block of
+  the smallest ratios, grown 4× at a time, is sorted until its moves reach
+  the row, which is usually within a few columns. Both give the columns,
+  and the partial sums, of a full stable sort, bit for bit, so every
+  pivot is the same. Walks of 1000 columns or fewer (there a partition
+  costs more than it saves), walks that no block of under a quarter of the
+  columns finishes, and walks that never reach the row still use the full
+  stable sort.
 * The row proves the program infeasible if even flipping every eligible
   column falls short by more than FEAS_TOL; if it falls short by less,
   the flips alone close the row.
@@ -121,6 +132,53 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
     )
 
 
+def _smallest(ratio: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` positions of ``np.argsort(ratio, kind="stable")``,
+    as a set whose last entry is that order's ``count``-th.
+
+    One partition finds the ``count``-th smallest ratio, and the ties at it
+    go to the lowest positions. Equal ratios keep their position order in
+    the result, so sorting it stably by ratio gives the order's head.
+    """
+    tau = np.partition(ratio, count - 1)[count - 1]
+    below = np.flatnonzero(ratio < tau)
+    return np.concatenate([below, np.flatnonzero(ratio == tau)[:count - below.size]])
+
+
+def _ratio_order(ratio: np.ndarray, weight: np.ndarray, target: float):
+    """The ratio test's walk, ordered only as far as its breakpoint.
+
+    The bound-flipping ratio test walks the columns in the order
+    ``order = np.argsort(ratio, kind="stable")``, sums their positive
+    ``weight`` into ``reach = np.cumsum(weight[order])`` and stops at the
+    first column, ``q = np.searchsorted(reach, target)``, whose sum reaches
+    ``target`` > 0. Returns ``(head, reach)``: ``reach`` is that cumsum's
+    first ``len(head)`` entries, bit for bit, and ``len(head) > q``;
+    ``head[:q]`` holds ``order[:q]`` in some order and ``head[q]`` is
+    ``order[q]``. When no column reaches ``target``, ``head`` is ``order``
+    and ``reach`` the whole cumsum.
+    """
+    size = ratio.size
+    if size > 1000:  # a full sort of fewer is quicker than the partitions' fixed cost
+        if np.all(weight == 1.0):
+            # unit weights sum exactly, reach[i] = i + 1, so the breakpoint is known
+            q = int(np.ceil(target)) - 1
+            if q < size:
+                return _smallest(ratio, q + 1), np.arange(1.0, q + 2.0)
+        else:
+            # the breakpoint is usually a few columns deep: sort growing blocks
+            count = 16
+            while 4 * count < size:
+                head = _smallest(ratio, count)
+                head = head[np.argsort(ratio[head], kind="stable")]
+                reach = np.cumsum(weight[head])
+                if reach[-1] >= target:
+                    return head, reach
+                count *= 4
+    order = np.argsort(ratio, kind="stable")
+    return order, np.cumsum(weight[order])
+
+
 def solve_bfs(lp: LinearProgram) -> BfsSolution:
     """Optimal vertex of the LP, or Infeasible.
 
@@ -132,7 +190,9 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
     # columns: [structural | slack]; every lower bound is 0
     A = np.hstack([lp.rows, np.eye(k)])
     c = np.concatenate([lp.objective, np.zeros(k)])
-    ub = np.concatenate([np.ones(m), lp.row_upper - lp.row_lower])
+    ub = np.ones(m + k)
+    ub[m:] = lp.row_upper - lp.row_lower
+    has_room = ub > 0
     basis = np.arange(m, m + k)
     at_upper = c > 0  # nonbasic columns at their upper bound; False for basic ones
     shift = COST_SHIFT * (1.0 + np.abs(lp.objective)) * (1.0 + np.arange(m) / m)
@@ -149,17 +209,21 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
         e_r = np.zeros(k)
         e_r[r] = 1.0
         alpha = np.linalg.solve(B.T, e_r) @ A  # row r of the tableau
-        d = c - np.linalg.solve(B.T, c[basis]) @ A  # reduced costs
-        # x_B[r] moves by -alpha_j per unit increase of column j, so raising
-        # j moves it towards its box where `toward` is positive
-        toward = alpha if to_upper else -alpha
-        eligible = (ub > 0) & np.where(at_upper, toward < -PIVOT_TOL, toward > PIVOT_TOL)
+        d = np.linalg.solve(B.T, c[basis]) @ A
+        np.subtract(c, d, out=d)  # reduced costs
+        # x_B[r] moves by -alpha_j per unit increase of column j; a column
+        # may enter if moving it off its bound pushes x_B[r] towards its box
+        eligible = np.where(at_upper != to_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL)
+        eligible &= has_room
         eligible[basis] = False
         cand = np.flatnonzero(eligible)
-        dual_slack = np.where(at_upper[cand], d[cand], -d[cand])
-        ratio = np.maximum(dual_slack, 0.0) / np.abs(alpha[cand])
-        cand = cand[np.argsort(ratio, kind="stable")]
-        reach = np.cumsum(np.abs(alpha[cand]) * ub[cand])
+        step, ratio = np.abs(alpha[cand]), d[cand]
+        np.negative(ratio, out=ratio, where=~at_upper[cand])  # dual slack: -d_j at 0
+        np.maximum(ratio, 0.0, out=ratio)
+        ratio /= step
+        step *= ub[cand]  # how far x_B[r] moves when the column flips
+        order, reach = _ratio_order(ratio, step, violation[r])
+        cand = cand[order]
         q = int(np.searchsorted(reach, violation[r]))  # the first column that reaches the bound
         if q == cand.size:
             if violation[r] - reach.max(initial=0.0) > FEAS_TOL:
@@ -176,9 +240,9 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
 
     full = np.where(at_upper, ub, 0.0)
     full[basis] = x_B
-    x = np.clip(full[:m], 0.0, 1.0)
-    x[np.abs(x) < OPT_TOL] = 0.0
-    x[np.abs(x - 1.0) < OPT_TOL] = 1.0
+    x = np.clip(full[:m], 0.0, 1.0)  # so x and 1 - x are its distances to the bounds
+    x[x < OPT_TOL] = 0.0
+    x[1.0 - x < OPT_TOL] = 1.0
 
     activity = lp.rows @ x
     if (np.any(activity < lp.row_lower - FEAS_TOL)

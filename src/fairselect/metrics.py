@@ -102,7 +102,7 @@ def ndcg_for_selection(utilities: np.ndarray, selected) -> float:
 class MetricsReport:
     risk_difference: float
     selection_lift: float
-    selection_rates: tuple
+    selection_rates: tuple  # one per group; None for a group with no members
     utility_ratio: float
     ndcg: Optional[float] = None
 
@@ -119,10 +119,10 @@ def compute_report(inst: Instance, selection: Selection, t, u_blind: float,
     if inst.s != 1:
         raise UnsupportedError("the metrics report covers single-attribute instances")
     groups = inst.true_attrs[:, 0]
-    p = inst.p[0]
+    sizes = np.bincount(groups, minlength=inst.p[0])
     rates = tuple(
-        selection_rate(selection.chosen, groups, g, inst.n, inst.m)
-        for g in range(p)
+        selection_rate(selection.chosen, groups, g, inst.n, inst.m) if size else None
+        for g, size in enumerate(sizes)
     )
     return MetricsReport(
         risk_difference=risk_difference(selection.chosen, groups, t, inst.n),

@@ -2,7 +2,9 @@ import argparse
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fairselect.cli import _build_parser, main
@@ -99,6 +101,20 @@ def test_metrics_command(tiny_path, capsys):
     assert payload["risk_difference"] == pytest.approx(1.0)
     assert payload["utility_ratio"] == pytest.approx(3.5 / 5.5)
     assert "ndcg" in payload
+
+
+def test_metrics_with_an_empty_true_group(tiny, tmp_path, capsys):
+    # every item is in group 0: group 1's selection rate is undefined, the
+    # other metrics are not
+    path = tmp_path / "one_group.json"
+    save_instance(replace(tiny, true_attrs=np.zeros((4, 1), dtype=int)), path)
+    code, out, _ = run_cli(capsys, "metrics", "--instance", str(path), "--indices", "1,2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["selection_rates"] == [1.0, None]
+    assert payload["risk_difference"] == 0.0
+    assert payload["selection_lift"] == 0.0
+    assert payload["utility_ratio"] == 1.0
 
 
 @pytest.mark.parametrize("indices, message", [
@@ -307,6 +323,20 @@ def test_experiment_rejects_a_non_integral_n_grid(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "n_grid must be an integer, not 10.7" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("n_grid, bad", [([10, 60], "60"), ([0, 10], "0")])
+def test_experiment_rejects_an_n_grid_outside_one_to_m(tmp_path, capsys, n_grid, bad):
+    # caught when the config is built, before any grid point runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**experiment_config(), "sweep": {"n_grid": n_grid},
+                                    "algorithms": ["Blind"]}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "results.csv"))
+    assert code == 1
+    assert out == ""
+    assert f"n_grid values must lie in [1, m=50], not {bad}" in err
     assert not (tmp_path / "results.csv").exists()
 
 

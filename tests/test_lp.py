@@ -4,9 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from fairselect.core import Instance, make_constraints
-from fairselect.lp import LinearProgram, SolveStatus, build_denoised_lp, solve_bfs
+from fairselect.lp import LinearProgram, SolveStatus, _ratio_order, build_denoised_lp, solve_bfs
 
 from conftest import anchored_constraints, fact_one_constraints, fact_one_instance, random_instance
+from reference_lp import reference_solve_bfs
 
 TINY_LP_VALUE = 67.5 / 17  # verified against an independent solver
 TINY_LP_X = np.array([1.0, 4.0 / 17.0, 0.0, 13.0 / 17.0])
@@ -191,14 +192,14 @@ def expected_count_lp(p, m, n, seed, tied, one_hot_share, bounds):
 
 
 @st.composite
-def denoised_lps(draw):
+def denoised_lps(draw, sizes=st.integers(2, 30)):
     """Expected-count LPs of the shapes that stress the solver: several
     attributes (each attribute's rows sum to the cardinality row, so the
     rows are linearly dependent), one-hot noise rows, L = U at delta 0,
     tied utilities, n = m, and systems with no feasible point."""
     s = draw(st.integers(1, 3))
     p = draw(st.lists(st.integers(2, 4), min_size=s, max_size=s))
-    m = draw(st.integers(2, 30))
+    m = draw(sizes)
     n = draw(st.integers(1, m))
     return expected_count_lp(p, m, n, seed=draw(st.integers(0, 2**32 - 1)),
                              tied=draw(st.booleans()),
@@ -234,3 +235,65 @@ def test_solver_matches_independent_solver(case):
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(reference, abs=1e-8)
     assert len(sol.fractional_indices) <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(denoised_lps(sizes=st.integers(2, 400) | st.integers(2000, 5000)))
+@example(_equal_bounds_case(np.array([0.2, 1.8])))
+@example(_equal_bounds_case(np.array([0.2 - 1e-6, 1.8 + 1e-6])))
+@example(expected_count_lp([4, 4], 151, 145, seed=1088449068, tied=True,
+                           one_hot_share=0.0, bounds="equal"))
+def test_solver_matches_the_full_sort_reference(case):
+    # past 1000 eligible columns the ratio test orders only the columns up
+    # to its breakpoint, which must not change a single pivot
+    _, lp = case
+    sol, ref = solve_bfs(lp), reference_solve_bfs(lp)
+    assert sol.status is ref.status
+    if ref.x is None:
+        assert sol.x is None
+    else:
+        assert sol.x.tobytes() == ref.x.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 300) | st.integers(1001, 5000), seed=st.integers(0, 2**32 - 1),
+       ratios=st.sampled_from(["tied", "distinct", "zero"]),
+       weights=st.sampled_from(["unit", "tied", "distinct", "unit-but-one"]),
+       where=st.sampled_from(["first", "middle", "last", "past"]), between=st.booleans())
+def test_ratio_order_matches_the_full_sort(size, seed, ratios, weights, where, between):
+    rng = np.random.default_rng(seed)
+    if ratios == "tied":  # few distinct values, so most ratios are exact ties
+        ratio = rng.integers(0, 4, size) / 3.0
+    elif ratios == "zero":  # degenerate: most dual slacks are 0
+        ratio = np.where(rng.random(size) < 0.8, 0.0, rng.random(size))
+    else:
+        ratio = rng.random(size)
+    if weights == "distinct":
+        weight = rng.random(size) + 1e-9
+    elif weights == "tied":
+        weight = rng.integers(1, 4, size) / 4.0
+    else:
+        weight = np.ones(size)
+        if weights == "unit-but-one":
+            weight[rng.integers(size)] = 0.5
+    order = np.argsort(ratio, kind="stable")
+    full = np.cumsum(weight[order])
+    # the breakpoint at the first column, anywhere, at the last column or
+    # past the end, with the target on a partial sum or between two of them
+    j = {"first": 0, "middle": int(rng.integers(size)), "last": size - 1, "past": size}[where]
+    if j == size:
+        target = full[-1] + 1.0
+    else:
+        target = full[j] - (0.5 * weight[order[j]] if between else 0.0)
+    q = int(np.searchsorted(full, target))
+    assert q == j
+
+    head, reach = _ratio_order(ratio, weight, target)
+    assert reach.tobytes() == full[:len(reach)].tobytes()
+    assert int(np.searchsorted(reach, target)) == q
+    if q == size:
+        assert np.array_equal(head, order)
+    else:
+        assert len(head) == len(reach) > q
+        assert head[q] == order[q]
+        assert sorted(head[:q]) == sorted(order[:q])
