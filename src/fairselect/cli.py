@@ -33,6 +33,21 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
+    return value
+
+
+def _print_json(payload) -> None:
+    """Print strict JSON: a NaN or an infinity raises ValueError instead."""
+    print(json.dumps(payload, allow_nan=False))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.print_usage(sys.stderr)
@@ -49,7 +64,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--kind", choices=["disparate-error", "disparate-utility"], required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0,
+    gen.add_argument("--seed", type=_seed, default=0,
                      help="root of the seed tree the instance is drawn from, as in a sweep trial")
     gen.add_argument("--tau", type=float, default=0.0, help="label flip probability")
     gen.add_argument("--bins", type=int, default=20, help="utility bins for the probability estimate")
@@ -62,7 +77,7 @@ def _build_parser() -> _Parser:
     sel.add_argument("--delta", type=float, default=0.0)
     sel.add_argument("--target", choices=["equal", "proportional"], default="equal")
     sel.add_argument("--lambda", dest="lambda_", type=float, default=0.0)
-    sel.add_argument("--seed", type=int, default=0)
+    sel.add_argument("--seed", type=_seed, default=0)
     sel.add_argument("--lower", default=None, help="comma-separated explicit lower bounds")
     sel.add_argument("--upper", default=None, help="comma-separated explicit upper bounds")
     sel.add_argument("--fw-iters", type=int, default=500)
@@ -96,7 +111,7 @@ def cmd_gen(args) -> int:
     spec = GeneratorSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
     inst = build_instance(spec, args.tau, args.bins)
     save_instance(inst, args.out)
-    print(json.dumps({"written": args.out, "m": inst.m, "n": inst.n, "p": list(inst.p)}))
+    _print_json({"written": args.out, "m": inst.m, "n": inst.n, "p": list(inst.p)})
     return EXIT_OK
 
 
@@ -137,7 +152,7 @@ def cmd_select(args) -> int:
             "cardinality_excess": report.cardinality_excess,
             "max_violation": report.max_violation,
         }
-    print(json.dumps(payload))
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -164,7 +179,7 @@ def cmd_metrics(args) -> int:
     }
     if report.ndcg is not None:
         payload["ndcg"] = report.ndcg
-    print(json.dumps(payload))
+    _print_json(payload)
     return EXIT_OK
 
 
@@ -174,7 +189,7 @@ def cmd_experiment(args) -> int:
     write_results(table, args.out, format=args.format)
     if args.per_trial:
         write_per_trial(table, args.per_trial)
-    print(json.dumps({"written": args.out, "rows": len(table.rows)}))
+    _print_json({"written": args.out, "rows": len(table.rows)})
     return EXIT_OK
 
 
@@ -185,7 +200,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except InfeasibleError as exc:
-        print(json.dumps({"status": "infeasible", "detail": str(exc)}))
+        _print_json({"status": "infeasible", "detail": str(exc)})
         return EXIT_INFEASIBLE
     except (ValueError, KeyError, OSError, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

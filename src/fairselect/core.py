@@ -58,11 +58,13 @@ class Instance:
         if self.noise is not None:
             rows = []
             for q in self.noise:
-                q = np.array(q, dtype=float)
-                if q.ndim == 2 and q.shape[0] == self.m:
-                    sums = q.sum(axis=1)
-                    ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
-                    q[ok] = q[ok] / sums[ok, None]
+                q = np.asarray(q, dtype=float)
+                # summed before the copy: the input's layout fixes the order of the additions
+                sums = q.sum(axis=1) if q.ndim == 2 and q.shape[0] == self.m else None
+                q = np.array(q, order="C")
+                if sums is not None:
+                    off = (sums != 1.0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)
+                    q[off] /= sums[off, None]
                 rows.append(_readonly(q))
             object.__setattr__(self, "noise", tuple(rows))
         for name in ("true_attrs", "noisy_attrs"):
@@ -109,6 +111,11 @@ def validate_instance(inst: Instance) -> tuple:
     elif np.any(inst.utilities < 0):
         idx = int(np.argmax(inst.utilities < 0))
         bad.append(f"negative utility at item {idx}")
+    else:
+        with np.errstate(over="ignore"):
+            total = inst.utilities.sum()
+        if not np.isfinite(total):
+            bad.append("utilities sum past the largest float; scale them down")
     if inst.noise is not None:
         if len(inst.noise) != inst.s:
             bad.append(f"noise has {len(inst.noise)} attribute blocks, expected {inst.s}")
@@ -251,10 +258,6 @@ class ViolationReport:
     fairness: tuple  # tuple of s arrays
     cardinality_excess: float
     max_violation: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_violation == 0.0 and self.cardinality_excess == 0.0
 
 
 def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") -> ViolationReport:

@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("the sweep grid must be nonempty")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if not self.algorithms:
             raise ValueError("list at least one algorithm")
         bad = [a for a in self.algorithms if a not in selectors.ALGORITHMS]

@@ -76,22 +76,23 @@ class SolveStatus(enum.Enum):
 class LinearProgram:
     """max objective'x, s.t. row_lower <= rows @ x <= row_upper, 0 <= x <= 1."""
 
-    num_vars: int
-    objective: np.ndarray
-    rows: np.ndarray        # (k, num_vars)
-    row_lower: np.ndarray   # (k,)
-    row_upper: np.ndarray   # (k,)
+    objective: np.ndarray   # (num_vars,)
+    rows: np.ndarray        # (num_rows, num_vars)
+    row_lower: np.ndarray   # (num_rows,)
+    row_upper: np.ndarray   # (num_rows,)
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
-        object.__setattr__(self, "row_lower", np.asarray(self.row_lower, dtype=float))
-        object.__setattr__(self, "row_upper", np.asarray(self.row_upper, dtype=float))
-        k = self.rows.shape[0]
-        if self.rows.shape != (k, self.num_vars):
-            raise ValueError(f"rows shape {self.rows.shape} != ({k}, {self.num_vars})")
+        for name in ("objective", "rows", "row_lower", "row_upper"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.rows.ndim != 2 or self.objective.shape != (self.rows.shape[1],):
+            raise ValueError(f"objective shape {self.objective.shape} does not match "
+                             f"rows shape {self.rows.shape}")
         if np.any(self.row_lower > self.row_upper + 1e-12):
             raise ValueError("row lower bound exceeds row upper bound")
+
+    @property
+    def num_vars(self) -> int:
+        return self.rows.shape[1]
 
     @property
     def num_rows(self) -> int:
@@ -100,12 +101,20 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class BfsSolution:
-    """Vertex solution: x plus its fractional support and solve status."""
+    """Vertex solution x, or None when the program is infeasible."""
 
     x: Optional[np.ndarray]
-    objective_value: Optional[float]
-    fractional_indices: frozenset
-    status: SolveStatus
+
+    @property
+    def status(self) -> SolveStatus:
+        return SolveStatus.INFEASIBLE if self.x is None else SolveStatus.OPTIMAL
+
+    @property
+    def fractional_indices(self) -> frozenset:
+        """The coordinates of x strictly inside (0, 1), up to FRAC_TOL."""
+        if self.x is None:
+            return frozenset()
+        return frozenset(np.flatnonzero((self.x > FRAC_TOL) & (self.x < 1.0 - FRAC_TOL)).tolist())
 
 
 def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
@@ -124,7 +133,6 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
     lowers.append(np.array([float(inst.n)]))
     uppers.append(np.array([float(inst.n)]))
     return LinearProgram(
-        num_vars=inst.m,
         objective=inst.utilities,
         rows=np.vstack(blocks),
         row_lower=np.concatenate(lowers),
@@ -199,7 +207,7 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
     c[:m] += np.where(at_upper[:m], shift, -shift)
     for _ in range(20000 + 50 * (m + k)):
         B = A[:, basis]
-        x_B = np.linalg.solve(B, lp.row_upper - A @ np.where(at_upper, ub, 0.0))
+        x_B = np.linalg.solve(B, lp.row_upper - A @ (ub * at_upper))
         below, above = -x_B, x_B - ub[basis]
         violation = np.maximum(below, above)
         r = int(np.argmax(violation))
@@ -227,8 +235,7 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
         q = int(np.searchsorted(reach, violation[r]))  # the first column that reaches the bound
         if q == cand.size:
             if violation[r] - reach.max(initial=0.0) > FEAS_TOL:
-                return BfsSolution(x=None, objective_value=None,
-                                   fractional_indices=frozenset(), status=SolveStatus.INFEASIBLE)
+                return BfsSolution(x=None)
             at_upper[cand] = ~at_upper[cand]  # the flips alone close the row
             continue
         at_upper[cand[:q]] = ~at_upper[cand[:q]]
@@ -238,7 +245,7 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
     else:  # pragma: no cover
         raise RuntimeError("simplex iteration limit exceeded")
 
-    full = np.where(at_upper, ub, 0.0)
+    full = ub * at_upper
     full[basis] = x_B
     x = np.clip(full[:m], 0.0, 1.0)  # so x and 1 - x are its distances to the bounds
     x[x < OPT_TOL] = 0.0
@@ -248,10 +255,4 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
     if (np.any(activity < lp.row_lower - FEAS_TOL)
             or np.any(activity > lp.row_upper + FEAS_TOL)):  # pragma: no cover
         raise RuntimeError("simplex returned an infeasible point")
-    frac = frozenset(int(i) for i in np.flatnonzero((x > FRAC_TOL) & (x < 1.0 - FRAC_TOL)))
-    return BfsSolution(
-        x=x,
-        objective_value=float(np.dot(lp.objective, x)),
-        fractional_indices=frac,
-        status=SolveStatus.OPTIMAL,
-    )
+    return BfsSolution(x=x)

@@ -125,6 +125,16 @@ def _integer_bounds(cs: ConstraintSet, k: int = 0):
     return np.maximum(lo, 0), hi
 
 
+def _group_ranks(w: np.ndarray, groups: np.ndarray, p: int):
+    """``order``, the items by utility descending with the lowest index
+    first on ties, and ``rank``, where ``rank[j]`` is how many items of
+    ``order[j]``'s group come before it in that order."""
+    order = np.argsort(-w, kind="stable")
+    ordered_groups = groups[order]
+    in_group = np.cumsum(ordered_groups[:, None] == np.arange(p), axis=0)
+    return order, in_group[np.arange(order.size), ordered_groups] - 1
+
+
 def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:
     """Exact optimum of the count-bounded problem on the ``imputed`` groups
     (one label per item, see impute_bayes).
@@ -132,39 +142,27 @@ def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:
     Greedy: take the ceil(L) best items of each imputed group, then
     repeatedly add the globally best remaining item whose group is still
     below floor(U). The constraints form a partition matroid intersected
-    with a cardinality bound, for which this greedy is optimal.
+    with a cardinality bound, for which this greedy is optimal. It meets
+    each group's items in rank order, so it takes every item ranked below
+    its group's ceil(L), then the first n - sum(ceil(L)) items by utility
+    ranked from there up to the group's cap.
     """
     if inst.s != 1:
         raise UnsupportedError("thrsh supports one attribute; for s > 1 run fair_expec")
     p = inst.p[0]
     groups = _check_imputed(imputed, inst.m, p)
     lo, hi = _integer_bounds(cs)
-    sizes = np.bincount(groups, minlength=p)
-    caps = np.minimum(hi, sizes)
+    caps = np.minimum(hi, np.bincount(groups, minlength=p))
     if np.any(lo > caps) or int(lo.sum()) > inst.n or int(caps.sum()) < inst.n:
         raise InfeasibleError("imputed group bounds admit no size-n selection")
 
-    order = np.argsort(-inst.utilities, kind="stable")
+    order, rank = _group_ranks(inst.utilities, groups, p)
+    ordered_groups = groups[order]
+    floor = rank < lo[ordered_groups]
+    extra = ~floor & (rank < caps[ordered_groups])
+    extra &= np.cumsum(extra) <= inst.n - int(lo.sum())
     taken = np.zeros(inst.m, dtype=bool)
-    counts = np.zeros(p, dtype=int)
-    # lower bounds first: the best lo[g] items of each group
-    for g in range(p):
-        need = lo[g]
-        if need == 0:
-            continue
-        members = order[groups[order] == g][:need]
-        taken[members] = True
-        counts[g] = need
-    total = int(counts.sum())
-    for i in order:
-        if total == inst.n:
-            break
-        g = groups[i]
-        if taken[i] or counts[g] >= caps[g]:
-            continue
-        taken[i] = True
-        counts[g] += 1
-        total += 1
+    taken[order] = floor | extra
     return Selection.from_mask(taken, inst.utilities)
 
 
@@ -205,10 +203,8 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     mean_w = float(w.sum()) / m
     scale = lambda_ * mean_w * (1 - eps) / n
     qprime = np.eye(p)[groups]  # one-hot (m, p), so qprime.T @ x sums x by group
-    # each group's n + 1 best items by (utility descending, index)
-    order = np.lexsort((-w, groups))
-    sorted_groups = groups[order]
-    heads = order[np.arange(m) - np.searchsorted(sorted_groups, sorted_groups) <= n]
+    order, rank = _group_ranks(w, groups, p)
+    heads = order[rank <= n]  # each group's n + 1 best items
     head_w, head_g = w[heads], groups[heads]
     cut = heads.size - n
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fairselect.lp import (COST_SHIFT, FEAS_TOL, FRAC_TOL, OPT_TOL, PIVOT_TOL, BfsSolution,
-                           LinearProgram, SolveStatus)
+from fairselect.lp import COST_SHIFT, FEAS_TOL, OPT_TOL, PIVOT_TOL, BfsSolution, LinearProgram
 
 
 def reference_solve_bfs(lp: LinearProgram) -> BfsSolution:
@@ -53,8 +52,7 @@ def reference_solve_bfs(lp: LinearProgram) -> BfsSolution:
         q = int(np.searchsorted(reach, violation[r]))  # the first column that reaches the bound
         if q == cand.size:
             if violation[r] - reach.max(initial=0.0) > FEAS_TOL:
-                return BfsSolution(x=None, objective_value=None,
-                                   fractional_indices=frozenset(), status=SolveStatus.INFEASIBLE)
+                return BfsSolution(x=None)
             at_upper[cand] = ~at_upper[cand]  # the flips alone close the row
             continue
         at_upper[cand[:q]] = ~at_upper[cand[:q]]
@@ -74,10 +72,4 @@ def reference_solve_bfs(lp: LinearProgram) -> BfsSolution:
     if (np.any(activity < lp.row_lower - FEAS_TOL)
             or np.any(activity > lp.row_upper + FEAS_TOL)):  # pragma: no cover
         raise RuntimeError("simplex returned an infeasible point")
-    frac = frozenset(int(i) for i in np.flatnonzero((x > FRAC_TOL) & (x < 1.0 - FRAC_TOL)))
-    return BfsSolution(
-        x=x,
-        objective_value=float(np.dot(lp.objective, x)),
-        fractional_indices=frac,
-        status=SolveStatus.OPTIMAL,
-    )
+    return BfsSolution(x=x)

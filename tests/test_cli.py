@@ -2,11 +2,13 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fairselect import cli
 from fairselect.cli import _build_parser, main
 from fairselect.core import Instance, instance_to_dict, load_instance, save_instance
 from fairselect.datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
@@ -235,6 +237,33 @@ def test_select_rejects_non_finite_input(tiny, tmp_path, capsys, field, value):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [("select", "--algorithm", "Blind"),
+                                  ("select", "--algorithm", "FairExpec"),
+                                  ("metrics", "--indices", "1,2", "--ndcg")])
+def test_rejects_utilities_whose_sum_overflows(tiny, tmp_path, capsys, argv):
+    # each utility is finite but their sum is not, so a selection's utility
+    # would print as Infinity and a utility ratio as NaN
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**instance_to_dict(tiny), "w": [1e308] * 4}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code, out, err = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "utilities sum past the largest float" in err
+
+
+def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):
+    # RFC 8259 has no NaN: a value that slips through is an error, not output
+    real = cli.compute_report
+    monkeypatch.setattr(cli, "compute_report",
+                        lambda *args, **kw: replace(real(*args, **kw), utility_ratio=float("nan")))
+    code, out, err = run_cli(capsys, "metrics", "--instance", tiny_path, "--indices", "1,2")
+    assert code == 1
+    assert out == ""
+    assert "JSON" in err
+
+
 def _per_item(data):
     """The same instance in the per-item layout that files used to have."""
     items = [{"w": w, "q": [q], "z": z} for w, q, z in zip(data["w"], data["q"][0], data["z"])]
@@ -298,6 +327,27 @@ def test_experiment_rejects_bad_generator_section(tmp_path, capsys, generator, m
     assert out == ""
     assert message in err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("verb, name", [("gen", "argument --seed:"), ("select", "argument --seed:"),
+                                        ("experiment", "seed")])
+def test_a_negative_seed_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**experiment_config(), "seed": -1}))
+    out_path = str(tmp_path / "out")
+    argv = {"gen": ["--kind", "disparate-error", "--m", "10", "--n", "2", "--out", out_path,
+                    "--seed", "-1"],
+            "select": ["--instance", tiny_path, "--algorithm", "Blind", "--seed", "-1"],
+            "experiment": ["--config", str(cfg_path), "--out", out_path]}[verb]
+    try:
+        code = main([verb, *argv])
+    except SystemExit as exc:  # argparse exits on a bad flag
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{name} must be a non-negative integer, not -1" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, value", [("m", 50.5), ("n", 9.9), ("trials", 2.5),

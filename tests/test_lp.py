@@ -53,17 +53,18 @@ def test_solve_tiny_optimal_vertex(tiny, tiny_constraints):
     lp = build_denoised_lp(tiny, tiny_constraints)
     sol = solve_bfs(lp)
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(TINY_LP_VALUE, abs=1e-9)
+    assert lp.objective @ sol.x == pytest.approx(TINY_LP_VALUE, abs=1e-9)
     assert np.allclose(sol.x, TINY_LP_X, atol=1e-9)
     assert sol.fractional_indices == {1, 3}
-    assert sol.objective_value == pytest.approx(scipy_lp_value(lp), abs=1e-8)
+    assert lp.objective @ sol.x == pytest.approx(scipy_lp_value(lp), abs=1e-8)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_fact_one_exactly_p_fractional(p):
-    sol = solve_bfs(build_denoised_lp(fact_one_instance(p), fact_one_constraints(p)))
+    inst = fact_one_instance(p)
+    sol = solve_bfs(build_denoised_lp(inst, fact_one_constraints(p)))
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(p + 1, abs=1e-9)
+    assert inst.utilities @ sol.x == pytest.approx(p + 1, abs=1e-9)
     expected = np.array([1.0 - 1.0 / p] * p + [1.0])
     assert np.allclose(sol.x, expected, atol=1e-9)
     assert len(sol.fractional_indices) == p
@@ -100,7 +101,7 @@ def test_optimal_value_matches_independent_solver():
         reference = scipy_lp_value(lp)
         if sol.status is SolveStatus.OPTIMAL:
             assert reference is not None
-            assert sol.objective_value == pytest.approx(reference, abs=1e-6)
+            assert lp.objective @ sol.x == pytest.approx(reference, abs=1e-6)
         else:
             assert reference is None
 
@@ -122,7 +123,7 @@ def test_relaxation_dominates_integral_points():
             counts = inst.noise[0][list(subset)].sum(axis=0)
             if np.all(counts >= cs.lower[0] - slack - 1e-9) and \
                np.all(counts <= cs.upper[0] + slack + 1e-9):
-                assert sol.objective_value >= inst.utilities[list(subset)].sum() - 1e-9
+                assert lp.objective @ sol.x >= inst.utilities[list(subset)].sum() - 1e-9
 
 
 def test_feasibility_certificate():
@@ -144,7 +145,7 @@ def test_solver_deterministic(tiny, tiny_constraints):
     a = solve_bfs(lp)
     b = solve_bfs(lp)
     assert a.x.tobytes() == b.x.tobytes()
-    assert a.objective_value == b.objective_value
+    assert lp.objective @ a.x == lp.objective @ b.x
 
 
 def test_vertex_basic_count_bounded_by_rows():
@@ -160,7 +161,7 @@ def test_vertex_basic_count_bounded_by_rows():
 
 def test_rejects_crossed_row_bounds():
     with pytest.raises(ValueError):
-        LinearProgram(num_vars=2, objective=[1.0, 1.0], rows=[[1.0, 1.0]],
+        LinearProgram(objective=[1.0, 1.0], rows=[[1.0, 1.0]],
                       row_lower=[3.0], row_upper=[2.0])
 
 
@@ -233,7 +234,7 @@ def test_solver_matches_independent_solver(case):
         assert sol.status is SolveStatus.INFEASIBLE
         return
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective_value == pytest.approx(reference, abs=1e-8)
+    assert lp.objective @ sol.x == pytest.approx(reference, abs=1e-8)
     assert len(sol.fractional_indices) <= bound
 
 

@@ -58,7 +58,7 @@ def test_denoised_fact_one_integral_gap():
     res = brute_force_denoised(inst, cs)
     assert res.best_subset == (0, 1)
     assert res.best_utility == pytest.approx(2.0)
-    lp_value = solve_bfs(build_denoised_lp(inst, cs)).objective_value
+    lp_value = inst.utilities @ solve_bfs(build_denoised_lp(inst, cs)).x
     assert lp_value == pytest.approx(3.0)
     assert res.best_utility < lp_value
 
@@ -86,7 +86,7 @@ def test_value_chain_lp_dominates_oracles():
         tgt = brute_force_target(inst, cs)
         if den.feasible:
             assert lp_sol.status is SolveStatus.OPTIMAL
-            assert lp_sol.objective_value >= den.best_utility - 1e-9
+            assert inst.utilities @ lp_sol.x >= den.best_utility - 1e-9
         if tgt.feasible:
             x_star = np.zeros(inst.m)
             x_star[list(tgt.best_subset)] = 1.0

@@ -12,6 +12,7 @@ from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import fact_one_constraints, fact_one_instance, random_instance, anchored_constraints
 from reference_mult_obj import mult_obj_objective, reference_mult_obj
+from reference_thrsh import reference_thrsh
 
 
 # --- blind ------------------------------------------------------------
@@ -70,7 +71,7 @@ def test_fair_expec_dominates_vertex_and_bounds_cardinality():
         cs = anchored_constraints(rng, inst)
         vertex = denoised_bfs(inst, cs)
         sel = fair_expec(inst, cs)
-        assert sel.total_utility >= vertex.objective_value - 1e-9
+        assert sel.total_utility >= inst.utilities @ vertex.x - 1e-9
         assert np.all(sel.chosen >= np.floor(vertex.x + 1e-12))
         bound = min(inst.m, 1 + sum(pk - 1 for pk in inst.p))
         assert inst.n <= sel.cardinality <= inst.n + bound
@@ -280,6 +281,40 @@ def test_thrsh_matches_brute_force():
             continue
         assert oracle.feasible
         assert sel.total_utility == pytest.approx(oracle.best_utility, abs=1e-9)
+
+
+@st.composite
+def thrsh_cases(draw):
+    p = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, m))
+    groups = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+    if draw(st.booleans()):  # few distinct values, so the picks cut through ties
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), dtype=float)
+    else:
+        w = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+    # half-integer bounds test the rounding to integer counts; small caps bind
+    share = st.integers(0, 2 * max(1, n // p))
+    lower = np.array(draw(st.lists(share, min_size=p, max_size=p))) / 2.0
+    upper = lower + np.array(draw(st.lists(st.integers(0, 2 * n), min_size=p, max_size=p))) / 2.0
+    inst = Instance(n=n, p=(p,), utilities=w, noise=(np.eye(p)[groups],))
+    return inst, make_constraints([lower], [upper], delta=0.0, n=n), groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(thrsh_cases())
+def test_thrsh_matches_the_greedy_reference(case):
+    # the brute-force test compares utilities, so it cannot tell which of
+    # several tied items was picked; the greedy fixes that choice
+    try:
+        expected = reference_thrsh(*case)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            thrsh(*case)
+        return
+    sel = thrsh(*case)
+    assert sel.chosen.tobytes() == expected.chosen.tobytes()
+    assert sel.total_utility == expected.total_utility
 
 
 def test_thrsh_rejects_multi_attribute():
