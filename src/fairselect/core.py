@@ -206,21 +206,30 @@ def target_vector(inst: Instance, proportional: bool) -> np.ndarray:
     return np.bincount(inst.true_attrs[:, 0], minlength=p) / inst.m
 
 
+def smallest(a: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` positions of ``np.argsort(a, kind="stable")``,
+    as a set whose last entry is that order's ``count``-th.
+
+    One partition finds the ``count``-th smallest value, and the ties at it
+    go to the lowest positions. Equal values keep their position order in
+    the result, so sorting it stably by value gives the order's head.
+    """
+    tau = np.partition(a, count - 1)[count - 1]
+    below = np.flatnonzero(a < tau)
+    return np.concatenate([below, np.flatnonzero(a == tau)[:count - below.size]])
+
+
 def top_n(scores: np.ndarray, n: int) -> np.ndarray:
     """Indices of the n largest scores, ties going to the lowest index.
 
-    Returns the same array as ``np.argsort(-scores, kind="stable")[:n]``
-    (best first), but partitions around the n-th largest score instead of
-    sorting all m, so only the n picked indices are sorted.
+    Returns the set of ``np.argsort(-scores, kind="stable")[:n]``, in no
+    particular order, by one partition instead of a sort of all m.
     """
     s = np.asarray(scores, dtype=float)
     n = min(n, s.size)
     if n <= 0:
         return np.empty(0, dtype=np.intp)
-    tau = np.partition(s, s.size - n)[s.size - n]
-    above = np.flatnonzero(s > tau)
-    picked = np.concatenate([above, np.flatnonzero(s == tau)[: n - above.size]])
-    return picked[np.argsort(-s[picked], kind="stable")]
+    return smallest(-s, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +321,29 @@ def instance_to_dict(inst: Instance) -> dict:
     return data
 
 
+def check_keys(what: str, data, allowed: frozenset, required: frozenset) -> None:
+    """Check that ``data`` is a JSON object with no key outside ``allowed``
+    and every key in ``required``, naming the keys that are not.
+
+    Raises TypeError if ``data`` is not an object, else ValueError.
+    """
+    if not isinstance(data, dict):
+        raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = sorted(required - set(data))
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+
+
+def json_list(name: str, value) -> list:
+    """``value``, which must be a JSON list; raises TypeError naming ``name``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, not {type(value).__name__}")
+    return value
+
+
 def integer(name: str, value) -> int:
     """A JSON number that must be an integer (3.0 reads as 3).
 
@@ -357,19 +389,12 @@ def real_array(name: str, value) -> np.ndarray:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    unknown = sorted(set(data) - INSTANCE_KEYS)
-    if unknown:
-        raise ValueError(f"unknown instance keys: {unknown}")
-    missing = sorted(REQUIRED_KEYS - set(data))
-    if missing:
-        raise ValueError(f"missing instance keys: {missing}")
-    if not isinstance(data["w"], list):
-        raise ValueError("w must be a list of utilities")
-    w = real_array("w", data["w"])
-    p, q = integer_array("p", data["p"]), data.get("q")
+    check_keys("instance", data, INSTANCE_KEYS, REQUIRED_KEYS)
+    w = real_array("w", json_list("w", data["w"]))
+    p, q = integer_array("p", json_list("p", data["p"])), data.get("q")
     if q is not None:
-        q = tuple(real_array(f"q[{k}]", qk).T for k, qk in enumerate(q))
-    z, zhat = (None if data.get(key) is None else integer_array(key, data[key]).T
+        q = tuple(real_array(f"q[{k}]", qk).T for k, qk in enumerate(json_list("q", q)))
+    z, zhat = (None if data.get(key) is None else integer_array(key, json_list(key, data[key])).T
                for key in ("z", "zhat"))
     return Instance(n=integer("n", data["n"]), p=p, utilities=w, noise=q, true_attrs=z,
                     noisy_attrs=zhat)

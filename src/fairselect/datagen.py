@@ -160,26 +160,13 @@ def inject_flip_noise(inst: Instance, tau: float, seed) -> Instance:
     return replace(inst, noisy_attrs=zhat[:, None])
 
 
-def _equal_count_bins(train_w: np.ndarray, b: int):
-    """Sort positions split into b bins; first b-1 bins of equal size,
-    the last absorbs the remainder. Returns (assignment, inner edges)."""
-    m = len(train_w)
-    order = np.argsort(train_w, kind="stable")
-    base = m // b
-    assignment = np.empty(m, dtype=int)
-    starts = [j * base for j in range(b)] + [m]
-    for j in range(b):
-        assignment[order[starts[j]:starts[j + 1]]] = j
-    edges = np.array([train_w[order[starts[j]]] for j in range(1, b)])
-    return assignment, edges
-
-
 def estimate_q_by_utility_bins(inst: Instance, b: int, train: Instance) -> np.ndarray:
     """Probability rows from class frequencies in equal-count utility bins.
 
-    Bin boundaries and per-bin frequencies come from the training instance;
-    items of ``inst`` are then assigned to bins by utility value, so items
-    in the same bin share a row.
+    Bin boundaries and per-bin frequencies come from the training instance,
+    cut by its stable utility order: the first b-1 bins hold m // b items
+    each and the last absorbs the remainder. Items of ``inst`` are then
+    assigned to bins by utility value, so items in the same bin share a row.
     """
     if train.true_attrs is None:
         raise ValueError("the training instance must carry true attributes")
@@ -188,12 +175,10 @@ def estimate_q_by_utility_bins(inst: Instance, b: int, train: Instance) -> np.nd
     if b > train.m:
         raise ValueError(f"cannot split {train.m} items into {b} bins")
     p = train.p[0]
-    assignment, edges = _equal_count_bins(train.utilities, b)
-    freq = np.empty((b, p))
-    labels = train.true_attrs[:, 0]
-    for j in range(b):
-        members = assignment == j
-        freq[j] = np.bincount(labels[members], minlength=p) / members.sum()
-    which = np.searchsorted(edges, inst.utilities, side="right")
-    return freq[which]
-
+    order = np.argsort(train.utilities, kind="stable")
+    base = train.m // b
+    bins = np.minimum(np.arange(train.m) // base, b - 1)
+    counts = np.bincount(bins * p + train.true_attrs[order, 0], minlength=b * p).reshape(b, p)
+    freq = counts / counts.sum(axis=1, keepdims=True)
+    edges = train.utilities[order[base * np.arange(1, b)]]
+    return freq[np.searchsorted(edges, inst.utilities, side="right")]

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import selectors
-from .core import (InfeasibleError, Instance, constraints_from_alpha, integer,
-                   target_vector, violation_report)
+from .core import (InfeasibleError, Instance, check_keys, constraints_from_alpha, integer,
+                   json_list, target_vector, violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -37,8 +37,9 @@ TARGET_EQUAL = "EqualRepresentation"
 TARGET_PROPORTIONAL = "Proportional"
 METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_violation")
 WORKERS_ENV = "FAIRSELECT_WORKERS"
-CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m", "target",
-                         "delta", "seed", "alpha", "lambda", "tau", "fw_iters", "bins"})
+REQUIRED_CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m",
+                                  "target", "delta", "seed"})
+CONFIG_KEYS = REQUIRED_CONFIG_KEYS | {"alpha", "lambda", "tau", "fw_iters", "bins"}
 # a generator section names only what to draw: every trial draws at the
 # config's own m and n, from the config's seed (see run_trial)
 GENERATOR_KEYS = frozenset({"kind", "params"})
@@ -95,22 +96,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = sorted(set(data) - CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+        check_keys("config", data, CONFIG_KEYS, REQUIRED_CONFIG_KEYS)
         sweep = data["sweep"]
+        check_keys("sweep", sweep, frozenset(SWEEP_KINDS), frozenset())
         if len(sweep) != 1:
             raise ValueError("the sweep section must contain exactly one grid")
         (kind, grid), = sweep.items()
         gen = data["generator"]
-        unknown = sorted(set(gen) - GENERATOR_KEYS)
-        if unknown:
-            raise ValueError(f"unknown generator keys: {unknown}")
+        check_keys("generator", gen, GENERATOR_KEYS, frozenset({"kind"}))
         m, n = integer("m", data["m"]), integer("n", data["n"])
         return cls(
             generator=GeneratorSpec(kind=gen["kind"], m=m, n=n, params=dict(gen.get("params", {}))),
-            sweep_kind=kind, grid=tuple(grid),
-            algorithms=tuple(data["algorithms"]),
+            sweep_kind=kind, grid=tuple(json_list(kind, grid)),
+            algorithms=tuple(json_list("algorithms", data["algorithms"])),
             trials=integer("trials", data["trials"]), n=n, m=m,
             target=data["target"], delta=float(data["delta"]), seed=integer("seed", data["seed"]),
             alpha=float(data.get("alpha", 1.0)), lambda_=float(data.get("lambda", 0.0)),
@@ -227,35 +225,29 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Resu
     else:
         results = [run_trial(cfg, gi, tr) for gi, tr in tasks]
 
-    by_point = {}
-    for (gi, tr), res in zip(tasks, results):
-        by_point.setdefault(gi, []).append(res)
-
-    rows = []
-    per_trial = []
-    for gi in range(len(cfg.grid)):
-        grid_value = cfg.grid[gi]
+    rows, per_trial = [], []
+    for gi, grid_value in enumerate(cfg.grid):
+        point = results[gi * cfg.trials:(gi + 1) * cfg.trials]  # the tasks are grid-major
         for alg in cfg.algorithms:
-            excluded = 0
-            series = {name: [] for name in METRIC_NAMES}
-            for tr, res in enumerate(by_point[gi]):
-                vals = res[alg]
-                if vals["risk_difference"] is None:
-                    excluded += 1
-                for name in METRIC_NAMES:
-                    per_trial.append((grid_value, alg, name, tr, vals[name]))
-                    if vals[name] is not None:
-                        series[name].append(vals[name])
+            runs = [res[alg] for res in point]
+            per_trial += [(grid_value, alg, name, tr, vals[name])
+                          for tr, vals in enumerate(runs) for name in METRIC_NAMES]
+            # a trial's metrics are all set, or all None when it was infeasible
+            feasible = [vals for vals in runs if vals["risk_difference"] is not None]
             for name in METRIC_NAMES:
-                vals = series[name]
-                if not vals:
-                    rows.append(ResultRow(grid_value, alg, name, None, None))
-                    continue
-                mean = float(np.mean(vals))
-                sem = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+                mean, sem = _mean_sem([vals[name] for vals in feasible])
                 rows.append(ResultRow(grid_value, alg, name, mean, sem))
-            rows.append(ResultRow(grid_value, alg, "excluded_trials", float(excluded), 0.0))
+            rows.append(ResultRow(grid_value, alg, "excluded_trials",
+                                  float(len(runs) - len(feasible)), 0.0))
     return ResultTable(rows=tuple(rows), per_trial=tuple(per_trial))
+
+
+def _mean_sem(values: list):
+    """The mean and its standard error, or (None, None) for no values."""
+    if not values:
+        return None, None
+    sem = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    return float(np.mean(values)), sem
 
 
 def _fmt(value: Optional[float]) -> str:

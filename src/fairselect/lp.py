@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintSet, Instance
+from .core import ConstraintSet, Instance, smallest
 
 FEAS_TOL = 1e-8    # row and box feasibility
 OPT_TOL = 1e-9     # x entries this close to 0 or 1 are snapped to the bound
@@ -140,19 +140,6 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
     )
 
 
-def _smallest(ratio: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` positions of ``np.argsort(ratio, kind="stable")``,
-    as a set whose last entry is that order's ``count``-th.
-
-    One partition finds the ``count``-th smallest ratio, and the ties at it
-    go to the lowest positions. Equal ratios keep their position order in
-    the result, so sorting it stably by ratio gives the order's head.
-    """
-    tau = np.partition(ratio, count - 1)[count - 1]
-    below = np.flatnonzero(ratio < tau)
-    return np.concatenate([below, np.flatnonzero(ratio == tau)[:count - below.size]])
-
-
 def _ratio_order(ratio: np.ndarray, weight: np.ndarray, target: float):
     """The ratio test's walk, ordered only as far as its breakpoint.
 
@@ -172,12 +159,12 @@ def _ratio_order(ratio: np.ndarray, weight: np.ndarray, target: float):
             # unit weights sum exactly, reach[i] = i + 1, so the breakpoint is known
             q = int(np.ceil(target)) - 1
             if q < size:
-                return _smallest(ratio, q + 1), np.arange(1.0, q + 2.0)
+                return smallest(ratio, q + 1), np.arange(1.0, q + 2.0)
         else:
             # the breakpoint is usually a few columns deep: sort growing blocks
             count = 16
             while 4 * count < size:
-                head = _smallest(ratio, count)
+                head = smallest(ratio, count)
                 head = head[np.argsort(ratio[head], kind="stable")]
                 reach = np.cumsum(weight[head])
                 if reach[-1] >= target:

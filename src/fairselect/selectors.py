@@ -9,6 +9,7 @@ seeding.make_rng, so runs are reproducible and order-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -201,6 +202,10 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     eps = KL_EPSILON
     t_s = (1 - eps) * t + eps / p
     mean_w = float(w.sum()) / m
+    # |log_ratio| <= log(p / eps), so this bounds the penalty and every gradient
+    # entry; Python floats overflow to inf without a numpy warning
+    if not math.isfinite(float(w.max()) + lambda_ * (math.log(p / eps) + 1.0) * mean_w):
+        raise ValueError(f"lambda_={lambda_:g} is too large: the KL penalty overflows")
     scale = lambda_ * mean_w * (1 - eps) / n
     qprime = np.eye(p)[groups]  # one-hot (m, p), so qprime.T @ x sums x by group
     order, rank = _group_ranks(w, groups, p)

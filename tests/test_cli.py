@@ -402,6 +402,41 @@ def test_select_rejects_non_finite_flags(tiny_path, capsys, flags):
     assert "finite" in err
 
 
+def test_select_rejects_a_lambda_whose_penalty_overflows(tiny_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code, out, err = run_cli(capsys, "select", "--instance", tiny_path,
+                                 "--algorithm", "MultObj", "--lambda", "1e308")
+    assert code == 1
+    assert out == ""
+    assert "lambda_=1e+308 is too large" in err
+
+
+@pytest.mark.parametrize("verb, data, message", [
+    ("experiment", {key: value for key, value in experiment_config().items() if key != "trials"},
+     "missing config keys: ['trials']"),
+    ("experiment", {**experiment_config(), "algorithms": "Blind"}, "algorithms must be a list"),
+    ("experiment", {**experiment_config(), "sweep": {"alpha_grid": 1.0}},
+     "alpha_grid must be a list"),
+    ("experiment", [1, 2], "config must be a JSON object, not list"),
+    ("experiment", {**experiment_config(), "sweep": ["alpha_grid"]},
+     "sweep must be a JSON object, not list"),
+    ("select", [1, 2], "instance must be a JSON object, not list"),
+    ("select", {"n": 2, "p": 2, "w": [3.0, 2.5, 1.0, 0.5]}, "p must be a list"),
+    ("select", {"n": 2, "p": [2], "w": [3.0, 2.5, 1.0, 0.5], "z": 0}, "z must be a list"),
+], ids=["config-trials-missing", "algorithms-string", "grid-scalar", "config-list",
+        "sweep-list", "instance-list", "p-scalar", "z-scalar"])
+def test_input_file_errors_name_the_field(tmp_path, capsys, verb, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = {"experiment": ["--config", str(path), "--out", str(tmp_path / "results.csv")],
+            "select": ["--instance", str(path), "--algorithm", "Blind"]}[verb]
+    code, out, err = run_cli(capsys, verb, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 @pytest.fixture
 def two_attr_path(tmp_path):
     inst = Instance(n=2, p=(2, 2), utilities=[3.0, 2.5, 1.0, 0.5],

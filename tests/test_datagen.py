@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fairselect.core import Instance, UnsupportedError, validate_instance
 from fairselect.datagen import (GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY,
@@ -8,6 +9,8 @@ from fairselect.datagen import (GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPAR
 from fairselect.metrics import risk_difference
 from fairselect.selectors import blind, impute_bayes
 from fairselect.seeding import make_rng, seed_sequence
+
+from reference_bins import reference_estimate_q_by_utility_bins
 
 
 def error_spec(m, seed=0, **params):
@@ -211,6 +214,23 @@ def test_utility_bins_transfer_to_fresh_instance():
     # low-utility items must look more likely minority than high-utility ones
     order = np.argsort(fresh.utilities)
     assert q[order[:400], 0].mean() > q[order[-400:], 0].mean() + 0.2
+
+
+@given(st.integers(2, 12), st.integers(1, 8), st.integers(1, 3), st.data())
+def test_utility_bins_match_the_per_bin_loop(b, per_bin, p, data):
+    # m % b != 0, so the last bin absorbs a remainder; utilities are few
+    # integers, so ties straddle the bin edges, and the fresh instance's
+    # half-integers fall on, between and outside the training range
+    m = b * per_bin + data.draw(st.integers(1, b - 1))
+    w = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    z = data.draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    fresh_w = data.draw(st.lists(st.integers(0, 10), min_size=1, max_size=20))
+    train = Instance(n=1, p=(p,), utilities=w, noise=None, true_attrs=[[v] for v in z])
+    fresh = Instance(n=1, p=(p,), utilities=np.array(fresh_w) / 2.0, noise=None)
+    got = estimate_q_by_utility_bins(fresh, b, train=train)
+    want = reference_estimate_q_by_utility_bins(fresh, b, train=train)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_utility_bins_rejects_too_many_bins():

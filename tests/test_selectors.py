@@ -380,6 +380,8 @@ def test_mult_obj_keeps_cardinality():
     ((0.5, 0.5), float("nan"), 10, "lambda_ must be finite and nonnegative"),
     ((0.5, 0.5), -1.0, 10, "lambda_ must be finite and nonnegative"),
     ((0.5, 0.5), 0.0, 0, "fw_iters must be positive"),
+    # finite, but the KL penalty's gradient overflows (numpy's warning fails the test)
+    ((0.5, 0.5), 1e308, 10, r"lambda_=1e\+308 is too large"),
 ])
 def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, fw_iters, message):
     # checked before the lambda_ = 0 shortcut returns the blind indicator
