@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,14 +34,23 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {value}")
-    return value
+def _flag(convert, expected: str, low=None):
+    """An argparse type: ``convert`` applied to the flag's text. Text it
+    cannot convert, or a value below ``low``, is an error naming the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {expected}, not {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be {expected}, not {value}")
+        return value
+    return parse
+
+
+_seed = _flag(int, "a non-negative integer", low=0)
+_numbers = _flag(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
+_integers = _flag(lambda text: [int(v) for v in text.split(",")], "comma-separated integers")
 
 
 def _print_json(payload) -> None:
@@ -78,13 +88,14 @@ def _build_parser() -> _Parser:
     sel.add_argument("--target", choices=["equal", "proportional"], default="equal")
     sel.add_argument("--lambda", dest="lambda_", type=float, default=0.0)
     sel.add_argument("--seed", type=_seed, default=0)
-    sel.add_argument("--lower", default=None, help="comma-separated explicit lower bounds")
-    sel.add_argument("--upper", default=None, help="comma-separated explicit upper bounds")
+    sel.add_argument("--lower", type=_numbers, help="comma-separated explicit lower bounds")
+    sel.add_argument("--upper", type=_numbers, help="comma-separated explicit upper bounds")
     sel.add_argument("--fw-iters", type=int, default=500)
 
     met = sub.add_parser("metrics", help="evaluate a selection on true attributes")
     met.add_argument("--instance", required=True)
-    met.add_argument("--indices", required=True, help="comma-separated 1-based item indices")
+    met.add_argument("--indices", type=_integers, required=True,
+                     help="comma-separated 1-based item indices")
     met.add_argument("--target", choices=["equal", "proportional"], default="equal")
     met.add_argument("--ndcg", action="store_true")
 
@@ -93,7 +104,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--out", required=True)
     exp.add_argument("--format", choices=["csv", "json"], default="csv")
     exp.add_argument("--per-trial", default=None, help="also dump per-trial metric values")
-    exp.add_argument("--workers", type=int, default=None,
+    exp.add_argument("--workers", type=_flag(int, "a positive integer", low=1),
                      help="override the FAIRSELECT_WORKERS environment variable")
     return parser
 
@@ -125,11 +136,9 @@ def cmd_select(args) -> int:
     if args.lower is not None or args.upper is not None:
         if args.lower is None or args.upper is None:
             raise ValueError("--lower and --upper must be given together")
-        lower = np.array([float(v) for v in args.lower.split(",")])
-        upper = np.array([float(v) for v in args.upper.split(",")])
-        if len(lower) != inst.p[0] or len(upper) != inst.p[0]:
+        if len(args.lower) != inst.p[0] or len(args.upper) != inst.p[0]:
             raise ValueError(f"--lower and --upper need one bound per group (p={inst.p[0]})")
-        cs = make_constraints([lower], [upper], delta=args.delta, n=inst.n)
+        cs = make_constraints([args.lower], [args.upper], delta=args.delta, n=inst.n)
     else:
         cs = constraints_from_alpha(inst.n, t, args.alpha, delta=args.delta)
 
@@ -146,7 +155,7 @@ def cmd_select(args) -> int:
     }
     modes = ("expected",) if inst.true_attrs is None else ("expected", "true")
     for attrs in modes:
-        report = violation_report(sel, inst, cs, attrs=attrs)
+        report = violation_report(sel.chosen, inst, cs, attrs=attrs)
         payload[f"{attrs}_violations"] = {
             "per_group": [list(map(float, v)) for v in report.fairness],
             "cardinality_excess": report.cardinality_excess,
@@ -158,7 +167,7 @@ def cmd_select(args) -> int:
 
 def cmd_metrics(args) -> int:
     inst = _load_checked_instance(args.instance)
-    indices = [int(v) - 1 for v in args.indices.split(",")]
+    indices = [v - 1 for v in args.indices]
     if any(i < 0 or i >= inst.m for i in indices):
         raise ValueError("indices out of range (they are 1-based)")
     if len(set(indices)) != len(indices):
@@ -169,17 +178,9 @@ def cmd_metrics(args) -> int:
     mask[indices] = True
     sel = Selection.from_mask(mask, inst.utilities)
     t = target_vector(inst, proportional=args.target == "proportional")
-    blind_sel = selectors.blind(inst)
-    report = compute_report(inst, sel, t, blind_sel.total_utility, with_ndcg=args.ndcg)
-    payload = {
-        "risk_difference": report.risk_difference,
-        "selection_lift": report.selection_lift,
-        "selection_rates": list(report.selection_rates),
-        "utility_ratio": report.utility_ratio,
-    }
-    if report.ndcg is not None:
-        payload["ndcg"] = report.ndcg
-    _print_json(payload)
+    report = compute_report(inst, sel, t, selectors.blind(inst).total_utility, with_ndcg=args.ndcg)
+    # the report's fields in order; ndcg only when asked for
+    _print_json({name: value for name, value in asdict(report).items() if value is not None})
     return EXIT_OK
 
 

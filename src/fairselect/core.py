@@ -270,22 +270,23 @@ class ViolationReport:
 
 
 def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") -> ViolationReport:
-    """Measure how far selection ``x`` violates the target bounds.
+    """Measure how far the 0/1 or fractional vector ``x`` (for a Selection,
+    its ``chosen`` mask) violates the target bounds.
 
     attrs="true" counts members of each true group; attrs="expected" uses
     the expected counts sum_i q_il * x_i. Either way the bounds checked are
     the raw [L, U] (no delta slack).
     """
-    vec = x.chosen if isinstance(x, Selection) else np.asarray(x, dtype=float)
+    vec = np.asarray(x, dtype=float)
     if attrs not in ("true", "expected"):
         raise ValueError(f"attrs must be 'true' or 'expected', got {attrs!r}")
     if attrs == "true" and inst.true_attrs is None:
         raise ValueError("true-attribute mode requires true_attrs")
+    sel = vec > 0.5
     fairness = []
     worst = 0.0
     for k in range(inst.s):
         if attrs == "true":
-            sel = vec > 0.5
             counts = np.bincount(inst.true_attrs[sel, k], minlength=inst.p[k]).astype(float)
         else:
             counts = inst.noise[k].T @ vec
@@ -406,10 +407,16 @@ def save_instance(inst: Instance, path) -> None:
         fh.write(text)
 
 
-def load_instance(path) -> Instance:
-    with open(path) as fh:
-        data = json.load(fh)
+def load_json_file(path, what: str, build):
+    """``build`` applied to the JSON value in ``path``. A file that is not
+    JSON, or a field of the wrong JSON type, is a ValueError naming the file."""
     try:
-        return instance_from_dict(data)
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(f"malformed instance file {path}: {exc}") from exc
+        with open(path) as fh:
+            data = json.load(fh)
+        return build(data)
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from exc
+
+
+def load_instance(path) -> Instance:
+    return load_json_file(path, "instance", instance_from_dict)

@@ -26,7 +26,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import selectors
 from .core import (InfeasibleError, Instance, check_keys, constraints_from_alpha, integer,
-                   json_list, target_vector, violation_report)
+                   json_list, load_json_file, target_vector, violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -119,12 +119,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        data = json.load(fh)
-    try:
-        return ExperimentConfig.from_dict(data)
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(f"malformed config file {path}: {exc}") from exc
+    return load_json_file(path, "config", ExperimentConfig.from_dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +196,7 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue
         report = metrics_mod.compute_report(inst, sel, t, blind_utility)
-        viol = violation_report(sel, inst, cs, attrs="true")
+        viol = violation_report(sel.chosen, inst, cs, attrs="true")
         out[alg] = {
             "risk_difference": report.risk_difference,
             "selection_lift": report.selection_lift,
@@ -214,10 +209,16 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
 def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> ResultTable:
     """Full sweep. Output ordering is fixed by (grid index, algorithm,
     metric) regardless of scheduling; infeasible trials are excluded from
-    means and counted in an extra ``excluded_trials`` row."""
+    means and counted in an extra ``excluded_trials`` row. ``workers``
+    (default: the FAIRSELECT_WORKERS variable, else 1) must be positive."""
+    source, value = "workers", workers
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        source, value = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
+        workers = int(value) if value.strip().isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"{source} must be a positive integer, not {value!r}")
     tasks = [(gi, tr) for gi in range(len(cfg.grid)) for tr in range(cfg.trials)]
+    workers = min(workers, len(tasks))  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, repeat(cfg), *zip(*tasks),

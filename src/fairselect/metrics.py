@@ -1,8 +1,8 @@
 """Fairness and utility metrics, computed on true group memberships.
 
-Every metric is a pure function of a size-n selection, the true group of
-each item, and a target distribution t over groups. Risk difference and
-selection lift live in [0, 1] with 1 the most fair.
+Fairness metrics are pure functions of one count vector, the selected items
+in each true group (``compute_report`` counts them once), and a target t over
+groups. Risk difference and selection lift lie in [0, 1]; 1 is most fair.
 """
 
 from __future__ import annotations
@@ -16,41 +16,34 @@ import numpy as np
 from .core import Instance, Selection, UnsupportedError
 
 
-def _selected_counts(selected, groups, p: int) -> np.ndarray:
-    return np.bincount(np.asarray(groups, dtype=int)[np.asarray(selected, dtype=bool)],
-                       minlength=p).astype(float)
-
-
-def _check_target(t: np.ndarray) -> np.ndarray:
+def _normalized(counts, t, n: int):
+    """The target as floats, and each group's normalized count
+    counts[l] / (n t_l); every target entry must be positive."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("every target entry must be strictly positive")
-    return t
+    return t, np.asarray(counts, dtype=float) / (n * t)
 
 
-def risk_difference(selected, groups, t, n: int) -> float:
+def risk_difference(counts, t, n: int) -> float:
     """1 - min_l t_l * max over group pairs of the normalized count gap.
 
-    Normalized count of group l is |S ∩ G_l| / (n t_l); equal normalized
-    counts give 1 (most fair), maximal disparity gives 0.
+    ``counts[l]`` is |S ∩ G_l|; its normalized count is counts[l] / (n t_l).
+    Equal normalized counts give 1 (most fair), maximal disparity gives 0.
     """
-    t = _check_target(t)
-    counts = _selected_counts(selected, groups, len(t))
-    if np.count_nonzero(selected) != n:
+    t, ratios = _normalized(counts, t, n)
+    if np.sum(counts) != n:
         raise ValueError("risk difference is defined for selections of size exactly n")
-    ratios = counts / (n * t)
     return float(1.0 - t.min() * (ratios.max() - ratios.min()))
 
 
-def selection_lift(selected, groups, t, n: int) -> float:
+def selection_lift(counts, t, n: int) -> float:
     """Smallest pairwise ratio of normalized group counts.
 
     A group selected zero times while another is selected gives 0 (the
     conservative limit); pairs where both sides are zero are skipped.
     """
-    t = _check_target(t)
-    counts = _selected_counts(selected, groups, len(t))
-    ratios = counts / (n * t)
+    _, ratios = _normalized(counts, t, n)
     nonzero = ratios[ratios > 0]
     if nonzero.size == 0:
         raise ValueError("no selected items in any group")
@@ -59,14 +52,12 @@ def selection_lift(selected, groups, t, n: int) -> float:
     return float(nonzero.min() / nonzero.max())
 
 
-def selection_rate(selected, groups, group: int, n: int, m: int) -> float:
-    """(|S ∩ G_l| / n) * (m / |G_l|): 1 means proportional representation."""
-    groups = np.asarray(groups, dtype=int)
-    size = int(np.sum(groups == group))
-    if size == 0:
-        raise ValueError(f"group {group} has no members")
-    count = float(np.count_nonzero(np.asarray(selected, dtype=bool) & (groups == group)))
-    return (count / n) * (m / size)
+def selection_rates(counts, sizes, n: int, m: int) -> tuple:
+    """(|S ∩ G_l| / n) * (m / |G_l|) for every group l, None where G_l is
+    empty: 1 means proportional representation."""
+    sizes = np.asarray(sizes)
+    rates = (np.asarray(counts, dtype=float) / n) * (m / np.maximum(sizes, 1))
+    return tuple(np.where(sizes > 0, rates, None).tolist())
 
 
 def utility_ratio(u_alg: float, u_blind: float) -> float:
@@ -119,15 +110,12 @@ def compute_report(inst: Instance, selection: Selection, t, u_blind: float,
     if inst.s != 1:
         raise UnsupportedError("the metrics report covers single-attribute instances")
     groups = inst.true_attrs[:, 0]
+    counts = np.bincount(groups[selection.chosen], minlength=inst.p[0]).astype(float)
     sizes = np.bincount(groups, minlength=inst.p[0])
-    rates = tuple(
-        selection_rate(selection.chosen, groups, g, inst.n, inst.m) if size else None
-        for g, size in enumerate(sizes)
-    )
     return MetricsReport(
-        risk_difference=risk_difference(selection.chosen, groups, t, inst.n),
-        selection_lift=selection_lift(selection.chosen, groups, t, inst.n),
-        selection_rates=rates,
+        risk_difference=risk_difference(counts, t, inst.n),
+        selection_lift=selection_lift(counts, t, inst.n),
+        selection_rates=selection_rates(counts, sizes, inst.n, inst.m),
         utility_ratio=utility_ratio(selection.total_utility, u_blind),
         ndcg=ndcg_for_selection(inst.utilities, selection.chosen) if with_ndcg else None,
     )

@@ -72,7 +72,7 @@ def test_acceptance_2_violation_bounds():
             inst = gen_disparate_error(spec)
             sel = fair_expec(inst, cs)
             assert n <= sel.cardinality <= n + p
-            rep = violation_report(sel, inst, cs, attrs="true")
+            rep = violation_report(sel.chosen, inst, cs, attrs="true")
             if rep.max_violation > threshold:
                 bad += 1
         bound = min(1.0, 4 * p * np.exp(-delta ** 2 * n / 3.0))

@@ -350,6 +350,49 @@ def test_a_negative_seed_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("verb, flags, message", [
+    ("metrics", ["--indices", "1,x"],
+     "argument --indices: must be comma-separated integers, not '1,x'"),
+    ("metrics", ["--indices", ""], "argument --indices: must be comma-separated integers, not ''"),
+    ("metrics", ["--indices", "1.5,2"],
+     "argument --indices: must be comma-separated integers, not '1.5,2'"),
+    ("select", ["--lower", "1,x", "--upper", "2,2"],
+     "argument --lower: must be comma-separated numbers, not '1,x'"),
+    ("select", ["--lower", "0,0", "--upper", "2,"],
+     "argument --upper: must be comma-separated numbers, not '2,'"),
+    ("experiment", ["--workers", "0"], "argument --workers: must be a positive integer, not 0"),
+    ("experiment", ["--workers", "-3"], "argument --workers: must be a positive integer, not -3"),
+])
+def test_a_malformed_flag_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, flags, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(experiment_config()))
+    out_path = str(tmp_path / "out")
+    argv = {"select": ["--instance", tiny_path, "--algorithm", "FairExpec"],
+            "metrics": ["--instance", tiny_path],
+            "experiment": ["--config", str(cfg_path), "--out", out_path]}[verb]
+    with pytest.raises(SystemExit) as exc:  # argparse exits on a bad flag
+        main([verb, *argv, *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe{"], ids=["empty", "not-utf-8"])
+@pytest.mark.parametrize("verb, what", [("select", "instance"), ("experiment", "config")])
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, verb, what, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = {"experiment": ["--config", str(path), "--out", str(tmp_path / "results.csv")],
+            "select": ["--instance", str(path), "--algorithm", "Blind"]}[verb]
+    code, out, err = run_cli(capsys, verb, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"malformed {what} file {path}: " in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [("m", 50.5), ("n", 9.9), ("trials", 2.5),
                                           ("seed", 3.2), ("fw_iters", 10.5), ("bins", 19.5)])
 def test_experiment_rejects_non_integral_numbers(tmp_path, capsys, field, value):

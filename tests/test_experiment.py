@@ -1,9 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from fairselect import experiment
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY
 from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, load_config,
                                    render_csv, run_experiment, run_trial, write_per_trial,
@@ -135,6 +137,46 @@ def test_workers_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("FAIRSELECT_WORKERS", "2")
     from_env = run_experiment(cfg)
     assert render_csv(from_env) == render_csv(base)
+
+
+@pytest.mark.parametrize("workers, env, message", [
+    (0, None, "workers must be a positive integer, not 0"),
+    (-3, "4", "workers must be a positive integer, not -3"),
+    (None, "0", "FAIRSELECT_WORKERS must be a positive integer, not '0'"),
+    (None, "-3", "FAIRSELECT_WORKERS must be a positive integer, not '-3'"),
+    (None, "abc", "FAIRSELECT_WORKERS must be a positive integer, not 'abc'"),
+])
+def test_a_worker_count_below_one_is_rejected_by_name(monkeypatch, workers, env, message):
+    monkeypatch.delenv("FAIRSELECT_WORKERS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("FAIRSELECT_WORKERS", env)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(small_config(trials=1), workers=workers)
+
+
+@pytest.mark.parametrize("grid, trials, started", [((0.0, 1.0), 2, [4]), ((1.0,), 1, [])])
+def test_the_pool_is_capped_at_the_task_count(monkeypatch, grid, trials, started):
+    # a pool forks all its workers up front: record the size instead of starting one
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+    cfg = small_config(grid=grid, trials=trials)
+    table = run_experiment(cfg, workers=5000)
+    assert sizes == started
+    assert render_csv(table) == render_csv(run_experiment(cfg, workers=1))
 
 
 def test_aggregation_matches_per_trial_dump(tmp_path):

@@ -1,118 +1,92 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from fairselect.core import Instance, Selection
+from fairselect.core import Instance, Selection, target_vector
 from fairselect.metrics import (compute_report, dcg, ndcg, ndcg_for_selection,
-                                risk_difference, selection_lift, selection_rate,
+                                risk_difference, selection_lift, selection_rates,
                                 utility_ratio)
 
-
-def mask_with_counts(counts, per_group):
-    """Selection mask and group column realizing the given per-group counts."""
-    groups = np.concatenate([np.full(size, g) for g, size in enumerate(per_group)])
-    mask = np.zeros(len(groups), dtype=int)
-    start = 0
-    for g, size in enumerate(per_group):
-        mask[start:start + counts[g]] = 1
-        start += size
-    return mask, groups
+import reference_metrics
 
 
 def test_risk_difference_balanced():
-    mask, groups = mask_with_counts([5, 5], [20, 20])
-    assert risk_difference(mask, groups, [0.5, 0.5], 10) == 1.0
+    assert risk_difference([5, 5], [0.5, 0.5], 10) == 1.0
 
 
 def test_risk_difference_max_disparity():
-    mask, groups = mask_with_counts([10, 0], [20, 20])
-    assert risk_difference(mask, groups, [0.5, 0.5], 10) == 0.0
+    assert risk_difference([10, 0], [0.5, 0.5], 10) == 0.0
 
 
 def test_risk_difference_partial():
-    mask, groups = mask_with_counts([7, 3], [20, 20])
-    assert risk_difference(mask, groups, [0.5, 0.5], 10) == pytest.approx(0.6)
+    assert risk_difference([7, 3], [0.5, 0.5], 10) == pytest.approx(0.6)
 
 
 def test_risk_difference_rejects_zero_target():
-    mask, groups = mask_with_counts([5, 5], [20, 20])
     with pytest.raises(ValueError):
-        risk_difference(mask, groups, [1.0, 0.0], 10)
+        risk_difference([5, 5], [1.0, 0.0], 10)
 
 
 def test_risk_difference_requires_size_n():
-    mask, groups = mask_with_counts([5, 4], [20, 20])
     with pytest.raises(ValueError):
-        risk_difference(mask, groups, [0.5, 0.5], 10)
+        risk_difference([5, 4], [0.5, 0.5], 10)
 
 
 @given(st.permutations(range(4)))
 def test_risk_difference_invariant_under_relabeling(perm):
-    counts = [4, 3, 2, 1]
+    counts = np.array([4.0, 3.0, 2.0, 1.0])
     t = np.array([0.4, 0.3, 0.2, 0.1])
-    mask, groups = mask_with_counts(counts, [10, 10, 10, 10])
-    base = risk_difference(mask, groups, t, 10)
-    perm = list(perm)
-    relabeled = np.array([perm[g] for g in groups])
-    t_perm = np.empty(4)
-    for old, new in enumerate(perm):
-        t_perm[new] = t[old]
-    assert risk_difference(mask, relabeled, t_perm, 10) == pytest.approx(base)
+    base = risk_difference(counts, t, 10)
+    counts_perm, t_perm = np.empty(4), np.empty(4)
+    counts_perm[list(perm)] = counts
+    t_perm[list(perm)] = t
+    assert risk_difference(counts_perm, t_perm, 10) == pytest.approx(base)
 
 
 def test_risk_difference_one_iff_proportional_to_target():
-    mask, groups = mask_with_counts([6, 3, 1], [20, 20, 20])
     t = np.array([0.6, 0.3, 0.1])
-    assert risk_difference(mask, groups, t, 10) == pytest.approx(1.0)
-    assert selection_lift(mask, groups, t, 10) == pytest.approx(1.0)
+    assert risk_difference([6, 3, 1], t, 10) == pytest.approx(1.0)
+    assert selection_lift([6, 3, 1], t, 10) == pytest.approx(1.0)
 
 
 def test_selection_lift_balanced():
-    mask, groups = mask_with_counts([5, 5], [20, 20])
-    assert selection_lift(mask, groups, [0.5, 0.5], 10) == 1.0
+    assert selection_lift([5, 5], [0.5, 0.5], 10) == 1.0
 
 
 def test_selection_lift_partial():
-    mask, groups = mask_with_counts([7, 3], [20, 20])
-    assert selection_lift(mask, groups, [0.5, 0.5], 10) == pytest.approx(3 / 7)
+    assert selection_lift([7, 3], [0.5, 0.5], 10) == pytest.approx(3 / 7)
 
 
 def test_selection_lift_zero_convention():
-    mask, groups = mask_with_counts([10, 0], [20, 20])
-    assert selection_lift(mask, groups, [0.5, 0.5], 10) == 0.0
+    assert selection_lift([10, 0], [0.5, 0.5], 10) == 0.0
 
 
 def test_selection_rate_proportional_is_one():
-    mask, groups = mask_with_counts([4, 6], [40, 60])
-    for g in range(2):
-        assert selection_rate(mask, groups, g, 10, 100) == pytest.approx(1.0)
+    assert selection_rates([4, 6], [40, 60], 10, 100) == pytest.approx((1.0, 1.0))
 
 
 def test_selection_rate_formula():
-    mask, groups = mask_with_counts([4, 6], [40, 60])
-    assert selection_rate(mask, groups, 0, 10, 100) == pytest.approx((4 / 10) * (100 / 40))
+    rates = selection_rates([4, 6], [40, 60], 10, 100)
+    assert rates[0] == pytest.approx((4 / 10) * (100 / 40))
 
 
 def test_selection_rate_zero_count():
-    mask, groups = mask_with_counts([0, 10], [40, 60])
-    assert selection_rate(mask, groups, 0, 10, 100) == 0.0
+    assert selection_rates([0, 10], [40, 60], 10, 100)[0] == 0.0
 
 
-def test_selection_rate_empty_group_rejected():
-    mask, groups = mask_with_counts([10, 0], [20, 20])
-    with pytest.raises(ValueError):
-        selection_rate(mask, groups, 3, 10, 40)
+def test_selection_rates_of_an_empty_group_are_none():
+    rates = selection_rates([10, 0, 0, 0], [20, 20, 0, 0], 10, 40)
+    assert rates == (2.0, 0.0, None, None)
+    assert all(type(r) is float for r in rates[:2])
 
 
 def test_selection_rate_equal_iff_lift_one_under_proportional_target():
-    m = 100
-    mask, groups = mask_with_counts([4, 6], [40, 60])
-    t = np.array([0.4, 0.6])
-    rates = [selection_rate(mask, groups, g, 10, m) for g in range(2)]
+    rates = selection_rates([4, 6], [40, 60], 10, 100)
     assert rates[0] == pytest.approx(rates[1])
-    assert selection_lift(mask, groups, t, 10) == pytest.approx(1.0)
+    assert selection_lift([4, 6], [0.4, 0.6], 10) == pytest.approx(1.0)
 
 
 def test_utility_ratio():
@@ -151,9 +125,7 @@ def test_metrics_mean_of_trials_equals_trial_mean():
     rng = np.random.default_rng(0)
     vals = []
     for _ in range(20):
-        counts = rng.multinomial(10, [0.5, 0.5])
-        mask, groups = mask_with_counts(counts, [20, 20])
-        vals.append(risk_difference(mask, groups, [0.5, 0.5], 10))
+        vals.append(risk_difference(rng.multinomial(10, [0.5, 0.5]), [0.5, 0.5], 10))
     assert np.mean(vals) == pytest.approx(sum(vals) / len(vals))
 
 
@@ -172,3 +144,46 @@ def test_compute_report_fields(tiny):
     assert report.utility_ratio == pytest.approx(3.5 / 5.5)
     assert len(report.selection_rates) == 2
     assert 0.0 <= report.ndcg <= 1.0
+
+
+@st.composite
+def labelled_selections(draw):
+    """(selection mask, true group labels, p): some groups empty, some
+    selected in full, at least one item selected."""
+    p = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=p, max_size=p))
+    counts = [draw(st.sampled_from([0, size]) | st.integers(0, size)) for size in sizes]
+    assume(sum(counts) > 0)
+    groups = np.repeat(np.arange(p), sizes)
+    mask = np.concatenate([np.arange(size) < count for size, count in zip(sizes, counts)])
+    order = np.array(draw(st.permutations(range(len(groups)))), dtype=int)
+    return mask[order], groups[order], p
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+@given(labelled_selections(), st.booleans())
+def test_compute_report_matches_the_mask_reference(drawn, proportional):
+    mask, groups, p = drawn
+    m, n = len(groups), int(mask.sum())
+    inst = Instance(n=n, p=(p,), utilities=np.arange(m, 0, -1.0), noise=None,
+                    true_attrs=groups[:, None])
+    sel = Selection.from_mask(mask, inst.utilities)
+    t = target_vector(inst, proportional)
+    u_blind = float(inst.utilities[:n].sum())
+    try:
+        expected = (reference_metrics.risk_difference(mask, groups, t, n),
+                    reference_metrics.selection_lift(mask, groups, t, n))
+    except ValueError as exc:  # a proportional target with an empty group
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            compute_report(inst, sel, t, u_blind)
+        return
+    report = compute_report(inst, sel, t, u_blind, with_ndcg=True)
+    rates = reference_metrics.reference_rates(mask, groups, p, n, m)
+    assert [_bits(report.risk_difference), _bits(report.selection_lift)] == \
+        [_bits(v) for v in expected]
+    assert [_bits(r) for r in report.selection_rates] == [_bits(r) for r in rates]
+    assert _bits(report.utility_ratio) == _bits(utility_ratio(sel.total_utility, u_blind))
+    assert _bits(report.ndcg) == _bits(ndcg_for_selection(inst.utilities, mask))
