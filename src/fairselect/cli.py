@@ -13,7 +13,10 @@ Machine-readable JSON goes to stdout; item indices in output are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -48,7 +51,16 @@ def _flag(convert, expected: str, low=None):
     return parse
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 _seed = _flag(int, "a non-negative integer", low=0)
+_positive = _flag(int, "a positive integer", low=1)
+_lambda = _flag(_finite, "a finite non-negative number", low=0)
 _numbers = _flag(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
 _integers = _flag(lambda text: [int(v) for v in text.split(",")], "comma-separated integers")
 
@@ -59,12 +71,19 @@ def _print_json(payload) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only a lone number such as -1 for a value; no flag here
+        # starts with a digit, so -1,2 and -.5,1 are values too
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(EXIT_ERROR)
 
 
+@functools.cache  # parse_args leaves no state behind, so main builds it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairselect",
                      description="Fair subset selection under noisy protected attributes")
@@ -86,11 +105,11 @@ def _build_parser() -> _Parser:
     sel.add_argument("--alpha", type=float, default=0.0)
     sel.add_argument("--delta", type=float, default=0.0)
     sel.add_argument("--target", choices=["equal", "proportional"], default="equal")
-    sel.add_argument("--lambda", dest="lambda_", type=float, default=0.0)
+    sel.add_argument("--lambda", dest="lambda_", type=_lambda, default=0.0)
     sel.add_argument("--seed", type=_seed, default=0)
     sel.add_argument("--lower", type=_numbers, help="comma-separated explicit lower bounds")
     sel.add_argument("--upper", type=_numbers, help="comma-separated explicit upper bounds")
-    sel.add_argument("--fw-iters", type=int, default=500)
+    sel.add_argument("--fw-iters", type=_positive, default=500)
 
     met = sub.add_parser("metrics", help="evaluate a selection on true attributes")
     met.add_argument("--instance", required=True)
@@ -104,7 +123,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--out", required=True)
     exp.add_argument("--format", choices=["csv", "json"], default="csv")
     exp.add_argument("--per-trial", default=None, help="also dump per-trial metric values")
-    exp.add_argument("--workers", type=_flag(int, "a positive integer", low=1),
+    exp.add_argument("--workers", type=_positive,
                      help="override the FAIRSELECT_WORKERS environment variable")
     return parser
 

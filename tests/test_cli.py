@@ -362,6 +362,11 @@ def test_a_negative_seed_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, 
      "argument --upper: must be comma-separated numbers, not '2,'"),
     ("experiment", ["--workers", "0"], "argument --workers: must be a positive integer, not 0"),
     ("experiment", ["--workers", "-3"], "argument --workers: must be a positive integer, not -3"),
+    # FairExpec never reads these two; they are checked all the same
+    ("select", ["--lambda", "nan"],
+     "argument --lambda: must be a finite non-negative number, not 'nan'"),
+    ("select", ["--lambda", "-1"], "argument --lambda: must be a finite non-negative number, not -1.0"),
+    ("select", ["--fw-iters", "0"], "argument --fw-iters: must be a positive integer, not 0"),
 ])
 def test_a_malformed_flag_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, flags, message):
     cfg_path = tmp_path / "cfg.json"
@@ -377,6 +382,19 @@ def test_a_malformed_flag_is_rejected_by_name(tiny_path, tmp_path, capsys, verb,
     assert captured.out == ""
     assert message in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, flags, code, message", [
+    ("metrics", ["--indices", "-1,2"], 1, "indices out of range (they are 1-based)"),
+    ("select", ["--algorithm", "FairExpec", "--lower", "-1,0", "--upper", "2,2"], 0, ""),
+], ids=["indices", "lower"])
+def test_a_comma_separated_value_may_start_with_a_minus(tiny_path, capsys, verb, flags, code,
+                                                        message):
+    # argparse alone would take -1,2 for a flag and exit with "expected one argument"
+    got, out, err = run_cli(capsys, verb, "--instance", tiny_path, *flags)
+    assert got == code
+    assert message in err
+    assert (out == "") == (code != 0)
 
 
 @pytest.mark.parametrize("content", [b"", b"\xff\xfe{"], ids=["empty", "not-utf-8"])
@@ -437,12 +455,15 @@ def test_experiment_rejects_an_n_grid_outside_one_to_m(tmp_path, capsys, n_grid,
                                    ("--lower", "0,0", "--upper", "nan,1"),
                                    ("--lambda", "nan"), ("--lambda", "inf")])
 def test_select_rejects_non_finite_flags(tiny_path, capsys, flags):
-    code, out, err = run_cli(capsys, "select", "--instance", tiny_path,
-                             "--algorithm", "MultObj" if "--lambda" in flags else "FairExpec",
-                             *flags)
+    try:
+        code = main(["select", "--instance", tiny_path,
+                     "--algorithm", "MultObj" if "--lambda" in flags else "FairExpec", *flags])
+    except SystemExit as exc:  # argparse exits on a bad --lambda
+        code = exc.code
+    captured = capsys.readouterr()
     assert code == 1
-    assert out == ""
-    assert "finite" in err
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_select_rejects_a_lambda_whose_penalty_overflows(tiny_path, capsys):
@@ -524,6 +545,50 @@ def test_select_choices_are_the_registry():
     select = verbs.choices["select"]
     choices = next(a for a in select._actions if a.dest == "algorithm").choices
     assert list(choices) == list(ALGORITHMS)
+
+
+# --- the parser, built once per process -----------------------------------------
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def _parse(parser, argv, capsys):
+    """The namespace, or the exit code, and the stderr of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr().err
+
+
+def test_parsing_leaves_no_state_in_the_cached_parser(capsys):
+    select = ["select", "--instance", "i.json", "--algorithm", "FairExpec"]
+    calls = [
+        [*select, "--lower", "0,1", "--upper", "2,2", "--seed", "4", "--lambda", "2"],
+        select,
+        [*select, "--alpha", "1", "--delta", "0.1", "--target", "proportional"],
+        [*select, "--seed", "-1"],
+        [*select, "--lower", "-1,x", "--upper", "2,2"],
+        [*select, "--lower", "-1,0", "--upper", "2,2", "--fw-iters", "7"],
+        ["metrics", "--instance", "i.json", "--indices", "3,1", "--ndcg"],
+        ["metrics", "--instance", "i.json", "--indices", "1,x"],
+        ["metrics", "--instance", "i.json"],
+        select,
+        ["metrics", "--instance", "i.json", "--indices", "-1,2"],
+    ]
+    for argv in calls:
+        cached = _parse(_build_parser(), argv, capsys)
+        fresh = _parse(_build_parser.__wrapped__(), argv, capsys)
+        assert cached == fresh, argv
+
+
+def test_each_parse_gets_its_own_bounds_list():
+    argv = ["select", "--instance", "i.json", "--algorithm", "FairExpec",
+            "--lower", "0,1", "--upper", "2,2"]
+    first, second = _build_parser().parse_args(argv), _build_parser().parse_args(argv)
+    assert first.lower == second.lower == [0.0, 1.0]
+    assert first.lower is not second.lower
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
