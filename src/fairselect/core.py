@@ -377,11 +377,13 @@ def _number_array(name: str, value, what: str) -> np.ndarray:
 def integer_array(name: str, value) -> np.ndarray:
     """A JSON list (nested or not) whose numbers must all be integers."""
     a = _number_array(name, value, "integers")
-    if a.dtype.kind == "f":
-        if not np.all(np.isfinite(a) & (a == np.round(a))):
-            raise ValueError(f"{name} must hold integers only")
-        a = a.astype(int)
-    return a
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a))):
+        raise ValueError(f"{name} must hold integers only")
+    # numpy reads integers in [2**63, 2**64) as uint64, and casting a float
+    # past int64 wraps with a warning
+    if a.dtype.kind == "u" or (a.dtype.kind == "f" and not np.all((a >= -2.0**63) & (a < 2.0**63))):
+        raise ValueError(f"{name} must hold integers in [-2**63, 2**63)")
+    return a.astype(int, copy=False)
 
 
 def real_array(name: str, value) -> np.ndarray:
@@ -416,6 +418,8 @@ def load_json_file(path, what: str, build):
         return build(data)
     except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
         raise ValueError(f"malformed {what} file {path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"malformed {what} file {path}: nested too deeply") from None
 
 
 def load_instance(path) -> Instance:

@@ -207,31 +207,38 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     if not math.isfinite(float(w.max()) + lambda_ * (math.log(p / eps) + 1.0) * mean_w):
         raise ValueError(f"lambda_={lambda_:g} is too large: the KL penalty overflows")
     scale = lambda_ * mean_w * (1 - eps) / n
-    qprime = np.eye(p)[groups]  # one-hot (m, p), so qprime.T @ x sums x by group
+    # one-hot rows (m, p), taken as the (p, m) view so it @ x sums x by group
+    by_group = np.eye(p)[groups].T
     order, rank = _group_ranks(w, groups, p)
     heads = order[rank <= n]  # each group's n + 1 best items
     head_w, head_g = w[heads], groups[heads]
     cut = heads.size - n
 
     def log_ratio_and_value(x):
-        dist_s = (1 - eps) * (qprime.T @ x / n) + eps / p
+        dist_s = (1 - eps) * (by_group @ x / n) + eps / p
         log_ratio = np.log(dist_s / t_s)
-        return log_ratio, float(w @ x) - lambda_ * float((dist_s * log_ratio).sum()) * mean_w
+        kl = float(np.add.reduce(dist_s * log_ratio))  # ndarray.sum's reduce, minus a wrapper
+        return log_ratio, float(w @ x) - lambda_ * kl * mean_w
 
     log_ratio, best_val = log_ratio_and_value(x)
     best_x = x
     for it in range(fw_iters):
         c = scale * (log_ratio + 1.0)
         head_grad = head_w - c[head_g]
-        tau = np.partition(head_grad, cut)[cut]  # the n-th largest gradient entry
-        top = head_grad >= tau
-        vertex = np.zeros(m)
-        if np.count_nonzero(top) == n:
-            vertex[heads[top]] = 1.0
-        else:  # a tie at tau, which may run past the heads; the lowest indices win it
-            vertex[top_n(w - c[groups], n)] = 1.0
-        gamma = 2.0 / (it + 2.0)
-        x = x + gamma * (vertex - x)
+        kth = head_grad.copy()  # ndarray.partition skips np.partition's wrapper
+        kth.partition(cut)
+        tau = kth[cut]  # the n-th largest gradient entry
+        top = heads[head_grad >= tau]
+        if top.size != n:  # a tie at tau, which may run past the heads; the lowest indices win it
+            top = top_n(w - c[groups], n)
+        # x + gamma * (vertex - x) in place, as gamma * (vertex - x) + x; the
+        # bits are the same: -x + 1.0 == 1.0 - x, and + x turns the -0.0 that
+        # -x leaves at x_i = 0 back into the 0.0 that 0.0 - x gives
+        step = -x
+        step[top] += 1.0
+        step *= 2.0 / (it + 2.0)
+        step += x
+        x = step
         log_ratio, val = log_ratio_and_value(x)
         if val > best_val + 1e-12:
             best_x, best_val = x, val

@@ -298,9 +298,14 @@ def _item_zero_q(data, *values):
     (lambda data: {**data, "z": [[0, 0, 0, 1], [0]]}, "z is ragged"),
     (lambda data: {key: data[key] for key in data if key != "w"}, "missing instance keys: ['w']"),
     (lambda data: {"w": data["w"]}, "missing instance keys: ['n', 'p']"),
+    # integers past int64: a float would wrap in the cast with a numpy warning, an int is uint64
+    (lambda data: {**data, "p": [1e19]}, "p must hold integers in [-2**63, 2**63)"),
+    (lambda data: {**data, "z": [[0, 1e19, 0, 1]]}, "z must hold integers in [-2**63, 2**63)"),
+    (lambda data: {**data, "p": [10**19]}, "p must hold integers in [-2**63, 2**63)"),
 ], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list", "w-scalar", "w-nested",
         "n-fraction", "p-fraction", "z-fraction", "zhat-fraction", "w-strings", "w-booleans",
-        "q-string", "q-boolean", "q-ragged", "z-ragged", "w-missing", "n-p-missing"])
+        "q-string", "q-boolean", "q-ragged", "z-ragged", "w-missing", "n-p-missing", "p-huge",
+        "z-huge", "p-huge-integer"])
 def test_select_rejects_malformed_instance_file(tiny, tmp_path, capsys, reshape, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(reshape(instance_to_dict(tiny))))
@@ -397,7 +402,8 @@ def test_a_comma_separated_value_may_start_with_a_minus(tiny_path, capsys, verb,
     assert (out == "") == (code != 0)
 
 
-@pytest.mark.parametrize("content", [b"", b"\xff\xfe{"], ids=["empty", "not-utf-8"])
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["empty", "not-utf-8", "nested-too-deeply"])
 @pytest.mark.parametrize("verb, what", [("select", "instance"), ("experiment", "config")])
 def test_a_file_that_is_not_json_is_named(tmp_path, capsys, verb, what, content):
     path = tmp_path / "input.json"

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fairselect.core import Instance, InfeasibleError, UnsupportedError, make_constraints, constraints_from_alpha
+from fairselect.datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
+from fairselect.experiment import build_instance
 from fairselect.selectors import (blind, ceil_round, dependent_round, denoised_bfs,
                                   estimate_group_level_q, fair_expec, fair_expec_grp,
                                   impute_bayes, mult_obj, thrsh)
@@ -446,6 +448,31 @@ def mult_obj_cases(draw):
 @given(mult_obj_cases())
 def test_mult_obj_matches_the_full_sort_reference(case):
     assert np.array_equal(mult_obj(*case), reference_mult_obj(*case))
+
+
+def _sweep_draw(kind, m, seed, tau=0.0):
+    inst = build_instance(GeneratorSpec(kind=kind, m=m, n=100, seed=seed_sequence(seed)), tau, 20)
+    return inst, impute_bayes(inst.noise_matrix(0), seed=seed_sequence(seed, 3))
+
+
+def _small_group_draw():
+    # group 2 has 30 members, fewer than n + 1, so every one of them is a head
+    rng = make_rng(11)
+    groups = rng.permutation(np.repeat([0, 1, 2], [400, 370, 30]))
+    inst = Instance(n=100, p=(3,), utilities=rng.random(800), noise=(np.eye(3)[groups],))
+    return inst, groups
+
+
+@pytest.mark.parametrize("draw, target, lambda_", [
+    (lambda: _sweep_draw(KIND_DISPARATE_UTILITY, 1000, 5, tau=0.3), (0.5, 0.5), 500.0),
+    (lambda: _sweep_draw(KIND_DISPARATE_ERROR, 500, 6), (0.5, 0.5), 2500.0),
+    (_small_group_draw, (0.2, 0.3, 0.5), 500.0),
+], ids=["disparate-utility-m1000", "disparate-error-m500", "p3-small-group"])
+def test_mult_obj_matches_the_reference_at_sweep_sizes(draw, target, lambda_):
+    # tobytes, not array_equal, so a 0.0 where the reference has -0.0 also fails
+    inst, imputed = draw()
+    expected = reference_mult_obj(inst, target, lambda_, imputed, fw_iters=500)
+    assert mult_obj(inst, target, lambda_, imputed, fw_iters=500).tobytes() == expected.tobytes()
 
 
 # --- rounding ---------------------------------------------------------
