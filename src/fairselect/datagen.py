@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, UnsupportedError
+from .core import Instance, UnsupportedError, real_array
 from .seeding import make_rng
 
 KIND_DISPARATE_ERROR = "disparate_error"
@@ -72,6 +72,10 @@ class GeneratorSpec:
         unknown = sorted(set(self.params) - set(_DEFAULTS[self.kind]))
         if unknown:
             raise ValueError(f"unknown {self.kind} generator params: {unknown}")
+        for key, value in self.params.items():
+            got, shape = real_array(key, value).shape, np.shape(_DEFAULTS[self.kind][key])
+            if got != shape:
+                raise ValueError(f"{key} must have shape {shape}, not {got}")
 
     def merged_params(self) -> dict:
         base = dict(_DEFAULTS[self.kind])

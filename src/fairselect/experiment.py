@@ -77,6 +77,9 @@ class ExperimentConfig:
         bad = [a for a in self.algorithms if a not in selectors.ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithms repeats {repeated}")
         if self.target not in (TARGET_EQUAL, TARGET_PROPORTIONAL):
             raise ValueError(f"target must be {TARGET_EQUAL} or {TARGET_PROPORTIONAL}")
         # every trial draws at the config's own m, n and seed (see run_trial)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 
 from fairselect import cli
 from fairselect.cli import _build_parser, main
-from fairselect.core import Instance, instance_to_dict, load_instance, save_instance
+from fairselect.core import instance_to_dict, load_instance, save_instance
 from fairselect.datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
 from fairselect.experiment import build_instance
 from fairselect.selectors import ALGORITHMS
@@ -63,27 +64,6 @@ def test_select_infeasible_exit_code(tiny_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
-def test_select_missing_file_exit_code(capsys):
-    code, _, err = run_cli(capsys, "select", "--instance", "/nonexistent.json",
-                           "--algorithm", "Blind")
-    assert code == 1
-    assert "error" in err
-
-
-def test_select_malformed_instance_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "select", "--instance", str(bad),
-                           "--algorithm", "Blind")
-    assert code == 1
-
-
-def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["select", "--algorithm", "NotAnAlgorithm", "--instance", "x.json"])
-    assert err.value.code == 1
-
-
 def test_select_thrsh_and_multobj(tiny_path, capsys):
     code, out, _ = run_cli(capsys, "select", "--instance", tiny_path,
                            "--algorithm", "Thrsh", "--alpha", "1.0")
@@ -117,18 +97,6 @@ def test_metrics_with_an_empty_true_group(tiny, tmp_path, capsys):
     assert payload["risk_difference"] == 0.0
     assert payload["selection_lift"] == 0.0
     assert payload["utility_ratio"] == 1.0
-
-
-@pytest.mark.parametrize("indices, message", [
-    ("1,1", "--indices repeats an item"),
-    ("1,3,4", "--indices needs exactly n=2 items, got 3"),
-    ("2", "--indices needs exactly n=2 items, got 1"),
-])
-def test_metrics_rejects_repeated_or_miscounted_indices(tiny_path, capsys, indices, message):
-    code, out, err = run_cli(capsys, "metrics", "--instance", tiny_path, "--indices", indices)
-    assert code == 1
-    assert out == ""
-    assert message in err
 
 
 def test_gen_select_roundtrip(tmp_path, capsys):
@@ -190,13 +158,21 @@ def test_console_script_help():
     assert "select" in proc.stdout and "experiment" in proc.stdout
 
 
-def test_cli_module_entry(tiny_path):
+@pytest.mark.parametrize("flags, code", [(["--algorithm", "Blind"], 0),
+                                         (["--algorithm", "FairExpec", "--lambda", "-1"], 1)],
+                         ids=["blind", "lambda-negative"])
+def test_cli_module_entry(tiny_path, flags, code):
+    # only a real process shows its exit code and what reaches stderr
     proc = subprocess.run(
-        [sys.executable, "-m", "fairselect.cli", "select", "--instance", tiny_path,
-         "--algorithm", "Blind"],
+        [sys.executable, "-m", "fairselect.cli", "select", "--instance", tiny_path, *flags],
         capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["indices"] == [1, 2]
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["indices"] == [1, 2]
+    else:
+        assert proc.stdout == ""
+        assert "argument --lambda:" in proc.stderr
 
 
 def test_gen_seed_is_the_root_of_a_trial_seed_tree(tmp_path, capsys):
@@ -211,46 +187,210 @@ def test_gen_seed_is_the_root_of_a_trial_seed_tree(tmp_path, capsys):
     assert out_path.read_bytes() == expect.read_bytes()
 
 
-def test_gen_rejects_tau_out_of_range(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "gen", "--kind", "disparate-error", "--m", "10",
-                           "--n", "2", "--tau", "0.7", "--out", str(tmp_path / "x.json"))
-    assert code == 1
-    assert "tau" in err
-
-
 # --- bad input is rejected with exit code 1 ----------------------------------
 
-@pytest.mark.parametrize("field, value", [("w", float("nan")), ("w", float("inf")),
-                                          ("q", float("nan"))])
-def test_select_rejects_non_finite_input(tiny, tmp_path, capsys, field, value):
-    data = instance_to_dict(tiny)
-    if field == "w":
-        data["w"][1] = value
-    else:
-        data["q"][0][1][0] = value
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "select", "--instance", str(path),
-                             "--algorithm", "FairExpec", "--alpha", "1.0")
-    assert code == 1
-    assert out == ""
-    assert "non-finite" in err
+def tiny_with(**fields):
+    """A function from the tiny instance's file to one with ``fields`` replaced."""
+    return lambda data: {**data, **fields}
 
 
-@pytest.mark.parametrize("argv", [("select", "--algorithm", "Blind"),
-                                  ("select", "--algorithm", "FairExpec"),
-                                  ("metrics", "--indices", "1,2", "--ndcg")])
-def test_rejects_utilities_whose_sum_overflows(tiny, tmp_path, capsys, argv):
+TINY = tiny_with()
+TWO_ATTRS = tiny_with(p=[2, 2], z=[[0, 0, 0, 1], [0, 1, 0, 1]],
+                      q=[[[0.9, 0.95, 0.8, 0.1], [0.1, 0.05, 0.2, 0.9]],
+                         [[0.5, 0.2, 0.7, 0.4], [0.5, 0.8, 0.3, 0.6]]])
+CONFIG = experiment_config()
+BLIND = "select --instance {input} --algorithm Blind"
+FAIR = "select --instance {input} --algorithm FairExpec"
+METRICS = "metrics --instance {input}"
+EXPERIMENT = "experiment --config {input} --out {out}"
+GEN = "gen --kind disparate-error --m 10 --n 2 --out {out}"
+INTEGERS_PAST_INT64 = "must hold integers in [-2**63, 2**63)"
+
+# (id, argv, input file, message on stderr). The input file is JSON for a dict
+# or list, the bytes themselves, a callable's value on the tiny instance's
+# file, or absent for None. {input} and {out} in argv and message are paths.
+BAD_INPUT = [
+    # flags
+    ("algorithm-unknown", "select --algorithm NotAnAlgorithm --instance {input}", TINY,
+     "argument --algorithm: invalid choice"),
+    ("seed-negative-gen", GEN + " --seed -1", None,
+     "argument --seed: must be a non-negative integer, not -1"),
+    ("seed-negative-select", BLIND + " --seed -1", TINY,
+     "argument --seed: must be a non-negative integer, not -1"),
+    ("tau-out-of-range", GEN + " --tau 0.7", None, "tau must be in [0, 0.5]"),
+    ("indices-not-integers", METRICS + " --indices 1,x", TINY,
+     "argument --indices: must be comma-separated integers, not '1,x'"),
+    ("indices-empty", METRICS + " --indices ''", TINY,
+     "argument --indices: must be comma-separated integers, not ''"),
+    ("indices-fraction", METRICS + " --indices 1.5,2", TINY,
+     "argument --indices: must be comma-separated integers, not '1.5,2'"),
+    ("indices-repeat", METRICS + " --indices 1,1", TINY, "--indices repeats an item"),
+    ("indices-too-many", METRICS + " --indices 1,3,4", TINY,
+     "--indices needs exactly n=2 items, got 3"),
+    ("indices-too-few", METRICS + " --indices 2", TINY, "--indices needs exactly n=2 items, got 1"),
+    ("lower-not-numbers", FAIR + " --lower 1,x --upper 2,2", TINY,
+     "argument --lower: must be comma-separated numbers, not '1,x'"),
+    ("upper-trailing-comma", FAIR + " --lower 0,0 --upper 2,", TINY,
+     "argument --upper: must be comma-separated numbers, not '2,'"),
+    ("lower-nan", FAIR + " --lower nan,0 --upper 1,1", TINY, "non-finite bound for attribute 0"),
+    ("upper-nan", FAIR + " --lower 0,0 --upper nan,1", TINY, "non-finite bound for attribute 0"),
+    ("bounds-wrong-length", FAIR + " --lower 0 --upper 1", TINY,
+     "--lower and --upper need one bound per group (p=2)"),
+    ("workers-zero", EXPERIMENT + " --workers 0", CONFIG,
+     "argument --workers: must be a positive integer, not 0"),
+    ("workers-negative", EXPERIMENT + " --workers -3", CONFIG,
+     "argument --workers: must be a positive integer, not -3"),
+    # FairExpec never reads these two; they are checked all the same
+    ("lambda-nan-fairexpec", FAIR + " --lambda nan", TINY,
+     "argument --lambda: must be a finite non-negative number, not 'nan'"),
+    ("lambda-negative-fairexpec", FAIR + " --lambda -1", TINY,
+     "argument --lambda: must be a finite non-negative number, not -1.0"),
+    ("lambda-nan", "select --instance {input} --algorithm MultObj --lambda nan", TINY,
+     "argument --lambda: must be a finite non-negative number, not 'nan'"),
+    ("lambda-inf", "select --instance {input} --algorithm MultObj --lambda inf", TINY,
+     "argument --lambda: must be a finite non-negative number, not 'inf'"),
+    ("lambda-penalty-overflows", "select --instance {input} --algorithm MultObj --lambda 1e308",
+     TINY, "lambda_=1e+308 is too large"),
+    ("fw-iters-zero", FAIR + " --fw-iters 0", TINY,
+     "argument --fw-iters: must be a positive integer, not 0"),
+    # instance files
+    ("instance-missing", BLIND, None, "No such file or directory"),
+    ("instance-not-json", BLIND, b"{not json", "malformed instance file {input}: "),
+    *[(f"{what}-{name}", argv, content, f"malformed {what} file {{input}}: ")
+      for what, argv in [("instance", BLIND), ("config", EXPERIMENT)]
+      for name, content in [("empty", b""), ("not-utf-8", b"\xff\xfe{"),
+                            ("nested-too-deeply", b"[" * 100_000 + b"]" * 100_000)]],
+    ("instance-list", BLIND, [1, 2], "instance must be a JSON object, not list"),
+    ("instance-per-item-file", BLIND,
+     {"m": 4, "n": 2, "s": 1, "p": [2], "items": [{"w": 3.0, "q": [[0.9, 0.1]], "z": [0]}]},
+     "unknown instance keys: ['items', 'm', 's']"),
+    ("instance-unknown-key", BLIND, lambda data: {**data, "weights": data["w"]},
+     "unknown instance keys: ['weights']"),
+    ("instance-w-missing", BLIND, lambda data: {key: data[key] for key in data if key != "w"},
+     "missing instance keys: ['w']"),
+    ("instance-n-p-missing", BLIND, lambda data: {"w": data["w"]},
+     "missing instance keys: ['n', 'p']"),
+    ("instance-w-q-lengths", BLIND, tiny_with(q=[[[0.9, 0.95, 0.8], [0.1, 0.05, 0.2]]]),
+     "noise block 0 shape (3, 2) != (4, 2)"),
+    ("instance-p-not-a-list", BLIND, tiny_with(p=2), "malformed instance file"),
+    ("instance-p-scalar", BLIND, {"n": 2, "p": 2, "w": [3.0, 2.5, 1.0, 0.5]}, "p must be a list"),
+    ("instance-z-scalar", BLIND, {"n": 2, "p": [2], "w": [3.0, 2.5, 1.0, 0.5], "z": 0},
+     "z must be a list"),
+    ("instance-w-scalar", BLIND, tiny_with(w=3, q=[[[0.9, 0.95, 0.8, 0.1]]]), "w must be a list"),
+    ("instance-w-nested", BLIND, tiny_with(w=[[3.0], [2.5], [1.0], [0.5]]),
+     "utilities must be 1-D"),
+    ("instance-n-fraction", BLIND, tiny_with(n=1.9), "n must be an integer, not 1.9"),
+    ("instance-p-fraction", BLIND, tiny_with(p=[2.5]), "p must hold integers only"),
+    ("instance-z-fraction", BLIND, tiny_with(z=[[0], [0], [0.7], [1.2]]),
+     "z must hold integers only"),
+    ("instance-zhat-fraction", BLIND, tiny_with(zhat=[[0], [0.5], [0], [1]]),
+     "zhat must hold integers only"),
+    ("instance-w-strings", BLIND, tiny_with(w=["3.0", "2.5", "1.0", "0.5"]),
+     "w must hold numbers only"),
+    ("instance-w-booleans", BLIND, tiny_with(w=[True, False, True, False]),
+     "w must hold numbers only"),
+    ("instance-q-string", BLIND, tiny_with(q=[[["0.9", 0.95, 0.8, 0.1], [0.1, 0.05, 0.2, 0.9]]]),
+     "q[0] must hold numbers only"),
+    ("instance-q-boolean", BLIND, tiny_with(q=[[[True, 0.95, 0.8, 0.1], [0.0, 0.05, 0.2, 0.9]]]),
+     "q[0] must hold numbers only"),
+    ("instance-q-ragged", BLIND, tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [0.1, 0.05, 0.2]]]),
+     "q[0] is ragged"),
+    ("instance-z-ragged", BLIND, tiny_with(z=[[0, 0, 0, 1], [0]]), "z is ragged"),
+    # integers past int64: a float would wrap in the cast with a numpy warning, an int is uint64
+    ("instance-p-huge", BLIND, tiny_with(p=[1e19]), "p " + INTEGERS_PAST_INT64),
+    ("instance-z-huge", BLIND, tiny_with(z=[[0, 1e19, 0, 1]]), "z " + INTEGERS_PAST_INT64),
+    ("instance-p-huge-integer", BLIND, tiny_with(p=[10**19]), "p " + INTEGERS_PAST_INT64),
+    ("instance-w-nan", FAIR + " --alpha 1.0", tiny_with(w=[3.0, float("nan"), 1.0, 0.5]),
+     "non-finite"),
+    ("instance-w-inf", FAIR + " --alpha 1.0", tiny_with(w=[3.0, float("inf"), 1.0, 0.5]),
+     "non-finite"),
+    ("instance-q-nan", FAIR + " --alpha 1.0",
+     tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [float("nan"), 0.05, 0.2, 0.9]]]), "non-finite"),
     # each utility is finite but their sum is not, so a selection's utility
     # would print as Infinity and a utility ratio as NaN
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({**instance_to_dict(tiny), "w": [1e308] * 4}))
+    *[(f"instance-w-sum-overflows-{name}", argv, tiny_with(w=[1e308] * 4),
+       "utilities sum past the largest float")
+      for name, argv in [("blind", BLIND), ("fairexpec", FAIR),
+                         ("metrics", METRICS + " --indices 1,2 --ndcg")]],
+    *[(f"instance-two-attributes-{algorithm}",
+       f"select --instance {{input}} --algorithm {algorithm} --alpha 1.0 --delta 0.1",
+       TWO_ATTRS, "select handles one protected attribute")
+      for algorithm in sorted(ALGORITHMS)],
+    ("instance-two-attributes-metrics", METRICS + " --indices 1,2", TWO_ATTRS,
+     "the metrics report covers single-attribute instances"),
+    # config files
+    ("config-list", EXPERIMENT, [1, 2], "config must be a JSON object, not list"),
+    ("config-trials-missing", EXPERIMENT, {k: v for k, v in CONFIG.items() if k != "trials"},
+     "missing config keys: ['trials']"),
+    ("config-sweep-list", EXPERIMENT, {**CONFIG, "sweep": ["alpha_grid"]},
+     "sweep must be a JSON object, not list"),
+    ("config-grid-scalar", EXPERIMENT, {**CONFIG, "sweep": {"alpha_grid": 1.0}},
+     "alpha_grid must be a list"),
+    ("config-algorithms-string", EXPERIMENT, {**CONFIG, "algorithms": "Blind"},
+     "algorithms must be a list"),
+    ("config-algorithms-repeat", EXPERIMENT, {**CONFIG, "algorithms": ["Blind", "Thrsh", "Blind"]},
+     "algorithms repeats ['Blind']"),
+    ("config-seed-negative", EXPERIMENT, {**CONFIG, "seed": -1},
+     "seed must be a non-negative integer, not -1"),
+    *[(f"config-{field.replace('_', '-')}-fraction", EXPERIMENT, {**CONFIG, field: value},
+       f"{field} must be an integer, not {value}")
+      for field, value in [("m", 50.5), ("n", 9.9), ("trials", 2.5), ("seed", 3.2),
+                           ("fw_iters", 10.5), ("bins", 19.5)]],
+    # int() would draw every instance at n=10 while the CSV says 10.7
+    ("config-n-grid-fraction", EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10.7]}},
+     "n_grid must be an integer, not 10.7"),
+    # caught when the config is built, before any grid point runs
+    ("config-n-grid-above-m", EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10, 60]}},
+     "n_grid values must lie in [1, m=50], not 60"),
+    ("config-n-grid-zero", EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [0, 10]}},
+     "n_grid values must lie in [1, m=50], not 0"),
+    ("generator-seed-typo", EXPERIMENT, experiment_config(sed=3),
+     "unknown generator keys: ['sed']"),
+    ("generator-m", EXPERIMENT, experiment_config(m=50), "unknown generator keys: ['m']"),
+    ("generator-tau-bins", EXPERIMENT, experiment_config(tau=0.0, bins=20),
+     "unknown generator keys: ['bins', 'tau']"),
+    ("generator-params-typo", EXPERIMENT, experiment_config(params={"mixture_weight": [0.5, 0.5]}),
+     "unknown disparate_error generator params: ['mixture_weight']"),
+    ("generator-params-not-an-object", EXPERIMENT, experiment_config(params=5),
+     "malformed config file"),
+    ("generator-mixture-weights-null", EXPERIMENT,
+     experiment_config(params={"mixture_weights": None}), "mixture_weights must hold numbers only"),
+    ("generator-mixture-weights-short", EXPERIMENT,
+     experiment_config(params={"mixture_weights": [0.5]}),
+     "mixture_weights must have shape (2,), not (1,)"),
+    ("generator-minority-rate-string", EXPERIMENT,
+     experiment_config(kind="disparate_utility", params={"minority_rate": "x"}),
+     "minority_rate must hold numbers only"),
+    ("generator-feature-weight-null", EXPERIMENT,
+     experiment_config(kind="disparate_utility", params={"feature_weight": None}),
+     "feature_weight must hold numbers only"),
+    ("generator-utility-means-scalar", EXPERIMENT,
+     experiment_config(kind="disparate_utility", params={"utility_means": 5}),
+     "utility_means must have shape (2, 2), not ()"),
+]
+
+
+@pytest.mark.parametrize("argv, content, message", [row[1:] for row in BAD_INPUT],
+                         ids=[row[0] for row in BAD_INPUT])
+def test_bad_input_exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message):
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    if callable(content):
+        content = content(instance_to_dict(tiny))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy overflow warning fails the test
-        code, out, err = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+        warnings.simplefilter("error")  # a numpy warning on the way fails the row
+        try:
+            code = main([arg.format(input=path, out=out) for arg in shlex.split(argv)])
+        except SystemExit as exc:  # argparse exits on a bad flag
+            code = exc.code
+    captured = capsys.readouterr()
     assert code == 1
-    assert out == ""
-    assert "utilities sum past the largest float" in err
+    assert captured.out == ""
+    assert message.format(input=path) in captured.err
+    assert not out.exists()
 
 
 def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):
@@ -264,131 +404,6 @@ def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):
     assert "JSON" in err
 
 
-def _per_item(data):
-    """The same instance in the per-item layout that files used to have."""
-    items = [{"w": w, "q": [q], "z": z} for w, q, z in zip(data["w"], data["q"][0], data["z"])]
-    return {"m": len(items), "n": data["n"], "s": 1, "p": data["p"], "items": items}
-
-
-def _item_zero_q(data, *values):
-    """The instance with item 0's probabilities of attribute 0 replaced."""
-    q = [list(row) for row in data["q"][0]]
-    for row, value in zip(q, values):
-        row[0] = value
-    return {**data, "q": [q]}
-
-
-@pytest.mark.parametrize("reshape, message", [
-    (_per_item, "unknown instance keys: ['items', 'm', 's']"),
-    (lambda data: {**data, "weights": data["w"]}, "unknown instance keys: ['weights']"),
-    (lambda data: {**data, "q": [[row[:-1] for row in data["q"][0]]]},
-     "noise block 0 shape (3, 2) != (4, 2)"),
-    (lambda data: {**data, "p": 2}, "malformed instance file"),
-    (lambda data: {**data, "w": 3, "q": [data["q"][0][:1]]}, "w must be a list"),
-    (lambda data: {**data, "w": [[w] for w in data["w"]]}, "utilities must be 1-D"),
-    (lambda data: {**data, "n": 1.9}, "n must be an integer, not 1.9"),
-    (lambda data: {**data, "p": [2.5]}, "p must hold integers only"),
-    (lambda data: {**data, "z": [[0], [0], [0.7], [1.2]]}, "z must hold integers only"),
-    (lambda data: {**data, "zhat": [[0], [0.5], [0], [1]]}, "zhat must hold integers only"),
-    (lambda data: {**data, "w": ["3.0", "2.5", "1.0", "0.5"]}, "w must hold numbers only"),
-    (lambda data: {**data, "w": [True, False, True, False]}, "w must hold numbers only"),
-    (lambda data: _item_zero_q(data, "0.9", 0.1), "q[0] must hold numbers only"),
-    (lambda data: _item_zero_q(data, True, 0.0), "q[0] must hold numbers only"),
-    (lambda data: {**data, "q": [[data["q"][0][0], data["q"][0][1][:-1]]]}, "q[0] is ragged"),
-    (lambda data: {**data, "z": [[0, 0, 0, 1], [0]]}, "z is ragged"),
-    (lambda data: {key: data[key] for key in data if key != "w"}, "missing instance keys: ['w']"),
-    (lambda data: {"w": data["w"]}, "missing instance keys: ['n', 'p']"),
-    # integers past int64: a float would wrap in the cast with a numpy warning, an int is uint64
-    (lambda data: {**data, "p": [1e19]}, "p must hold integers in [-2**63, 2**63)"),
-    (lambda data: {**data, "z": [[0, 1e19, 0, 1]]}, "z must hold integers in [-2**63, 2**63)"),
-    (lambda data: {**data, "p": [10**19]}, "p must hold integers in [-2**63, 2**63)"),
-], ids=["per-item-file", "unknown-key", "w-q-lengths", "p-not-a-list", "w-scalar", "w-nested",
-        "n-fraction", "p-fraction", "z-fraction", "zhat-fraction", "w-strings", "w-booleans",
-        "q-string", "q-boolean", "q-ragged", "z-ragged", "w-missing", "n-p-missing", "p-huge",
-        "z-huge", "p-huge-integer"])
-def test_select_rejects_malformed_instance_file(tiny, tmp_path, capsys, reshape, message):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(reshape(instance_to_dict(tiny))))
-    code, out, err = run_cli(capsys, "select", "--instance", str(path), "--algorithm", "Blind")
-    assert code == 1
-    assert out == ""
-    assert message in err
-
-
-@pytest.mark.parametrize("generator, message", [
-    ({"sed": 3}, "unknown generator keys: ['sed']"),
-    ({"m": 50}, "unknown generator keys: ['m']"),
-    ({"tau": 0.0, "bins": 20}, "unknown generator keys: ['bins', 'tau']"),
-    ({"params": {"mixture_weight": [0.5, 0.5]}},
-     "unknown disparate_error generator params: ['mixture_weight']"),
-    ({"params": 5}, "malformed config file"),
-], ids=["seed-typo", "m", "tau-bins", "params-typo", "params-not-an-object"])
-def test_experiment_rejects_bad_generator_section(tmp_path, capsys, generator, message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(experiment_config(**generator)))
-    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "results.csv"))
-    assert code == 1
-    assert out == ""
-    assert message in err
-    assert not (tmp_path / "results.csv").exists()
-
-
-@pytest.mark.parametrize("verb, name", [("gen", "argument --seed:"), ("select", "argument --seed:"),
-                                        ("experiment", "seed")])
-def test_a_negative_seed_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, name):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**experiment_config(), "seed": -1}))
-    out_path = str(tmp_path / "out")
-    argv = {"gen": ["--kind", "disparate-error", "--m", "10", "--n", "2", "--out", out_path,
-                    "--seed", "-1"],
-            "select": ["--instance", tiny_path, "--algorithm", "Blind", "--seed", "-1"],
-            "experiment": ["--config", str(cfg_path), "--out", out_path]}[verb]
-    try:
-        code = main([verb, *argv])
-    except SystemExit as exc:  # argparse exits on a bad flag
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert f"{name} must be a non-negative integer, not -1" in captured.err
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("verb, flags, message", [
-    ("metrics", ["--indices", "1,x"],
-     "argument --indices: must be comma-separated integers, not '1,x'"),
-    ("metrics", ["--indices", ""], "argument --indices: must be comma-separated integers, not ''"),
-    ("metrics", ["--indices", "1.5,2"],
-     "argument --indices: must be comma-separated integers, not '1.5,2'"),
-    ("select", ["--lower", "1,x", "--upper", "2,2"],
-     "argument --lower: must be comma-separated numbers, not '1,x'"),
-    ("select", ["--lower", "0,0", "--upper", "2,"],
-     "argument --upper: must be comma-separated numbers, not '2,'"),
-    ("experiment", ["--workers", "0"], "argument --workers: must be a positive integer, not 0"),
-    ("experiment", ["--workers", "-3"], "argument --workers: must be a positive integer, not -3"),
-    # FairExpec never reads these two; they are checked all the same
-    ("select", ["--lambda", "nan"],
-     "argument --lambda: must be a finite non-negative number, not 'nan'"),
-    ("select", ["--lambda", "-1"], "argument --lambda: must be a finite non-negative number, not -1.0"),
-    ("select", ["--fw-iters", "0"], "argument --fw-iters: must be a positive integer, not 0"),
-])
-def test_a_malformed_flag_is_rejected_by_name(tiny_path, tmp_path, capsys, verb, flags, message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(experiment_config()))
-    out_path = str(tmp_path / "out")
-    argv = {"select": ["--instance", tiny_path, "--algorithm", "FairExpec"],
-            "metrics": ["--instance", tiny_path],
-            "experiment": ["--config", str(cfg_path), "--out", out_path]}[verb]
-    with pytest.raises(SystemExit) as exc:  # argparse exits on a bad flag
-        main([verb, *argv, *flags])
-    captured = capsys.readouterr()
-    assert exc.value.code == 1
-    assert captured.out == ""
-    assert message in captured.err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("verb, flags, code, message", [
     ("metrics", ["--indices", "-1,2"], 1, "indices out of range (they are 1-based)"),
     ("select", ["--algorithm", "FairExpec", "--lower", "-1,0", "--upper", "2,2"], 0, ""),
@@ -400,147 +415,6 @@ def test_a_comma_separated_value_may_start_with_a_minus(tiny_path, capsys, verb,
     assert got == code
     assert message in err
     assert (out == "") == (code != 0)
-
-
-@pytest.mark.parametrize("content", [b"", b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
-                         ids=["empty", "not-utf-8", "nested-too-deeply"])
-@pytest.mark.parametrize("verb, what", [("select", "instance"), ("experiment", "config")])
-def test_a_file_that_is_not_json_is_named(tmp_path, capsys, verb, what, content):
-    path = tmp_path / "input.json"
-    path.write_bytes(content)
-    argv = {"experiment": ["--config", str(path), "--out", str(tmp_path / "results.csv")],
-            "select": ["--instance", str(path), "--algorithm", "Blind"]}[verb]
-    code, out, err = run_cli(capsys, verb, *argv)
-    assert code == 1
-    assert out == ""
-    assert f"malformed {what} file {path}: " in err
-    assert not (tmp_path / "results.csv").exists()
-
-
-@pytest.mark.parametrize("field, value", [("m", 50.5), ("n", 9.9), ("trials", 2.5),
-                                          ("seed", 3.2), ("fw_iters", 10.5), ("bins", 19.5)])
-def test_experiment_rejects_non_integral_numbers(tmp_path, capsys, field, value):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**experiment_config(), field: value}))
-    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "results.csv"))
-    assert code == 1
-    assert out == ""
-    assert f"{field} must be an integer, not {value}" in err
-    assert not (tmp_path / "results.csv").exists()
-
-
-def test_experiment_rejects_a_non_integral_n_grid(tmp_path, capsys):
-    # int() would draw every instance at n=10 while the CSV says 10.7
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**experiment_config(), "sweep": {"n_grid": [10.7]},
-                                    "algorithms": ["Blind"]}))
-    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "results.csv"))
-    assert code == 1
-    assert out == ""
-    assert "n_grid must be an integer, not 10.7" in err
-    assert not (tmp_path / "results.csv").exists()
-
-
-@pytest.mark.parametrize("n_grid, bad", [([10, 60], "60"), ([0, 10], "0")])
-def test_experiment_rejects_an_n_grid_outside_one_to_m(tmp_path, capsys, n_grid, bad):
-    # caught when the config is built, before any grid point runs
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**experiment_config(), "sweep": {"n_grid": n_grid},
-                                    "algorithms": ["Blind"]}))
-    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "results.csv"))
-    assert code == 1
-    assert out == ""
-    assert f"n_grid values must lie in [1, m=50], not {bad}" in err
-    assert not (tmp_path / "results.csv").exists()
-
-
-@pytest.mark.parametrize("flags", [("--lower", "nan,0", "--upper", "1,1"),
-                                   ("--lower", "0,0", "--upper", "nan,1"),
-                                   ("--lambda", "nan"), ("--lambda", "inf")])
-def test_select_rejects_non_finite_flags(tiny_path, capsys, flags):
-    try:
-        code = main(["select", "--instance", tiny_path,
-                     "--algorithm", "MultObj" if "--lambda" in flags else "FairExpec", *flags])
-    except SystemExit as exc:  # argparse exits on a bad --lambda
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "finite" in captured.err
-
-
-def test_select_rejects_a_lambda_whose_penalty_overflows(tiny_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy overflow warning fails the test
-        code, out, err = run_cli(capsys, "select", "--instance", tiny_path,
-                                 "--algorithm", "MultObj", "--lambda", "1e308")
-    assert code == 1
-    assert out == ""
-    assert "lambda_=1e+308 is too large" in err
-
-
-@pytest.mark.parametrize("verb, data, message", [
-    ("experiment", {key: value for key, value in experiment_config().items() if key != "trials"},
-     "missing config keys: ['trials']"),
-    ("experiment", {**experiment_config(), "algorithms": "Blind"}, "algorithms must be a list"),
-    ("experiment", {**experiment_config(), "sweep": {"alpha_grid": 1.0}},
-     "alpha_grid must be a list"),
-    ("experiment", [1, 2], "config must be a JSON object, not list"),
-    ("experiment", {**experiment_config(), "sweep": ["alpha_grid"]},
-     "sweep must be a JSON object, not list"),
-    ("select", [1, 2], "instance must be a JSON object, not list"),
-    ("select", {"n": 2, "p": 2, "w": [3.0, 2.5, 1.0, 0.5]}, "p must be a list"),
-    ("select", {"n": 2, "p": [2], "w": [3.0, 2.5, 1.0, 0.5], "z": 0}, "z must be a list"),
-], ids=["config-trials-missing", "algorithms-string", "grid-scalar", "config-list",
-        "sweep-list", "instance-list", "p-scalar", "z-scalar"])
-def test_input_file_errors_name_the_field(tmp_path, capsys, verb, data, message):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
-    argv = {"experiment": ["--config", str(path), "--out", str(tmp_path / "results.csv")],
-            "select": ["--instance", str(path), "--algorithm", "Blind"]}[verb]
-    code, out, err = run_cli(capsys, verb, *argv)
-    assert code == 1
-    assert out == ""
-    assert message in err
-
-
-@pytest.fixture
-def two_attr_path(tmp_path):
-    inst = Instance(n=2, p=(2, 2), utilities=[3.0, 2.5, 1.0, 0.5],
-                    noise=([[0.9, 0.1], [0.95, 0.05], [0.8, 0.2], [0.1, 0.9]],
-                           [[0.5, 0.5], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]]),
-                    true_attrs=[[0, 0], [0, 1], [0, 0], [1, 1]])
-    path = tmp_path / "two_attr.json"
-    save_instance(inst, path)
-    return str(path)
-
-
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_select_rejects_two_attributes(two_attr_path, capsys, algorithm):
-    code, out, err = run_cli(capsys, "select", "--instance", two_attr_path,
-                             "--algorithm", algorithm, "--alpha", "1.0", "--delta", "0.1")
-    assert code == 1
-    assert out == ""
-    assert "one protected attribute" in err
-
-
-def test_metrics_unsupported_shape_exit_code(two_attr_path, capsys):
-    code, out, err = run_cli(capsys, "metrics", "--instance", two_attr_path,
-                             "--indices", "1,2")
-    assert code == 1
-    assert out == ""
-    assert "single-attribute" in err
-
-
-def test_select_rejects_bounds_of_wrong_length(tiny_path, capsys):
-    code, out, err = run_cli(capsys, "select", "--instance", tiny_path,
-                             "--algorithm", "FairExpec", "--lower", "0", "--upper", "1")
-    assert code == 1
-    assert out == ""
-    assert "one bound per group (p=2)" in err
 
 
 # --- the algorithm registry ---------------------------------------------------
