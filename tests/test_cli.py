@@ -151,28 +151,31 @@ def test_experiment_command(tmp_path, capsys):
     assert per_trial.exists()
 
 
-def test_console_script_help():
-    proc = subprocess.run([sys.executable, "-m", "fairselect.cli", "--help"],
+def run_module(*argv):
+    # only a real process shows its exit code and what reaches stderr
+    return subprocess.run([sys.executable, "-m", "fairselect.cli", *argv],
                           capture_output=True, text=True)
+
+
+def test_console_script_help():
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "select" in proc.stdout and "experiment" in proc.stdout
 
 
-@pytest.mark.parametrize("flags, code", [(["--algorithm", "Blind"], 0),
-                                         (["--algorithm", "FairExpec", "--lambda", "-1"], 1)],
-                         ids=["blind", "lambda-negative"])
-def test_cli_module_entry(tiny_path, flags, code):
-    # only a real process shows its exit code and what reaches stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairselect.cli", "select", "--instance", tiny_path, *flags],
-        capture_output=True, text=True)
-    assert proc.returncode == code
+def test_cli_module_entry(tiny_path):
+    proc = run_module("select", "--instance", tiny_path, "--algorithm", "Blind")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["indices"] == [1, 2]
+
+
+def test_cli_module_entry_rejects_a_malformed_flag(tiny_path):
+    proc = run_module("select", "--instance", tiny_path, "--algorithm", "FairExpec",
+                      "--lambda", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "argument --lambda:" in proc.stderr
     assert "Traceback" not in proc.stderr
-    if code == 0:
-        assert json.loads(proc.stdout)["indices"] == [1, 2]
-    else:
-        assert proc.stdout == ""
-        assert "argument --lambda:" in proc.stderr
 
 
 def test_gen_seed_is_the_root_of_a_trial_seed_tree(tmp_path, capsys):
@@ -202,177 +205,187 @@ CONFIG = experiment_config()
 BLIND = "select --instance {input} --algorithm Blind"
 FAIR = "select --instance {input} --algorithm FairExpec"
 METRICS = "metrics --instance {input}"
+MULT_OBJ = "select --instance {input} --algorithm MultObj"
 EXPERIMENT = "experiment --config {input} --out {out}"
 GEN = "gen --kind disparate-error --m 10 --n 2 --out {out}"
 INTEGERS_PAST_INT64 = "must hold integers in [-2**63, 2**63)"
 
-# (id, argv, input file, message on stderr). The input file is JSON for a dict
-# or list, the bytes themselves, a callable's value on the tiny instance's
-# file, or absent for None. {input} and {out} in argv and message are paths.
-BAD_INPUT = [
+# The tests of bad input, keyed by test id: (argv, input file, message on
+# stderr). The input file is JSON for a dict or list, the bytes themselves, a
+# callable's value on the tiny instance's file, or absent for None. {input}
+# and {out} in argv and message are paths. Each id is the one its case has
+# always run under, so a case's history follows it; a new case is a row of
+# test_bad_input_exits_1_naming_it.
+MALFORMED_INSTANCE = "test_select_rejects_malformed_instance_file"
+NEW = "test_bad_input_exits_1_naming_it"
+BAD_INPUT = {
     # flags
-    ("algorithm-unknown", "select --algorithm NotAnAlgorithm --instance {input}", TINY,
-     "argument --algorithm: invalid choice"),
-    ("seed-negative-gen", GEN + " --seed -1", None,
-     "argument --seed: must be a non-negative integer, not -1"),
-    ("seed-negative-select", BLIND + " --seed -1", TINY,
-     "argument --seed: must be a non-negative integer, not -1"),
-    ("tau-out-of-range", GEN + " --tau 0.7", None, "tau must be in [0, 0.5]"),
-    ("indices-not-integers", METRICS + " --indices 1,x", TINY,
-     "argument --indices: must be comma-separated integers, not '1,x'"),
-    ("indices-empty", METRICS + " --indices ''", TINY,
-     "argument --indices: must be comma-separated integers, not ''"),
-    ("indices-fraction", METRICS + " --indices 1.5,2", TINY,
-     "argument --indices: must be comma-separated integers, not '1.5,2'"),
-    ("indices-repeat", METRICS + " --indices 1,1", TINY, "--indices repeats an item"),
-    ("indices-too-many", METRICS + " --indices 1,3,4", TINY,
-     "--indices needs exactly n=2 items, got 3"),
-    ("indices-too-few", METRICS + " --indices 2", TINY, "--indices needs exactly n=2 items, got 1"),
-    ("lower-not-numbers", FAIR + " --lower 1,x --upper 2,2", TINY,
-     "argument --lower: must be comma-separated numbers, not '1,x'"),
-    ("upper-trailing-comma", FAIR + " --lower 0,0 --upper 2,", TINY,
-     "argument --upper: must be comma-separated numbers, not '2,'"),
-    ("lower-nan", FAIR + " --lower nan,0 --upper 1,1", TINY, "non-finite bound for attribute 0"),
-    ("upper-nan", FAIR + " --lower 0,0 --upper nan,1", TINY, "non-finite bound for attribute 0"),
-    ("bounds-wrong-length", FAIR + " --lower 0 --upper 1", TINY,
-     "--lower and --upper need one bound per group (p=2)"),
-    ("workers-zero", EXPERIMENT + " --workers 0", CONFIG,
-     "argument --workers: must be a positive integer, not 0"),
-    ("workers-negative", EXPERIMENT + " --workers -3", CONFIG,
-     "argument --workers: must be a positive integer, not -3"),
-    # FairExpec never reads these two; they are checked all the same
-    ("lambda-nan-fairexpec", FAIR + " --lambda nan", TINY,
-     "argument --lambda: must be a finite non-negative number, not 'nan'"),
-    ("lambda-negative-fairexpec", FAIR + " --lambda -1", TINY,
-     "argument --lambda: must be a finite non-negative number, not -1.0"),
-    ("lambda-nan", "select --instance {input} --algorithm MultObj --lambda nan", TINY,
-     "argument --lambda: must be a finite non-negative number, not 'nan'"),
-    ("lambda-inf", "select --instance {input} --algorithm MultObj --lambda inf", TINY,
-     "argument --lambda: must be a finite non-negative number, not 'inf'"),
-    ("lambda-penalty-overflows", "select --instance {input} --algorithm MultObj --lambda 1e308",
-     TINY, "lambda_=1e+308 is too large"),
-    ("fw-iters-zero", FAIR + " --fw-iters 0", TINY,
-     "argument --fw-iters: must be a positive integer, not 0"),
+    "test_usage_error_exit_code": ("select --algorithm NotAnAlgorithm --instance {input}", TINY,
+                                   "argument --algorithm: invalid choice"),
+    "test_a_negative_seed_is_rejected_by_name[gen-argument --seed:]": (
+        GEN + " --seed -1", None, "argument --seed: must be a non-negative integer, not -1"),
+    "test_a_negative_seed_is_rejected_by_name[select-argument --seed:]": (
+        BLIND + " --seed -1", TINY, "argument --seed: must be a non-negative integer, not -1"),
+    "test_gen_rejects_tau_out_of_range": (GEN + " --tau 0.7", None, "tau must be in [0, 0.5]"),
+    **{f"test_a_malformed_flag_is_rejected_by_name[{argv.split()[0]}-flags{i}-{message}]":
+       (argv, content, message) for i, (argv, content, message) in enumerate([
+           (METRICS + " --indices 1,x", TINY,
+            "argument --indices: must be comma-separated integers, not '1,x'"),
+           (METRICS + " --indices ''", TINY,
+            "argument --indices: must be comma-separated integers, not ''"),
+           (METRICS + " --indices 1.5,2", TINY,
+            "argument --indices: must be comma-separated integers, not '1.5,2'"),
+           (FAIR + " --lower 1,x --upper 2,2", TINY,
+            "argument --lower: must be comma-separated numbers, not '1,x'"),
+           (FAIR + " --lower 0,0 --upper 2,", TINY,
+            "argument --upper: must be comma-separated numbers, not '2,'"),
+           (EXPERIMENT + " --workers 0", CONFIG,
+            "argument --workers: must be a positive integer, not 0"),
+           (EXPERIMENT + " --workers -3", CONFIG,
+            "argument --workers: must be a positive integer, not -3"),
+           # FairExpec never reads these two; they are checked all the same
+           (FAIR + " --lambda nan", TINY,
+            "argument --lambda: must be a finite non-negative number, not 'nan'"),
+           (FAIR + " --lambda -1", TINY,
+            "argument --lambda: must be a finite non-negative number, not -1.0"),
+           (FAIR + " --fw-iters 0", TINY, "argument --fw-iters: must be a positive integer, not 0"),
+       ])},
+    **{f"test_metrics_rejects_repeated_or_miscounted_indices[{indices}-{message}]":
+       (METRICS + " --indices " + indices, TINY, message)
+       for indices, message in [("1,1", "--indices repeats an item"),
+                                ("1,3,4", "--indices needs exactly n=2 items, got 3"),
+                                ("2", "--indices needs exactly n=2 items, got 1")]},
+    "test_select_rejects_non_finite_flags[flags0]": (FAIR + " --lower nan,0 --upper 1,1", TINY,
+                                                     "non-finite bound for attribute 0"),
+    "test_select_rejects_non_finite_flags[flags1]": (FAIR + " --lower 0,0 --upper nan,1", TINY,
+                                                     "non-finite bound for attribute 0"),
+    "test_select_rejects_non_finite_flags[flags2]": (
+        MULT_OBJ + " --lambda nan", TINY,
+        "argument --lambda: must be a finite non-negative number, not 'nan'"),
+    "test_select_rejects_non_finite_flags[flags3]": (
+        MULT_OBJ + " --lambda inf", TINY,
+        "argument --lambda: must be a finite non-negative number, not 'inf'"),
+    "test_select_rejects_a_lambda_whose_penalty_overflows": (MULT_OBJ + " --lambda 1e308", TINY,
+                                                             "lambda_=1e+308 is too large"),
+    "test_select_rejects_bounds_of_wrong_length": (
+        FAIR + " --lower 0 --upper 1", TINY, "--lower and --upper need one bound per group (p=2)"),
     # instance files
-    ("instance-missing", BLIND, None, "No such file or directory"),
-    ("instance-not-json", BLIND, b"{not json", "malformed instance file {input}: "),
-    *[(f"{what}-{name}", argv, content, f"malformed {what} file {{input}}: ")
-      for what, argv in [("instance", BLIND), ("config", EXPERIMENT)]
-      for name, content in [("empty", b""), ("not-utf-8", b"\xff\xfe{"),
-                            ("nested-too-deeply", b"[" * 100_000 + b"]" * 100_000)]],
-    ("instance-list", BLIND, [1, 2], "instance must be a JSON object, not list"),
-    ("instance-per-item-file", BLIND,
-     {"m": 4, "n": 2, "s": 1, "p": [2], "items": [{"w": 3.0, "q": [[0.9, 0.1]], "z": [0]}]},
-     "unknown instance keys: ['items', 'm', 's']"),
-    ("instance-unknown-key", BLIND, lambda data: {**data, "weights": data["w"]},
-     "unknown instance keys: ['weights']"),
-    ("instance-w-missing", BLIND, lambda data: {key: data[key] for key in data if key != "w"},
-     "missing instance keys: ['w']"),
-    ("instance-n-p-missing", BLIND, lambda data: {"w": data["w"]},
-     "missing instance keys: ['n', 'p']"),
-    ("instance-w-q-lengths", BLIND, tiny_with(q=[[[0.9, 0.95, 0.8], [0.1, 0.05, 0.2]]]),
-     "noise block 0 shape (3, 2) != (4, 2)"),
-    ("instance-p-not-a-list", BLIND, tiny_with(p=2), "malformed instance file"),
-    ("instance-p-scalar", BLIND, {"n": 2, "p": 2, "w": [3.0, 2.5, 1.0, 0.5]}, "p must be a list"),
-    ("instance-z-scalar", BLIND, {"n": 2, "p": [2], "w": [3.0, 2.5, 1.0, 0.5], "z": 0},
-     "z must be a list"),
-    ("instance-w-scalar", BLIND, tiny_with(w=3, q=[[[0.9, 0.95, 0.8, 0.1]]]), "w must be a list"),
-    ("instance-w-nested", BLIND, tiny_with(w=[[3.0], [2.5], [1.0], [0.5]]),
-     "utilities must be 1-D"),
-    ("instance-n-fraction", BLIND, tiny_with(n=1.9), "n must be an integer, not 1.9"),
-    ("instance-p-fraction", BLIND, tiny_with(p=[2.5]), "p must hold integers only"),
-    ("instance-z-fraction", BLIND, tiny_with(z=[[0], [0], [0.7], [1.2]]),
-     "z must hold integers only"),
-    ("instance-zhat-fraction", BLIND, tiny_with(zhat=[[0], [0.5], [0], [1]]),
-     "zhat must hold integers only"),
-    ("instance-w-strings", BLIND, tiny_with(w=["3.0", "2.5", "1.0", "0.5"]),
-     "w must hold numbers only"),
-    ("instance-w-booleans", BLIND, tiny_with(w=[True, False, True, False]),
-     "w must hold numbers only"),
-    ("instance-q-string", BLIND, tiny_with(q=[[["0.9", 0.95, 0.8, 0.1], [0.1, 0.05, 0.2, 0.9]]]),
-     "q[0] must hold numbers only"),
-    ("instance-q-boolean", BLIND, tiny_with(q=[[[True, 0.95, 0.8, 0.1], [0.0, 0.05, 0.2, 0.9]]]),
-     "q[0] must hold numbers only"),
-    ("instance-q-ragged", BLIND, tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [0.1, 0.05, 0.2]]]),
-     "q[0] is ragged"),
-    ("instance-z-ragged", BLIND, tiny_with(z=[[0, 0, 0, 1], [0]]), "z is ragged"),
-    # integers past int64: a float would wrap in the cast with a numpy warning, an int is uint64
-    ("instance-p-huge", BLIND, tiny_with(p=[1e19]), "p " + INTEGERS_PAST_INT64),
-    ("instance-z-huge", BLIND, tiny_with(z=[[0, 1e19, 0, 1]]), "z " + INTEGERS_PAST_INT64),
-    ("instance-p-huge-integer", BLIND, tiny_with(p=[10**19]), "p " + INTEGERS_PAST_INT64),
-    ("instance-w-nan", FAIR + " --alpha 1.0", tiny_with(w=[3.0, float("nan"), 1.0, 0.5]),
-     "non-finite"),
-    ("instance-w-inf", FAIR + " --alpha 1.0", tiny_with(w=[3.0, float("inf"), 1.0, 0.5]),
-     "non-finite"),
-    ("instance-q-nan", FAIR + " --alpha 1.0",
-     tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [float("nan"), 0.05, 0.2, 0.9]]]), "non-finite"),
+    "test_select_missing_file_exit_code": (BLIND, None, "No such file or directory"),
+    "test_select_malformed_instance_exit_code": (BLIND, b"{not json",
+                                                 "malformed instance file {input}: "),
+    **{f"test_a_file_that_is_not_json_is_named[{argv.split()[0]}-{what}-{name}]":
+       (argv, content, f"malformed {what} file {{input}}: ")
+       for what, argv in [("instance", BLIND), ("config", EXPERIMENT)]
+       for name, content in [("empty", b""), ("not-utf-8", b"\xff\xfe{"),
+                             ("nested-too-deeply", b"[" * 100_000 + b"]" * 100_000)]},
+    "test_input_file_errors_name_the_field[instance-list]": (
+        BLIND, [1, 2], "instance must be a JSON object, not list"),
+    "test_input_file_errors_name_the_field[p-scalar]": (
+        BLIND, {"n": 2, "p": 2, "w": [3.0, 2.5, 1.0, 0.5]}, "p must be a list"),
+    "test_input_file_errors_name_the_field[z-scalar]": (
+        BLIND, {"n": 2, "p": [2], "w": [3.0, 2.5, 1.0, 0.5], "z": 0}, "z must be a list"),
+    **{f"{MALFORMED_INSTANCE}[{name}]": (BLIND, content, message) for name, content, message in [
+        ("per-item-file",
+         {"m": 4, "n": 2, "s": 1, "p": [2], "items": [{"w": 3.0, "q": [[0.9, 0.1]], "z": [0]}]},
+         "unknown instance keys: ['items', 'm', 's']"),
+        ("unknown-key", lambda data: {**data, "weights": data["w"]},
+         "unknown instance keys: ['weights']"),
+        ("w-missing", lambda data: {key: data[key] for key in data if key != "w"},
+         "missing instance keys: ['w']"),
+        ("n-p-missing", lambda data: {"w": data["w"]}, "missing instance keys: ['n', 'p']"),
+        ("w-q-lengths", tiny_with(q=[[[0.9, 0.95, 0.8], [0.1, 0.05, 0.2]]]),
+         "noise block 0 shape (3, 2) != (4, 2)"),
+        ("p-not-a-list", tiny_with(p=2), "malformed instance file"),
+        ("w-scalar", tiny_with(w=3, q=[[[0.9, 0.95, 0.8, 0.1]]]), "w must be a list"),
+        ("w-nested", tiny_with(w=[[3.0], [2.5], [1.0], [0.5]]), "utilities must be 1-D"),
+        ("n-fraction", tiny_with(n=1.9), "n must be an integer, not 1.9"),
+        ("p-fraction", tiny_with(p=[2.5]), "p must hold integers only"),
+        ("z-fraction", tiny_with(z=[[0], [0], [0.7], [1.2]]), "z must hold integers only"),
+        ("zhat-fraction", tiny_with(zhat=[[0], [0.5], [0], [1]]), "zhat must hold integers only"),
+        ("w-strings", tiny_with(w=["3.0", "2.5", "1.0", "0.5"]), "w must hold numbers only"),
+        ("w-booleans", tiny_with(w=[True, False, True, False]), "w must hold numbers only"),
+        ("q-string", tiny_with(q=[[["0.9", 0.95, 0.8, 0.1], [0.1, 0.05, 0.2, 0.9]]]),
+         "q[0] must hold numbers only"),
+        ("q-boolean", tiny_with(q=[[[True, 0.95, 0.8, 0.1], [0.0, 0.05, 0.2, 0.9]]]),
+         "q[0] must hold numbers only"),
+        ("q-ragged", tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [0.1, 0.05, 0.2]]]), "q[0] is ragged"),
+        ("z-ragged", tiny_with(z=[[0, 0, 0, 1], [0]]), "z is ragged"),
+        # integers past int64: a float would wrap in the cast with a numpy warning, an int is
+        # uint64
+        ("p-huge", tiny_with(p=[1e19]), "p " + INTEGERS_PAST_INT64),
+        ("z-huge", tiny_with(z=[[0, 1e19, 0, 1]]), "z " + INTEGERS_PAST_INT64),
+        ("p-huge-integer", tiny_with(p=[10**19]), "p " + INTEGERS_PAST_INT64),
+    ]},
+    **{f"test_select_rejects_non_finite_input[{name}]": (FAIR + " --alpha 1.0", content, "non-finite")
+       for name, content in [
+           ("w-nan", tiny_with(w=[3.0, float("nan"), 1.0, 0.5])),
+           ("w-inf", tiny_with(w=[3.0, float("inf"), 1.0, 0.5])),
+           ("q-nan", tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [float("nan"), 0.05, 0.2, 0.9]]]))]},
     # each utility is finite but their sum is not, so a selection's utility
     # would print as Infinity and a utility ratio as NaN
-    *[(f"instance-w-sum-overflows-{name}", argv, tiny_with(w=[1e308] * 4),
-       "utilities sum past the largest float")
-      for name, argv in [("blind", BLIND), ("fairexpec", FAIR),
-                         ("metrics", METRICS + " --indices 1,2 --ndcg")]],
-    *[(f"instance-two-attributes-{algorithm}",
-       f"select --instance {{input}} --algorithm {algorithm} --alpha 1.0 --delta 0.1",
-       TWO_ATTRS, "select handles one protected attribute")
-      for algorithm in sorted(ALGORITHMS)],
-    ("instance-two-attributes-metrics", METRICS + " --indices 1,2", TWO_ATTRS,
-     "the metrics report covers single-attribute instances"),
+    **{f"test_rejects_utilities_whose_sum_overflows[argv{i}]":
+       (argv, tiny_with(w=[1e308] * 4), "utilities sum past the largest float")
+       for i, argv in enumerate([BLIND, FAIR, METRICS + " --indices 1,2 --ndcg"])},
+    **{f"test_select_rejects_two_attributes[{algorithm}]": (
+        f"select --instance {{input}} --algorithm {algorithm} --alpha 1.0 --delta 0.1",
+        TWO_ATTRS, "select handles one protected attribute") for algorithm in sorted(ALGORITHMS)},
+    "test_metrics_unsupported_shape_exit_code": (
+        METRICS + " --indices 1,2", TWO_ATTRS,
+        "the metrics report covers single-attribute instances"),
     # config files
-    ("config-list", EXPERIMENT, [1, 2], "config must be a JSON object, not list"),
-    ("config-trials-missing", EXPERIMENT, {k: v for k, v in CONFIG.items() if k != "trials"},
-     "missing config keys: ['trials']"),
-    ("config-sweep-list", EXPERIMENT, {**CONFIG, "sweep": ["alpha_grid"]},
-     "sweep must be a JSON object, not list"),
-    ("config-grid-scalar", EXPERIMENT, {**CONFIG, "sweep": {"alpha_grid": 1.0}},
-     "alpha_grid must be a list"),
-    ("config-algorithms-string", EXPERIMENT, {**CONFIG, "algorithms": "Blind"},
-     "algorithms must be a list"),
-    ("config-algorithms-repeat", EXPERIMENT, {**CONFIG, "algorithms": ["Blind", "Thrsh", "Blind"]},
-     "algorithms repeats ['Blind']"),
-    ("config-seed-negative", EXPERIMENT, {**CONFIG, "seed": -1},
-     "seed must be a non-negative integer, not -1"),
-    *[(f"config-{field.replace('_', '-')}-fraction", EXPERIMENT, {**CONFIG, field: value},
-       f"{field} must be an integer, not {value}")
-      for field, value in [("m", 50.5), ("n", 9.9), ("trials", 2.5), ("seed", 3.2),
-                           ("fw_iters", 10.5), ("bins", 19.5)]],
+    **{f"test_input_file_errors_name_the_field[{name}]": (EXPERIMENT, content, message)
+       for name, content, message in [
+           ("config-list", [1, 2], "config must be a JSON object, not list"),
+           ("config-trials-missing", {k: v for k, v in CONFIG.items() if k != "trials"},
+            "missing config keys: ['trials']"),
+           ("sweep-list", {**CONFIG, "sweep": ["alpha_grid"]},
+            "sweep must be a JSON object, not list"),
+           ("grid-scalar", {**CONFIG, "sweep": {"alpha_grid": 1.0}}, "alpha_grid must be a list"),
+           ("algorithms-string", {**CONFIG, "algorithms": "Blind"}, "algorithms must be a list")]},
+    f"{NEW}[config-algorithms-repeat]": (
+        EXPERIMENT, {**CONFIG, "algorithms": ["Blind", "Thrsh", "Blind"]},
+        "algorithms repeats ['Blind']"),
+    "test_a_negative_seed_is_rejected_by_name[experiment-seed]": (
+        EXPERIMENT, {**CONFIG, "seed": -1}, "seed must be a non-negative integer, not -1"),
+    **{f"test_experiment_rejects_non_integral_numbers[{field}-{value}]": (
+        EXPERIMENT, {**CONFIG, field: value}, f"{field} must be an integer, not {value}")
+       for field, value in [("m", 50.5), ("n", 9.9), ("trials", 2.5), ("seed", 3.2),
+                            ("fw_iters", 10.5), ("bins", 19.5)]},
     # int() would draw every instance at n=10 while the CSV says 10.7
-    ("config-n-grid-fraction", EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10.7]}},
-     "n_grid must be an integer, not 10.7"),
+    "test_experiment_rejects_a_non_integral_n_grid": (
+        EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10.7]}}, "n_grid must be an integer, not 10.7"),
     # caught when the config is built, before any grid point runs
-    ("config-n-grid-above-m", EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10, 60]}},
-     "n_grid values must lie in [1, m=50], not 60"),
-    ("config-n-grid-zero", EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [0, 10]}},
-     "n_grid values must lie in [1, m=50], not 0"),
-    ("generator-seed-typo", EXPERIMENT, experiment_config(sed=3),
-     "unknown generator keys: ['sed']"),
-    ("generator-m", EXPERIMENT, experiment_config(m=50), "unknown generator keys: ['m']"),
-    ("generator-tau-bins", EXPERIMENT, experiment_config(tau=0.0, bins=20),
-     "unknown generator keys: ['bins', 'tau']"),
-    ("generator-params-typo", EXPERIMENT, experiment_config(params={"mixture_weight": [0.5, 0.5]}),
-     "unknown disparate_error generator params: ['mixture_weight']"),
-    ("generator-params-not-an-object", EXPERIMENT, experiment_config(params=5),
-     "malformed config file"),
-    ("generator-mixture-weights-null", EXPERIMENT,
-     experiment_config(params={"mixture_weights": None}), "mixture_weights must hold numbers only"),
-    ("generator-mixture-weights-short", EXPERIMENT,
-     experiment_config(params={"mixture_weights": [0.5]}),
-     "mixture_weights must have shape (2,), not (1,)"),
-    ("generator-minority-rate-string", EXPERIMENT,
-     experiment_config(kind="disparate_utility", params={"minority_rate": "x"}),
-     "minority_rate must hold numbers only"),
-    ("generator-feature-weight-null", EXPERIMENT,
-     experiment_config(kind="disparate_utility", params={"feature_weight": None}),
-     "feature_weight must hold numbers only"),
-    ("generator-utility-means-scalar", EXPERIMENT,
-     experiment_config(kind="disparate_utility", params={"utility_means": 5}),
-     "utility_means must have shape (2, 2), not ()"),
-]
+    "test_experiment_rejects_an_n_grid_outside_one_to_m[n_grid0-60]": (
+        EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10, 60]}},
+        "n_grid values must lie in [1, m=50], not 60"),
+    "test_experiment_rejects_an_n_grid_outside_one_to_m[n_grid1-0]": (
+        EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [0, 10]}},
+        "n_grid values must lie in [1, m=50], not 0"),
+    **{f"test_experiment_rejects_bad_generator_section[{name}]": (EXPERIMENT, config, message)
+       for name, config, message in [
+           ("seed-typo", experiment_config(sed=3), "unknown generator keys: ['sed']"),
+           ("m", experiment_config(m=50), "unknown generator keys: ['m']"),
+           ("tau-bins", experiment_config(tau=0.0, bins=20),
+            "unknown generator keys: ['bins', 'tau']"),
+           ("params-typo", experiment_config(params={"mixture_weight": [0.5, 0.5]}),
+            "unknown disparate_error generator params: ['mixture_weight']"),
+           ("params-not-an-object", experiment_config(params=5), "malformed config file")]},
+    **{f"{NEW}[generator-{name}]": (EXPERIMENT, experiment_config(**generator), message)
+       for name, generator, message in [
+           ("mixture-weights-null", {"params": {"mixture_weights": None}},
+            "mixture_weights must hold numbers only"),
+           ("mixture-weights-short", {"params": {"mixture_weights": [0.5]}},
+            "mixture_weights must have shape (2,), not (1,)"),
+           ("minority-rate-string", {"kind": "disparate_utility", "params": {"minority_rate": "x"}},
+            "minority_rate must hold numbers only"),
+           ("feature-weight-null", {"kind": "disparate_utility", "params": {"feature_weight": None}},
+            "feature_weight must hold numbers only"),
+           ("utility-means-scalar", {"kind": "disparate_utility", "params": {"utility_means": 5}},
+            "utility_means must have shape (2, 2), not ()")]},
+}
 
 
-@pytest.mark.parametrize("argv, content, message", [row[1:] for row in BAD_INPUT],
-                         ids=[row[0] for row in BAD_INPUT])
-def test_bad_input_exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message):
+def _exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message):
     path, out = tmp_path / "input.json", tmp_path / "out"
     if callable(content):
         content = content(instance_to_dict(tiny))
@@ -381,7 +394,7 @@ def test_bad_input_exits_1_naming_it(tiny, tmp_path, capsys, argv, content, mess
     elif content is not None:
         path.write_text(json.dumps(content))
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy warning on the way fails the row
+        warnings.simplefilter("error")  # a numpy warning on the way fails the case
         try:
             code = main([arg.format(input=path, out=out) for arg in shlex.split(argv)])
         except SystemExit as exc:  # argparse exits on a bad flag
@@ -391,6 +404,30 @@ def test_bad_input_exits_1_naming_it(tiny, tmp_path, capsys, argv, content, mess
     assert captured.out == ""
     assert message.format(input=path) in captured.err
     assert not out.exists()
+
+
+def _bad_input_test(cases):
+    """A test of ``cases``, keyed by case id: a plain test for the one id ''."""
+    if list(cases) == [""]:
+        def test(tiny, tmp_path, capsys):
+            _exits_1_naming_it(tiny, tmp_path, capsys, *cases[""])
+        return test
+
+    @pytest.mark.parametrize("argv, content, message", list(cases.values()), ids=list(cases))
+    def test(tiny, tmp_path, capsys, argv, content, message):
+        _exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message)
+    return test
+
+
+def _bad_input_tests():
+    by_name = {}
+    for test_id, row in BAD_INPUT.items():
+        name, _, case = test_id.partition("[")
+        by_name.setdefault(name, {})[case.removesuffix("]")] = row
+    return {name: _bad_input_test(cases) for name, cases in by_name.items()}
+
+
+globals().update(_bad_input_tests())
 
 
 def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):
