@@ -50,7 +50,6 @@ class Instance:
     noise: Optional[tuple]  # tuple of s arrays, each (m, p[k])
     true_attrs: Optional[np.ndarray] = None   # (m, s) ints
     noisy_attrs: Optional[np.ndarray] = None  # (m, s) ints
-    features: Optional[np.ndarray] = None     # (m, d) reals
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(int(v) for v in self.p))
@@ -71,8 +70,6 @@ class Instance:
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, _readonly(np.asarray(val, dtype=int)))
-        if self.features is not None:
-            object.__setattr__(self, "features", _readonly(np.asarray(self.features, dtype=float)))
 
     @property
     def m(self) -> int:

@@ -53,6 +53,23 @@ DISPARATE_UTILITY_DEFAULTS = {
 _DEFAULTS = {KIND_DISPARATE_ERROR: DISPARATE_ERROR_DEFAULTS,
              KIND_DISPARATE_UTILITY: DISPARATE_UTILITY_DEFAULTS}
 
+# Each param's range; the others need only be finite. A mean and std in
+# [0, 1] keep truncated_normal's acceptance per round at least
+# Phi(1) - Phi(0) ~ 0.34, so it always returns.
+_RATES = ("minority_rate", "no_experience_rate", "joint_rate")
+_RANGES = {key: (0.0, 1.0)
+           for key in ("mixture_weights", "component_means", "component_stds", *_RATES)}
+_RANGES["utility_std"] = (0.0, np.inf)
+
+
+def _cell_rates(par: dict) -> list:
+    """The share of each cell 2z + a: group z (0 = minority) and experience
+    flag a (1 = has prior experience)."""
+    p00 = par["joint_rate"]
+    p01 = par["minority_rate"] - p00
+    p10 = par["no_experience_rate"] - p00
+    return [p00, p01, p10, 1.0 - p00 - p01 - p10]
+
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
@@ -72,10 +89,25 @@ class GeneratorSpec:
         unknown = sorted(set(self.params) - set(_DEFAULTS[self.kind]))
         if unknown:
             raise ValueError(f"unknown {self.kind} generator params: {unknown}")
+        # only the params given are checked: the defaults pass every check
         for key, value in self.params.items():
-            got, shape = real_array(key, value).shape, np.shape(_DEFAULTS[self.kind][key])
-            if got != shape:
-                raise ValueError(f"{key} must have shape {shape}, not {got}")
+            a = real_array(key, value)
+            shape = np.shape(_DEFAULTS[self.kind][key])
+            if a.shape != shape:
+                raise ValueError(f"{key} must have shape {shape}, not {a.shape}")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{key} must be finite, not {value}")
+            low, high = _RANGES.get(key, (-np.inf, np.inf))
+            if not np.all((a >= low) & (a <= high)):
+                raise ValueError(f"{key} must lie in [{low:g}, {high:g}], not {value}")
+        weights = self.params.get("mixture_weights")
+        if weights is not None and not abs(sum(weights) - 1.0) <= 1e-9:
+            raise ValueError(f"mixture_weights must sum to 1, not {weights}")
+        rates_given = not self.params.keys().isdisjoint(_RATES)
+        if rates_given and not min(_cell_rates(self.merged_params())) >= 0:
+            raise ValueError("inconsistent group rates: need joint_rate <= minority_rate, joint_rate"
+                             " <= no_experience_rate and minority_rate + no_experience_rate"
+                             " - joint_rate <= 1")
 
     def merged_params(self) -> dict:
         base = dict(_DEFAULTS[self.kind])
@@ -132,21 +164,13 @@ def gen_disparate_utility(spec: GeneratorSpec) -> Instance:
     par = spec.merged_params()
     rng = make_rng(spec.seed)
     m = spec.m
-    p00 = par["joint_rate"]
-    p01 = par["minority_rate"] - p00
-    p10 = par["no_experience_rate"] - p00
-    p11 = 1.0 - p00 - p01 - p10
-    if min(p00, p01, p10, p11) < 0:
-        raise ValueError("inconsistent group rates")
-    cell = rng.choice(4, size=m, p=[p00, p01, p10, p11])
+    cell = rng.choice(4, size=m, p=_cell_rates(par))
     z = (cell >= 2).astype(int)          # 0 = minority group
-    a1 = (cell % 2).astype(int)          # 1 = has prior experience
     a2 = rng.normal(0.0, 1.0, m)
     means = np.asarray(par["utility_means"], dtype=float).reshape(4)[cell]
     w = means + par["feature_weight"] * a2 + rng.normal(0.0, par["utility_std"], m)
     w = np.maximum(w, 0.0)
-    return Instance(n=spec.n, p=(2,), utilities=w, noise=None, true_attrs=z[:, None],
-                    features=np.column_stack([a1.astype(float), a2]))
+    return Instance(n=spec.n, p=(2,), utilities=w, noise=None, true_attrs=z[:, None])
 
 
 def inject_flip_noise(inst: Instance, tau: float, seed) -> Instance:

@@ -37,8 +37,8 @@ Implementation notes:
   columns finishes, and walks that never reach the row still use the full
   stable sort.
 * The row proves the program infeasible if even flipping every eligible
-  column falls short by more than FEAS_TOL; if it falls short by less,
-  the flips alone close the row.
+  column falls short by more than FEAS_TOL. Within FEAS_TOL, the last one
+  enters in a degenerate pivot, so every iteration changes the basis.
 * Equal utilities tie reduced costs, and ratio tests among ties can cycle
   (seen with integer utilities and L = U rows). Each item's cost is
   therefore pushed a little further towards its starting bound, by
@@ -223,8 +223,7 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
         if q == cand.size:
             if violation[r] - reach.max(initial=0.0) > FEAS_TOL:
                 return BfsSolution(x=None)
-            at_upper[cand] = ~at_upper[cand]  # the flips alone close the row
-            continue
+            q -= 1  # within FEAS_TOL: the last column enters in a degenerate pivot
         at_upper[cand[:q]] = ~at_upper[cand[:q]]
         at_upper[basis[r]] = to_upper
         at_upper[cand[q]] = False

@@ -332,6 +332,26 @@ BAD_INPUT = {
     "test_metrics_unsupported_shape_exit_code": (
         METRICS + " --indices 1,2", TWO_ATTRS,
         "the metrics report covers single-attribute instances"),
+    **{f"{NEW}[instance-{name}]": (argv, content, message) for name, argv, content, message in [
+        ("no-items", BLIND, {"n": 1, "p": [2], "w": []}, "m must be positive"),
+        ("n-zero", BLIND, tiny_with(n=0), "n must be positive"),
+        ("no-attributes", BLIND, tiny_with(p=[]), "s must be at least 1"),
+        ("p-zero", BLIND, tiny_with(p=[0]), "attribute 0 has p=0 < 1"),
+        ("q-two-blocks", BLIND, lambda data: {**data, "q": data["q"] * 2},
+         "noise has 2 attribute blocks, expected 1"),
+        ("q-outside-unit", BLIND, tiny_with(q=[[[1.5, 0.95, 0.8, 0.1], [-0.5, 0.05, 0.2, 0.9]]]),
+         "noise entries outside [0,1] in attribute 0"),
+        ("z-two-rows", BLIND, tiny_with(z=[[0, 0, 0, 1], [0, 0, 0, 1]]),
+         "true_attrs shape (4, 2) != (4, 1)"),
+        ("z-out-of-range", BLIND, tiny_with(z=[[0, 0, 0, 2]]), "true_attrs column 0 outside [0, 2)"),
+        ("zhat-out-of-range", BLIND, tiny_with(zhat=[[0, 0, 0, 2]]),
+         "noisy_attrs column 0 outside [0, 2)"),
+        ("q-missing", BLIND, lambda data: {key: data[key] for key in data if key != "q"},
+         "instance file carries no probability rows"),
+        ("proportional-without-z", BLIND + " --target proportional",
+         lambda data: {key: data[key] for key in data if key != "z"},
+         "a proportional target needs true attributes in the instance file"),
+        ("lower-alone", FAIR + " --lower 0,0", TINY, "--lower and --upper must be given together")]},
     # config files
     **{f"test_input_file_errors_name_the_field[{name}]": (EXPERIMENT, content, message)
        for name, content, message in [
@@ -381,7 +401,38 @@ BAD_INPUT = {
            ("feature-weight-null", {"kind": "disparate_utility", "params": {"feature_weight": None}},
             "feature_weight must hold numbers only"),
            ("utility-means-scalar", {"kind": "disparate_utility", "params": {"utility_means": 5}},
-            "utility_means must have shape (2, 2), not ()")]},
+            "utility_means must have shape (2, 2), not ()"),
+           # a std past 1 can leave truncated_normal rejecting every draw, forever
+           ("component-stds-huge", {"params": {"component_stds": [1e308, 0.05]}},
+            "component_stds must lie in [0, 1], not [1e+308, 0.05]"),
+           ("component-stds-negative", {"params": {"component_stds": [-1, 0.05]}},
+            "component_stds must lie in [0, 1], not [-1, 0.05]"),
+           ("component-means-nan", {"params": {"component_means": [float("nan"), 0.05]}},
+            "component_means must be finite, not [nan, 0.05]"),
+           ("mixture-weights-nan", {"params": {"mixture_weights": [float("nan"), 0.5]}},
+            "mixture_weights must be finite, not [nan, 0.5]"),
+           ("mixture-weights-negative", {"params": {"mixture_weights": [2.0, -1.0]}},
+            "mixture_weights must lie in [0, 1], not [2.0, -1.0]"),
+           ("mixture-weights-sum", {"params": {"mixture_weights": [0.3, 0.3]}},
+            "mixture_weights must sum to 1, not [0.3, 0.3]"),
+           ("utility-means-nan", {"kind": "disparate_utility",
+                                  "params": {"utility_means": [[float("nan"), 1.6], [1.6, 2.6]]}},
+            "utility_means must be finite"),
+           ("feature-weight-infinite", {"kind": "disparate_utility",
+                                        "params": {"feature_weight": float("inf")}},
+            "feature_weight must be finite, not inf"),
+           ("utility-std-negative", {"kind": "disparate_utility", "params": {"utility_std": -1}},
+            "utility_std must lie in [0, inf], not -1"),
+           ("rates-inconsistent", {"kind": "disparate_utility", "params": {"joint_rate": 0.5}},
+            "inconsistent group rates: need joint_rate <= minority_rate"),
+           ("kind-unknown", {"kind": "disparate"}, "unknown generator kind 'disparate'")]},
+    **{f"{NEW}[config-{name}]": (EXPERIMENT, config, message) for name, config, message in [
+        ("two-grids", {**CONFIG, "sweep": {"alpha_grid": [0.0], "tau_grid": [0.0]}},
+         "the sweep section must contain exactly one grid"),
+        ("target-unknown", {**CONFIG, "target": "Equal"},
+         "target must be EqualRepresentation or Proportional")]},
+    f"{NEW}[gen-n-past-m]": ("gen --kind disparate-error --m 5 --n 10 --out {out}", None,
+                             "need 1 <= n <= m"),
 }
 
 

@@ -197,12 +197,11 @@ def test_instance_json_field_names(tiny):
 def test_instance_json_optional_fields_roundtrip(tmp_path):
     inst = Instance(n=1, p=(2,), utilities=[1.0, 2.0],
                     noise=(np.full((2, 2), 0.5),),
-                    noisy_attrs=[[1], [0]], features=[[0.1, 0.2], [0.3, 0.4]])
+                    noisy_attrs=[[1], [0]])
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     loaded = load_instance(path)
     assert np.array_equal(loaded.noisy_attrs, inst.noisy_attrs)
-    assert loaded.features is None  # features stay in memory; the file has no key for them
     assert loaded.true_attrs is None
 
 

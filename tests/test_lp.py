@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,16 +217,35 @@ def _equal_bounds_case(counts):
     return inst, build_denoised_lp(inst, make_constraints([counts], [counts], delta=0.0, n=2))
 
 
+@functools.cache
+def _survey_case(seed, draw):
+    """Draw ``draw`` (from 0) of a survey of random LPs from ``default_rng(seed)``:
+    m in [20, 2000), n up to m/4, and anchored bounds of spread 0, 0.05 or 0.2
+    at delta 0 or 0.01. Replaying 1000 draws takes about a second."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        m = rng.integers(20, 2000)
+        inst = random_instance(rng, m=m, n=rng.integers(1, max(2, m // 4)))
+        cs = anchored_constraints(rng, inst, spread=rng.choice([0.0, 0.05, 0.2]),
+                                  delta=rng.choice([0.0, 0.01]))
+    return inst, build_denoised_lp(inst, cs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(denoised_lps())
 # items 0 and 1 are the only feasible pair; the flips that close the group
-# row fall short of its violation by ~3e-17, inside FEAS_TOL
+# row fall short of its violation by ~3e-17, inside FEAS_TOL, so the last
+# walked column enters in a degenerate pivot
 @example(_equal_bounds_case(np.array([0.2, 1.8])))
 # the group row misses by 1e-6, well beyond FEAS_TOL
 @example(_equal_bounds_case(np.array([0.2 - 1e-6, 1.8 + 1e-6])))
 # tied utilities and L = U: without COST_SHIFT the ratio test cycles here
 @example(expected_count_lp([4, 4], 151, 145, seed=1088449068, tied=True,
                            one_hot_share=0.0, bounds="equal"))
+# the two of 4500 survey LPs (seeds 3, 4 and 5) that end a ratio test within
+# FEAS_TOL: m=30, p=(5, 2) and m=50, p=(4, 4, 5), both at n=1
+@example(_survey_case(3, 1096))
+@example(_survey_case(4, 506))
 def test_solver_matches_independent_solver(case):
     inst, lp = case
     reference = scipy_lp_value(lp)
@@ -244,9 +265,13 @@ def test_solver_matches_independent_solver(case):
 @example(_equal_bounds_case(np.array([0.2 - 1e-6, 1.8 + 1e-6])))
 @example(expected_count_lp([4, 4], 151, 145, seed=1088449068, tied=True,
                            one_hot_share=0.0, bounds="equal"))
+@example(_survey_case(3, 1096))
+@example(_survey_case(4, 506))
 def test_solver_matches_the_full_sort_reference(case):
     # past 1000 eligible columns the ratio test orders only the columns up
-    # to its breakpoint, which must not change a single pivot
+    # to its breakpoint, which must not change a single pivot; and where the
+    # flips close a row to within FEAS_TOL, the reference flips them all while
+    # the solver pivots the last one in, which must not change x
     _, lp = case
     sol, ref = solve_bfs(lp), reference_solve_bfs(lp)
     assert sol.status is ref.status
