@@ -388,6 +388,19 @@ def real_array(name: str, value) -> np.ndarray:
     return _number_array(name, value, "numbers").astype(float, copy=False)
 
 
+def real_values(name: str, value, shape=(), low=-np.inf, high=np.inf, close="]") -> np.ndarray:
+    """``value`` as a float array of ``shape``, each entry finite and in [low,
+    high], or in [low, high) if ``close`` is ")"; raises ValueError naming ``name``."""
+    a = real_array(name, value)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, not {value}")
+    if not np.all((a >= low) & ((a < high) if close == ")" else (a <= high))):
+        raise ValueError(f"{name} must lie in [{low:g}, {high:g}{close}, not {value}")
+    return a
+
+
 def instance_from_dict(data: dict) -> Instance:
     check_keys("instance", data, INSTANCE_KEYS, REQUIRED_KEYS)
     w = real_array("w", json_list("w", data["w"]))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, UnsupportedError, real_array
+from .core import Instance, UnsupportedError, real_values
 from .seeding import make_rng
 
 KIND_DISPARATE_ERROR = "disparate_error"
@@ -91,15 +91,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown {self.kind} generator params: {unknown}")
         # only the params given are checked: the defaults pass every check
         for key, value in self.params.items():
-            a = real_array(key, value)
-            shape = np.shape(_DEFAULTS[self.kind][key])
-            if a.shape != shape:
-                raise ValueError(f"{key} must have shape {shape}, not {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{key} must be finite, not {value}")
-            low, high = _RANGES.get(key, (-np.inf, np.inf))
-            if not np.all((a >= low) & (a <= high)):
-                raise ValueError(f"{key} must lie in [{low:g}, {high:g}], not {value}")
+            real_values(key, value, np.shape(_DEFAULTS[self.kind][key]), *_RANGES.get(key, ()))
         weights = self.params.get("mixture_weights")
         if weights is not None and not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError(f"mixture_weights must sum to 1, not {weights}")

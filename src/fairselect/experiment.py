@@ -26,8 +26,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import selectors
 from .core import (InfeasibleError, Instance, check_keys, constraints_from_alpha, integer,
-                   json_list, load_json_file, target_vector, violation_report)
-from .datagen import (KIND_DISPARATE_ERROR, GeneratorSpec,
+                   json_list, load_json_file, real_values, target_vector, violation_report)
+from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
 from .seeding import seed_sequence
@@ -40,6 +40,9 @@ WORKERS_ENV = "FAIRSELECT_WORKERS"
 REQUIRED_CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m",
                                   "target", "delta", "seed"})
 CONFIG_KEYS = REQUIRED_CONFIG_KEYS | {"alpha", "lambda", "tau", "fw_iters", "bins"}
+FIELDS = {"lambda": "lambda_"}  # the config keys whose field has another name
+# each real setting's range, which a grid over it shares; delta's is open at 1
+REAL_RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1), "lambda": (0, np.inf), "tau": (0, 0.5)}
 # a generator section names only what to draw: every trial draws at the
 # config's own m and n, from the config's seed (see run_trial)
 GENERATOR_KEYS = frozenset({"kind", "params"})
@@ -64,6 +67,11 @@ class ExperimentConfig:
     bins: int = 20
 
     def __post_init__(self):
+        for name in ("m", "n", "trials", "seed", "fw_iters", "bins"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        for key, bounds in REAL_RANGES.items():
+            name = FIELDS.get(key, key)
+            object.__setattr__(self, name, real_values(key, getattr(self, name), (), *bounds).item())
         if self.sweep_kind not in SWEEP_KINDS:
             raise ValueError(f"sweep must be one of {SWEEP_KINDS}")
         if not self.grid:
@@ -90,11 +98,18 @@ class ExperimentConfig:
         if gen.seed != 0:
             raise ValueError(f"the generator seed must be 0, not {gen.seed}: trials draw "
                              f"from the config seed ({self.seed})")
+        if self.fw_iters < 1:
+            raise ValueError(f"fw_iters must be a positive integer, not {self.fw_iters}")
+        # only the disparate-utility kind reads bins, from a training draw of m items
+        if self.bins < 1 or (gen.kind == KIND_DISPARATE_UTILITY and self.bins > self.m):
+            raise ValueError(f"bins must lie in [1, m={self.m}], not {self.bins}")
         if self.sweep_kind == "n_grid":
             for g in self.grid:
                 if not 1 <= integer("n_grid", g) <= self.m:
                     raise ValueError(f"n_grid values must lie in [1, m={self.m}], not {g!r}")
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        grid = real_values(self.sweep_kind, self.grid, (len(self.grid),),
+                           *REAL_RANGES.get(self.sweep_kind.removesuffix("_grid"), (1, self.m)))
+        object.__setattr__(self, "grid", tuple(grid.tolist()))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
     @classmethod
@@ -110,14 +125,10 @@ class ExperimentConfig:
         m, n = integer("m", data["m"]), integer("n", data["n"])
         return cls(
             generator=GeneratorSpec(kind=gen["kind"], m=m, n=n, params=dict(gen.get("params", {}))),
-            sweep_kind=kind, grid=tuple(json_list(kind, grid)),
-            algorithms=tuple(json_list("algorithms", data["algorithms"])),
-            trials=integer("trials", data["trials"]), n=n, m=m,
-            target=data["target"], delta=float(data["delta"]), seed=integer("seed", data["seed"]),
-            alpha=float(data.get("alpha", 1.0)), lambda_=float(data.get("lambda", 0.0)),
-            tau=float(data.get("tau", 0.0)),
-            fw_iters=integer("fw_iters", data.get("fw_iters", 500)),
-            bins=integer("bins", data.get("bins", 20)),
+            sweep_kind=kind, grid=json_list(kind, grid),
+            algorithms=tuple(json_list("algorithms", data["algorithms"])), n=n, m=m,
+            trials=data["trials"], target=data["target"], delta=data["delta"], seed=data["seed"],
+            **{FIELDS.get(key, key): data[key] for key in data.keys() - REQUIRED_CONFIG_KEYS},
         )
 
 
@@ -165,11 +176,7 @@ def build_instance(spec: GeneratorSpec, tau: float, bins: int) -> Instance:
     if spec.kind == KIND_DISPARATE_ERROR:
         return gen_disparate_error(substream(0))
     train = gen_disparate_utility(substream(0))
-    inst = gen_disparate_utility(substream(1))
-    if tau > 0:
-        inst = inject_flip_noise(inst, tau, seed_sequence(spec.seed, 2))
-    else:
-        inst = replace(inst, noisy_attrs=inst.true_attrs.copy())
+    inst = inject_flip_noise(gen_disparate_utility(substream(1)), tau, seed_sequence(spec.seed, 2))
     q = estimate_q_by_utility_bins(inst, bins, train=train)
     return replace(inst, noise=(q,))
 
@@ -269,7 +276,7 @@ def render_csv(table: ResultTable) -> str:
 
 
 def write_results(table: ResultTable, path, format: str = "csv") -> None:
-    """Bit-stable dump: floats at six significant digits, NA for missing."""
+    """Bit-stable dump: CSV floats at six significant digits and NA; JSON full floats and null."""
     if format == "csv":
         with open(path, "w", newline="") as fh:
             fh.write(render_csv(table))

@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fairselect import cli
+from fairselect import cli, experiment
 from fairselect.cli import _build_parser, main
 from fairselect.core import instance_to_dict, load_instance, save_instance
 from fairselect.datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
@@ -269,6 +270,12 @@ BAD_INPUT = {
                                                              "lambda_=1e+308 is too large"),
     "test_select_rejects_bounds_of_wrong_length": (
         FAIR + " --lower 0 --upper 1", TINY, "--lower and --upper need one bound per group (p=2)"),
+    f"{NEW}[select-delta-past-one]": (FAIR + " --delta 1.5", TINY,
+                                      "delta must be in [0, 1), got 1.5"),
+    f"{NEW}[select-alpha-past-one]": (FAIR + " --alpha 2", TINY,
+                                      "alpha must be in [0, 1], got 2.0"),
+    f"{NEW}[gen-bins-zero]": ("gen --kind disparate-utility --m 40 --n 5 --bins 0 --out {out}",
+                              None, "need at least one bin"),
     # instance files
     "test_select_missing_file_exit_code": (BLIND, None, "No such file or directory"),
     "test_select_malformed_instance_exit_code": (BLIND, b"{not json",
@@ -430,14 +437,40 @@ BAD_INPUT = {
         ("two-grids", {**CONFIG, "sweep": {"alpha_grid": [0.0], "tau_grid": [0.0]}},
          "the sweep section must contain exactly one grid"),
         ("target-unknown", {**CONFIG, "target": "Equal"},
-         "target must be EqualRepresentation or Proportional")]},
+         "target must be EqualRepresentation or Proportional"),
+        # each real setting and grid value is a finite JSON number in its range, checked
+        # before the first trial; CONFIG runs no MultObj, which reads lambda and fw_iters
+        ("alpha-boolean", {**CONFIG, "alpha": True}, "alpha must hold numbers only"),
+        ("alpha-grid-booleans", {**CONFIG, "sweep": {"alpha_grid": [True, False]}},
+         "alpha_grid must hold numbers only"),
+        ("alpha-grid-strings", {**CONFIG, "sweep": {"alpha_grid": ["0", "1"]}},
+         "alpha_grid must hold numbers only"),
+        ("delta-numeric-string", {**CONFIG, "delta": "0.05"}, "delta must hold numbers only"),
+        ("delta-string", {**CONFIG, "delta": "x"}, "delta must hold numbers only"),
+        ("delta-one", {**CONFIG, "delta": 1}, "delta must lie in [0, 1), not 1"),
+        ("lambda-nan", {**CONFIG, "lambda": float("nan")}, "lambda must be finite, not nan"),
+        ("lambda-grid-negative", {**CONFIG, "sweep": {"lambda_grid": [-1.0]}},
+         "lambda_grid must lie in [0, inf], not [-1.0]"),
+        ("alpha-grid-past-one", {**CONFIG, "sweep": {"alpha_grid": [0.0, 2.0]}},
+         "alpha_grid must lie in [0, 1], not [0.0, 2.0]"),
+        ("tau-grid-past-half", {**CONFIG, "sweep": {"tau_grid": [0.0, 0.7]}},
+         "tau_grid must lie in [0, 0.5], not [0.0, 0.7]"),
+        ("fw-iters-zero", {**CONFIG, "fw_iters": 0}, "fw_iters must be a positive integer, not 0"),
+        ("bins-zero", {**CONFIG, "bins": 0}, "bins must lie in [1, m=50], not 0"),
+        ("bins-past-m", {**experiment_config(kind="disparate_utility"), "bins": 51},
+         "bins must lie in [1, m=50], not 51")]},
     f"{NEW}[gen-n-past-m]": ("gen --kind disparate-error --m 5 --n 10 --out {out}", None,
                              "need 1 <= n <= m"),
 }
 
 
-def _exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message):
+def _no_trial(*args):
+    pytest.fail("a trial ran on bad input")
+
+
+def _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message):
     path, out = tmp_path / "input.json", tmp_path / "out"
+    monkeypatch.setattr(experiment, "run_trial", _no_trial)  # rejected before the sweep starts
     if callable(content):
         content = content(instance_to_dict(tiny))
     if isinstance(content, bytes):
@@ -460,13 +493,13 @@ def _exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message):
 def _bad_input_test(cases):
     """A test of ``cases``, keyed by case id: a plain test for the one id ''."""
     if list(cases) == [""]:
-        def test(tiny, tmp_path, capsys):
-            _exits_1_naming_it(tiny, tmp_path, capsys, *cases[""])
+        def test(tiny, tmp_path, capsys, monkeypatch):
+            _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, *cases[""])
         return test
 
     @pytest.mark.parametrize("argv, content, message", list(cases.values()), ids=list(cases))
-    def test(tiny, tmp_path, capsys, argv, content, message):
-        _exits_1_naming_it(tiny, tmp_path, capsys, argv, content, message)
+    def test(tiny, tmp_path, capsys, monkeypatch, argv, content, message):
+        _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message)
     return test
 
 
@@ -479,6 +512,56 @@ def _bad_input_tests():
 
 
 globals().update(_bad_input_tests())
+
+
+# --- a config with one bad number -------------------------------------------------
+
+# a valid config that sets every optional key
+FUZZ_BASE = {**experiment_config(kind="disparate_utility"), "alpha": 0.5, "lambda": 10.0,
+             "tau": 0.1, "fw_iters": 5, "bins": 10}
+# each key's (lowest, highest) valid value; None for no upper end. delta must stay below 1
+FUZZ_RANGES = {"delta": (0.0, float(np.nextafter(1.0, 0.0))), "alpha": (0.0, 1.0),
+               "lambda": (0.0, None), "tau": (0.0, 0.5), "fw_iters": (1, None), "bins": (1, 50)}
+
+
+def _beyond(bound, way):
+    """The nearest value past ``bound`` in direction ``way``, +1 or -1."""
+    return bound + way if isinstance(bound, int) else float(np.nextafter(bound, way * np.inf))
+
+
+@st.composite
+def one_bad_number(draw):
+    """(key, config): FUZZ_BASE with one setting, or one grid value, made a
+    boolean, a numeric string, null, a non-finite number or a value just
+    outside its range."""
+    key = draw(st.sampled_from([*FUZZ_RANGES, "alpha_grid", "lambda_grid", "tau_grid"]))
+    setting = key.removesuffix("_grid")
+    low, high = FUZZ_RANGES[setting]
+    outside = [_beyond(low, -1)] + ([] if high is None else [_beyond(high, 1)])
+    bad = draw(st.sampled_from([True, False, None, str(low), float("nan"), float("inf"),
+                                -float("inf"), *outside]))
+    config = dict(FUZZ_BASE)
+    if key == setting:
+        config[key] = bad
+    else:
+        grid = draw(st.lists(st.floats(low, 1e6 if high is None else high), max_size=3))
+        grid.insert(draw(st.integers(0, len(grid))), bad)
+        config["sweep"] = {key: grid}
+    return key, config
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=one_bad_number())
+def test_a_bad_number_in_a_config_is_rejected_before_any_trial(tiny, tmp_path, capsys,
+                                                                 monkeypatch, case):
+    key, config = case
+    _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, EXPERIMENT, config,
+                       f"error: {key} must")
+
+
+def test_the_fuzzed_config_is_valid():
+    experiment.ExperimentConfig.from_dict(FUZZ_BASE)
 
 
 def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):

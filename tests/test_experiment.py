@@ -47,6 +47,15 @@ def test_config_file_reads_the_documented_schema(tmp_path):
     assert (cfg.trials, cfg.m, cfg.n, cfg.seed, cfg.delta) == (6, 60, 12, 11, 0.05)
 
 
+def test_config_file_optional_keys_default_to_the_fields():
+    cfg = ExperimentConfig.from_dict(small_config_dict())
+    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.fw_iters, cfg.bins) == (1.0, 0.0, 0.0, 500, 20)
+    cfg = ExperimentConfig.from_dict({**small_config_dict(), "alpha": 0.5, "lambda": 3,
+                                      "tau": 0.25, "fw_iters": 7.0, "bins": 4})
+    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.fw_iters, cfg.bins) == (0.5, 3.0, 0.25, 7, 4)
+    assert type(cfg.lambda_) is float and type(cfg.fw_iters) is int
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(sweep_kind="beta_grid")
@@ -56,6 +65,15 @@ def test_config_validation():
         small_config(trials=0)
     with pytest.raises(ValueError):
         small_config(algorithms=("Blind", "Oops"))
+    # a config built in Python is checked as a file is
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\), not 1.0"):
+        small_config(delta=1.0)
+    with pytest.raises(ValueError, match="alpha_grid must hold numbers only"):
+        small_config(grid=(True, False))
+    with pytest.raises(ValueError, match="fw_iters must be a positive integer, not 0"):
+        small_config(fw_iters=0)
+    with pytest.raises(ValueError, match="m must be an integer, not 60.5"):
+        small_config(m=60.5, generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=60.5, n=12))
 
 
 def test_config_rejects_empty_algorithm_list():
