@@ -82,7 +82,7 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _DEFAULTS:
+        if not isinstance(self.kind, str) or self.kind not in _DEFAULTS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.m < 1 or self.n < 1 or self.n > self.m:
             raise ValueError("need 1 <= n <= m")

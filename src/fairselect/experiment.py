@@ -82,7 +82,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
         if not self.algorithms:
             raise ValueError("list at least one algorithm")
-        bad = [a for a in self.algorithms if a not in selectors.ALGORITHMS]
+        bad = [a for a in self.algorithms if not isinstance(a, str) or a not in selectors.ALGORITHMS]
         if bad:
             raise ValueError(f"unknown algorithms: {bad}")
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})

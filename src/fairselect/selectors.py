@@ -10,8 +10,9 @@ seeding.make_rng, so runs are reproducible and order-independent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,6 +168,15 @@ def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:
     return Selection.from_mask(taken, inst.utilities)
 
 
+def _numpy_sum(values: list) -> float:
+    """``np.add.reduce(values)``, bit for bit: numpy adds fewer than 8
+    values left to right and more pairwise. Not ``sum``, which compensates
+    from Python 3.12 on."""
+    if len(values) >= 8:
+        return float(np.add.reduce(values))
+    return reduce(operator.add, values, 0.0)
+
+
 def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
              fw_iters: int = 500) -> np.ndarray:
     """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n},
@@ -186,7 +196,7 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     group, which shows whether a tie runs past them) instead of sorting m.
     """
     t = np.asarray(target, dtype=float)
-    if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
+    if not (t.ndim == 1 and abs(t.sum() - 1.0) <= 1e-9 and np.all(t >= 0)):  # NaN fails
         raise ValueError("target must be a probability vector")
     if not 0.0 <= lambda_ < np.inf:
         raise ValueError("lambda_ must be finite and nonnegative")
@@ -200,7 +210,7 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     if lambda_ == 0.0:
         return x
     eps = KL_EPSILON
-    t_s = (1 - eps) * t + eps / p
+    t_s = ((1 - eps) * t + eps / p).tolist()
     mean_w = float(w.sum()) / m
     # |log_ratio| <= log(p / eps), so this bounds the penalty and every gradient
     # entry; Python floats overflow to inf without a numpy warning
@@ -214,16 +224,19 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     head_w, head_g = w[heads], groups[heads]
     cut = heads.size - n
 
+    # The p-sized state is in Python floats, which do the same IEEE operations
+    # without numpy's per-call dispatch. The log stays np.log, because math.log
+    # rounds some values differently.
     def log_ratio_and_value(x):
-        dist_s = (1 - eps) * (by_group @ x / n) + eps / p
-        log_ratio = np.log(dist_s / t_s)
-        kl = float(np.add.reduce(dist_s * log_ratio))  # ndarray.sum's reduce, minus a wrapper
+        dist_s = [(1 - eps) * (g / n) + eps / p for g in (by_group @ x).tolist()]
+        log_ratio = np.log([d / s for d, s in zip(dist_s, t_s)]).tolist()
+        kl = _numpy_sum([d * r for d, r in zip(dist_s, log_ratio)])
         return log_ratio, float(w @ x) - lambda_ * kl * mean_w
 
     log_ratio, best_val = log_ratio_and_value(x)
     best_x = x
     for it in range(fw_iters):
-        c = scale * (log_ratio + 1.0)
+        c = np.array([scale * (r + 1.0) for r in log_ratio])
         head_grad = head_w - c[head_g]
         kth = head_grad.copy()  # ndarray.partition skips np.partition's wrapper
         kth.partition(cut)

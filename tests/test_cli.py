@@ -432,12 +432,22 @@ BAD_INPUT = {
             "utility_std must lie in [0, inf], not -1"),
            ("rates-inconsistent", {"kind": "disparate_utility", "params": {"joint_rate": 0.5}},
             "inconsistent group rates: need joint_rate <= minority_rate"),
-           ("kind-unknown", {"kind": "disparate"}, "unknown generator kind 'disparate'")]},
+           ("kind-unknown", {"kind": "disparate"}, "unknown generator kind 'disparate'"),
+           # checked for a string before it is looked up, which would hash it;
+           # a message's {{ is str.format's escaped {
+           ("kind-list", {"kind": ["disparate_error"]},
+            "unknown generator kind ['disparate_error']"),
+           ("kind-object", {"kind": {"disparate_error": 1}},
+            "unknown generator kind {{'disparate_error': 1}}")]},
     **{f"{NEW}[config-{name}]": (EXPERIMENT, config, message) for name, config, message in [
         ("two-grids", {**CONFIG, "sweep": {"alpha_grid": [0.0], "tau_grid": [0.0]}},
          "the sweep section must contain exactly one grid"),
         ("target-unknown", {**CONFIG, "target": "Equal"},
          "target must be EqualRepresentation or Proportional"),
+        ("algorithms-nested-list", {**CONFIG, "algorithms": [["Blind"]]},
+         "unknown algorithms: [['Blind']]"),
+        ("algorithms-object", {**CONFIG, "algorithms": [{"Blind": 1}]},
+         "unknown algorithms: [{{'Blind': 1}}]"),
         # each real setting and grid value is a finite JSON number in its range, checked
         # before the first trial; CONFIG runs no MultObj, which reads lambda and fw_iters
         ("alpha-boolean", {**CONFIG, "alpha": True}, "alpha must hold numbers only"),

@@ -9,7 +9,7 @@ from fairselect.datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, Gen
 from fairselect.experiment import build_instance
 from fairselect.selectors import (blind, ceil_round, dependent_round, denoised_bfs,
                                   estimate_group_level_q, fair_expec, fair_expec_grp,
-                                  impute_bayes, mult_obj, thrsh)
+                                  impute_bayes, mult_obj, thrsh, _numpy_sum)
 from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import fact_one_constraints, fact_one_instance, random_instance, anchored_constraints
@@ -385,6 +385,11 @@ def test_mult_obj_keeps_cardinality():
     ((0.5, 0.5), 0.0, 0, "fw_iters must be positive"),
     # finite, but the KL penalty's gradient overflows (numpy's warning fails the test)
     ((0.5, 0.5), 1e308, 10, r"lambda_=1e\+308 is too large"),
+    # NaN compares false both ways, so only a vector shown to be a distribution passes
+    ((float("nan"), float("nan")), 10.0, 10, "target must be a probability vector"),
+    ((1.0, float("nan")), 0.0, 10, "target must be a probability vector"),
+    (((0.5, 0.5),), 1.0, 10, "target must be a probability vector"),
+    (1.0, 1.0, 10, "target must be a probability vector"),
 ])
 def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, fw_iters, message):
     # checked before the lambda_ = 0 shortcut returns the blind indicator
@@ -421,7 +426,7 @@ def test_mult_obj_breaks_a_rounded_gradient_tie_by_lowest_index():
 
 @st.composite
 def mult_obj_cases(draw):
-    p = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 10))  # both of _numpy_sum's branches
     m = draw(st.integers(1, 30))
     n = draw(st.integers(1, m))
     groups = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
@@ -450,24 +455,34 @@ def test_mult_obj_matches_the_full_sort_reference(case):
     assert np.array_equal(mult_obj(*case), reference_mult_obj(*case))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
+def test_numpy_sum_adds_in_numpys_order(values):
+    # the order shows in the last bits, which only rarely change MultObj's iterate
+    assert np.float64(_numpy_sum(values)).tobytes() == np.add.reduce(np.array(values)).tobytes()
+
+
 def _sweep_draw(kind, m, seed, tau=0.0):
     inst = build_instance(GeneratorSpec(kind=kind, m=m, n=100, seed=seed_sequence(seed)), tau, 20)
     return inst, impute_bayes(inst.noise_matrix(0), seed=seed_sequence(seed, 3))
 
 
-def _small_group_draw():
-    # group 2 has 30 members, fewer than n + 1, so every one of them is a head
+def _small_group_draw(sizes):
+    # the last group has 30 members, fewer than n + 1, so every one of them is a head
     rng = make_rng(11)
-    groups = rng.permutation(np.repeat([0, 1, 2], [400, 370, 30]))
-    inst = Instance(n=100, p=(3,), utilities=rng.random(800), noise=(np.eye(3)[groups],))
+    p = len(sizes)
+    groups = rng.permutation(np.repeat(np.arange(p), sizes))
+    inst = Instance(n=100, p=(p,), utilities=rng.random(sum(sizes)), noise=(np.eye(p)[groups],))
     return inst, groups
 
 
 @pytest.mark.parametrize("draw, target, lambda_", [
     (lambda: _sweep_draw(KIND_DISPARATE_UTILITY, 1000, 5, tau=0.3), (0.5, 0.5), 500.0),
     (lambda: _sweep_draw(KIND_DISPARATE_ERROR, 500, 6), (0.5, 0.5), 2500.0),
-    (_small_group_draw, (0.2, 0.3, 0.5), 500.0),
-], ids=["disparate-utility-m1000", "disparate-error-m500", "p3-small-group"])
+    (lambda: _small_group_draw([400, 370, 30]), (0.2, 0.3, 0.5), 500.0),
+    # p = 9 sums the KL terms pairwise, as numpy does from 8 terms on
+    (lambda: _small_group_draw([90] * 8 + [30]), np.arange(1, 10) / 45, 500.0),
+], ids=["disparate-utility-m1000", "disparate-error-m500", "p3-small-group", "p9-small-group"])
 def test_mult_obj_matches_the_reference_at_sweep_sizes(draw, target, lambda_):
     # tobytes, not array_equal, so a 0.0 where the reference has -0.0 also fails
     inst, imputed = draw()
