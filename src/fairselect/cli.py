@@ -27,8 +27,8 @@ from .core import (InfeasibleError, Instance, Selection, UnsupportedError,
                    constraints_from_alpha, load_instance, make_constraints, save_instance,
                    target_vector, validate_instance, violation_report)
 from .datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
-from .experiment import (build_instance, load_config, run_experiment, write_per_trial,
-                         write_results)
+from .experiment import (UTILITY_BINS, build_instance, load_config, run_experiment,
+                         write_per_trial, write_results)
 from .metrics import compute_report
 from .seeding import seed_sequence
 
@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=_seed, default=0,
                      help="root of the seed tree the instance is drawn from, as in a sweep trial")
     gen.add_argument("--tau", type=float, default=0.0, help="label flip probability")
-    gen.add_argument("--bins", type=int, default=20, help="utility bins for the probability estimate")
+    gen.add_argument("--bins", type=int, default=UTILITY_BINS, help="utility bins for the probability estimate")
     gen.add_argument("--out", required=True)
 
     sel = sub.add_parser("select", help="run one algorithm on an instance file")
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     sel.add_argument("--seed", type=_seed, default=0)
     sel.add_argument("--lower", type=_numbers, help="comma-separated explicit lower bounds")
     sel.add_argument("--upper", type=_numbers, help="comma-separated explicit upper bounds")
-    sel.add_argument("--fw-iters", type=_positive, default=500)
+    sel.add_argument("--fw-iters", type=_positive, default=selectors.FW_ITERS)
 
     met = sub.add_parser("metrics", help="evaluate a selection on true attributes")
     met.add_argument("--instance", required=True)

@@ -176,15 +176,22 @@ def make_constraints(lower, upper, delta: float, n: int) -> ConstraintSet:
     return ConstraintSet(lower=tuple(lower), upper=tuple(upper), delta=delta)
 
 
+def probability_vector(t) -> np.ndarray:
+    """``t`` as a 1-D array of nonnegative shares summing to 1 (within 1e-9);
+    raises ValueError otherwise, also for a NaN, which fails every comparison."""
+    t = np.asarray(t, dtype=float)
+    if not (t.ndim == 1 and abs(t.sum() - 1.0) <= 1e-9 and np.all(t >= 0)):
+        raise ValueError("target must be a probability vector")
+    return t
+
+
 def constraints_from_alpha(n: int, t, alpha: float, delta: float = 0.0) -> ConstraintSet:
     """Interpolated upper bounds U_l = n(1-alpha) + n*alpha*t_l, L = 0.
 
     alpha=0 leaves the selection unconstrained (U_l = n for every group);
     alpha=1 caps group l at exactly n*t_l.
     """
-    t = np.asarray(t, dtype=float)
-    if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
-        raise ValueError("target must be a probability vector")
+    t = probability_vector(t)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     upper = n * (1.0 - alpha) + n * alpha * t
@@ -325,14 +332,20 @@ def check_keys(what: str, data, allowed: frozenset, required: frozenset) -> None
 
     Raises TypeError if ``data`` is not an object, else ValueError.
     """
-    if not isinstance(data, dict):
-        raise TypeError(f"{what} must be a JSON object, not {type(data).__name__}")
+    json_object(what, data)
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
     missing = sorted(required - set(data))
     if missing:
         raise ValueError(f"missing {what} keys: {missing}")
+
+
+def json_object(name: str, value) -> dict:
+    """``value``, which must be a JSON object; raises TypeError naming ``name``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be a JSON object, not {type(value).__name__}")
+    return value
 
 
 def json_list(name: str, value) -> list:

@@ -26,7 +26,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import selectors
 from .core import (InfeasibleError, Instance, check_keys, constraints_from_alpha, integer,
-                   json_list, load_json_file, real_values, target_vector, violation_report)
+                   json_list, json_object, load_json_file, real_values, target_vector,
+                   violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -46,6 +47,9 @@ REAL_RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1), "lambda": (0, np.inf), "ta
 # a generator section names only what to draw: every trial draws at the
 # config's own m and n, from the config's seed (see run_trial)
 GENERATOR_KEYS = frozenset({"kind", "params"})
+# utility bins of build_instance's probability estimate, unless a config or
+# `gen --bins` says otherwise
+UTILITY_BINS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +67,8 @@ class ExperimentConfig:
     alpha: float = 1.0      # fixed alpha when the sweep axis is another knob
     lambda_: float = 0.0    # fixed lambda likewise
     tau: float = 0.0        # fixed flip noise likewise
-    fw_iters: int = 500
-    bins: int = 20
+    fw_iters: int = selectors.FW_ITERS
+    bins: int = UTILITY_BINS
 
     def __post_init__(self):
         for name in ("m", "n", "trials", "seed", "fw_iters", "bins"):
@@ -124,7 +128,8 @@ class ExperimentConfig:
         check_keys("generator", gen, GENERATOR_KEYS, frozenset({"kind"}))
         m, n = integer("m", data["m"]), integer("n", data["n"])
         return cls(
-            generator=GeneratorSpec(kind=gen["kind"], m=m, n=n, params=dict(gen.get("params", {}))),
+            generator=GeneratorSpec(kind=gen["kind"], m=m, n=n,
+                                    params=dict(json_object("params", gen.get("params", {})))),
             sweep_kind=kind, grid=json_list(kind, grid),
             algorithms=tuple(json_list("algorithms", data["algorithms"])), n=n, m=m,
             trials=data["trials"], target=data["target"], delta=data["delta"], seed=data["seed"],

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError, top_n
+from .core import (ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError,
+                   probability_vector, top_n)
 from .lp import FRAC_TOL, BfsSolution, SolveStatus, build_denoised_lp, solve_bfs
 from .seeding import make_rng
 
@@ -25,6 +26,8 @@ from .seeding import make_rng
 # Both KL arguments of MultObj's penalty are mixed with this much of the
 # uniform distribution, so an unselected group does not produce log 0.
 KL_EPSILON = 1e-6
+# MultObj's Frank-Wolfe steps, unless a config or `select --fw-iters` says otherwise
+FW_ITERS = 500
 
 
 def blind(inst: Instance) -> Selection:
@@ -51,16 +54,6 @@ def ceil_round(x: np.ndarray, utilities: np.ndarray) -> Selection:
     return Selection.from_mask(np.asarray(x) >= FRAC_TOL, utilities)
 
 
-def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:
-    """Vertex of the relaxation, ceiling-rounded.
-
-    The result never loses utility relative to the vertex and picks at
-    most (number of fractional coordinates) extra items beyond n.
-    """
-    sol = denoised_bfs(inst, cs)
-    return ceil_round(sol.x, inst.utilities)
-
-
 def estimate_group_level_q(inst: Instance) -> np.ndarray:
     """Group-level probabilities: average the noise rows within each
     noisy-label class, so items sharing a noisy label share an estimate.
@@ -85,11 +78,6 @@ def estimate_group_level_q(inst: Instance) -> np.ndarray:
 
 def group_level_instance(inst: Instance) -> Instance:
     return replace(inst, noise=(estimate_group_level_q(inst),))
-
-
-def fair_expec_grp(inst: Instance, cs: ConstraintSet) -> Selection:
-    """fair_expec run on the group-level probability estimate."""
-    return fair_expec(group_level_instance(inst), cs)
 
 
 def impute_bayes(q: np.ndarray, seed=0) -> np.ndarray:
@@ -120,10 +108,10 @@ def _check_imputed(groups: np.ndarray, m: int, p: int) -> np.ndarray:
     return groups
 
 
-def _integer_bounds(cs: ConstraintSet, k: int = 0):
-    # integer count window implied by real bounds; 1e-9 guards float dust
-    lo = np.ceil(cs.lower[k] - 1e-9).astype(int)
-    hi = np.floor(cs.upper[k] + 1e-9).astype(int)
+def _integer_bounds(cs: ConstraintSet):
+    # integer count window implied by attribute 0's real bounds; 1e-9 guards float dust
+    lo = np.ceil(cs.lower[0] - 1e-9).astype(int)
+    hi = np.floor(cs.upper[0] + 1e-9).astype(int)
     return np.maximum(lo, 0), hi
 
 
@@ -178,7 +166,7 @@ def _numpy_sum(values: list) -> float:
 
 
 def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
-             fw_iters: int = 500) -> np.ndarray:
+             fw_iters: int = FW_ITERS) -> np.ndarray:
     """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n},
     with lambda_ the KL penalty weight, target the desired distribution over
     p = len(target) groups and ``imputed`` one group label per item.
@@ -195,9 +183,7 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
     n best items, and each step searches only those (plus one more per
     group, which shows whether a tie runs past them) instead of sorting m.
     """
-    t = np.asarray(target, dtype=float)
-    if not (t.ndim == 1 and abs(t.sum() - 1.0) <= 1e-9 and np.all(t >= 0)):  # NaN fails
-        raise ValueError("target must be a probability vector")
+    t = probability_vector(target)
     if not 0.0 <= lambda_ < np.inf:
         raise ValueError("lambda_ must be finite and nonnegative")
     if fw_iters < 1:
@@ -293,14 +279,14 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 class Problem:
     """One selection problem. The imputed groups (drawn from
     ``imputed_seed``) and the blind selection are computed on first use and
-    then shared."""
+    then shared. Only Thrsh and MultObj read the fields after ``cs``."""
 
     inst: Instance
     cs: ConstraintSet
-    target: np.ndarray
-    imputed_seed: object
-    lambda_: float
-    fw_iters: int
+    target: Optional[np.ndarray] = None
+    imputed_seed: object = 0
+    lambda_: float = 0.0
+    fw_iters: int = FW_ITERS
 
     @cached_property
     def imputed(self) -> np.ndarray:
@@ -350,3 +336,19 @@ def run_algorithm(name: str, pb: Problem, round_seed,
     if (rounding or algo.rounding) == CEIL:
         return ceil_round(out, pb.inst.utilities)
     return dependent_round(out, pb.inst.n, round_seed, pb.inst.utilities)
+
+
+def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:
+    """FairExpec as ``select`` runs it: the vertex of the relaxation,
+    ceiling-rounded.
+
+    The result never loses utility relative to the vertex and picks at
+    most (number of fractional coordinates) extra items beyond n.
+    """
+    return run_algorithm("FairExpec", Problem(inst, cs), None)
+
+
+def fair_expec_grp(inst: Instance, cs: ConstraintSet) -> Selection:
+    """FairExpecGrp as ``select`` runs it: fair_expec on the group-level
+    probability estimate, rounded with the instance's own utilities."""
+    return run_algorithm("FairExpecGrp", Problem(inst, cs), None)

@@ -8,14 +8,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fairselect import cli, experiment
 from fairselect.cli import _build_parser, main
-from fairselect.core import instance_to_dict, load_instance, save_instance
+from fairselect.core import (InfeasibleError, Instance, constraints_from_alpha, instance_to_dict,
+                             load_instance, save_instance)
 from fairselect.datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
 from fairselect.experiment import build_instance
-from fairselect.selectors import ALGORITHMS
+from fairselect.selectors import ALGORITHMS, fair_expec, fair_expec_grp
 from fairselect.seeding import seed_sequence
 
 TINY_LP_CEIL_UTILITY = 6.0  # ceiling-rounded vertex (1, 4/17, 0, 13/17)
@@ -136,6 +137,46 @@ def experiment_config(**generator):
         "trials": 3, "n": 10, "m": 50,
         "target": "EqualRepresentation", "delta": 0.05, "seed": 3,
     }
+
+
+@st.composite
+def small_instances(draw):
+    """An instance of up to 12 items in 2 or 3 groups, with random probability
+    rows and, half the time, observed labels. n = m half the time: every item
+    is then selected, so a tight alpha and delta leave the relaxation infeasible."""
+    m, p = draw(st.integers(2, 12)), draw(st.integers(2, 3))
+    unit = st.floats(0.01, 1.0)
+    rows = np.array(draw(st.lists(st.lists(unit, min_size=p, max_size=p), min_size=m, max_size=m)))
+    labels = draw(st.none() | st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    return Instance(n=draw(st.just(m) | st.integers(1, m)), p=(p,),
+                    utilities=draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)),
+                    noise=(rows / rows.sum(axis=1, keepdims=True),),
+                    noisy_attrs=None if labels is None else [[v] for v in labels])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inst=small_instances(), alpha=st.floats(0.0, 1.0), delta=st.floats(0.0, 0.3))
+# both items lean group 0, so its expected count 1.8 exceeds its cap of 1
+@example(inst=Instance(n=2, p=(2,), utilities=[1.0, 2.0], noise=([[0.9, 0.1], [0.9, 0.1]],)),
+         alpha=1.0, delta=0.0)
+def test_select_runs_the_public_fair_expec_functions(tmp_path, capsys, inst, alpha, delta):
+    path = tmp_path / "instance.json"
+    save_instance(inst, path)
+    loaded = load_instance(path)
+    cs = constraints_from_alpha(loaded.n, np.full(loaded.p[0], 1.0 / loaded.p[0]), alpha,
+                                delta=delta)
+    for name, fn in (("FairExpec", fair_expec), ("FairExpecGrp", fair_expec_grp)):
+        code, out, _ = run_cli(capsys, "select", "--instance", str(path), "--algorithm", name,
+                               "--alpha", repr(alpha), "--delta", repr(delta))
+        if code == 2:
+            with pytest.raises(InfeasibleError):
+                fn(loaded, cs)
+            continue
+        assert code == 0
+        payload, sel = json.loads(out), fn(loaded, cs)
+        assert payload["indices"] == [int(i) + 1 for i in sel.indices]
+        assert payload["utility"].hex() == sel.total_utility.hex()
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -396,9 +437,14 @@ BAD_INPUT = {
             "unknown generator keys: ['bins', 'tau']"),
            ("params-typo", experiment_config(params={"mixture_weight": [0.5, 0.5]}),
             "unknown disparate_error generator params: ['mixture_weight']"),
-           ("params-not-an-object", experiment_config(params=5), "malformed config file")]},
+           ("params-not-an-object", experiment_config(params=5),
+            "params must be a JSON object, not int")]},
     **{f"{NEW}[generator-{name}]": (EXPERIMENT, experiment_config(**generator), message)
        for name, generator, message in [
+           # dict() would read no params, or a list of pairs as a mapping
+           ("params-list", {"params": []}, "params must be a JSON object, not list"),
+           ("params-pairs", {"params": [["mixture_weights", [0.5, 0.5]]]},
+            "params must be a JSON object, not list"),
            ("mixture-weights-null", {"params": {"mixture_weights": None}},
             "mixture_weights must hold numbers only"),
            ("mixture-weights-short", {"params": {"mixture_weights": [0.5]}},

@@ -98,6 +98,14 @@ def test_constraints_from_alpha_rejects_bad_target():
         constraints_from_alpha(10, [0.5, 0.6], alpha=0.5)
 
 
+@pytest.mark.parametrize("t", [[[0.5, 0.5]], [float("nan"), 1.0], [float("nan")] * 2],
+                         ids=["2-d", "one-nan", "all-nan"])
+def test_constraints_from_alpha_rejects_a_target_that_is_not_a_vector_of_shares(t):
+    # a 2-d target gave (1, 2) upper bounds; a NaN surfaced as a non-finite bound
+    with pytest.raises(ValueError, match="target must be a probability vector"):
+        constraints_from_alpha(10, t, alpha=0.5)
+
+
 @given(st.integers(2, 6), st.floats(0, 1), st.floats(0, 1))
 def test_constraints_from_alpha_monotone(p, a1, a2):
     lo, hi = min(a1, a2), max(a1, a2)
