@@ -95,8 +95,10 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=_seed, default=0,
                      help="root of the seed tree the instance is drawn from, as in a sweep trial")
-    gen.add_argument("--tau", type=float, default=0.0, help="label flip probability")
-    gen.add_argument("--bins", type=int, default=UTILITY_BINS, help="utility bins for the probability estimate")
+    gen.add_argument("--tau", type=float,
+                     help="label flip probability (disparate-utility only; default 0)")
+    gen.add_argument("--bins", type=int, help="utility bins for the probability estimate "
+                     f"(disparate-utility only; default {UTILITY_BINS})")
     gen.add_argument("--out", required=True)
 
     sel = sub.add_parser("select", help="run one algorithm on an instance file")
@@ -109,7 +111,6 @@ def _build_parser() -> _Parser:
     sel.add_argument("--seed", type=_seed, default=0)
     sel.add_argument("--lower", type=_numbers, help="comma-separated explicit lower bounds")
     sel.add_argument("--upper", type=_numbers, help="comma-separated explicit upper bounds")
-    sel.add_argument("--fw-iters", type=_positive, default=selectors.FW_ITERS)
 
     met = sub.add_parser("metrics", help="evaluate a selection on true attributes")
     met.add_argument("--instance", required=True)
@@ -138,8 +139,12 @@ def _load_checked_instance(path) -> Instance:
 
 def cmd_gen(args) -> int:
     kind = KIND_DISPARATE_ERROR if args.kind == "disparate-error" else KIND_DISPARATE_UTILITY
+    given = [f"--{name}" for name in ("tau", "bins") if getattr(args, name) is not None]
+    if kind == KIND_DISPARATE_ERROR and given:
+        raise ValueError(f"--kind disparate-error reads no {' or '.join(given)}")
     spec = GeneratorSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
-    inst = build_instance(spec, args.tau, args.bins)
+    inst = build_instance(spec, 0.0 if args.tau is None else args.tau,
+                          UTILITY_BINS if args.bins is None else args.bins)
     save_instance(inst, args.out)
     _print_json({"written": args.out, "m": inst.m, "n": inst.n, "p": list(inst.p)})
     return EXIT_OK
@@ -163,7 +168,7 @@ def cmd_select(args) -> int:
 
     imputed_key = selectors.ALGORITHMS[args.algorithm].imputed_key
     problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(args.seed, imputed_key),
-                                lambda_=args.lambda_, fw_iters=args.fw_iters)
+                                lambda_=args.lambda_)
     sel = selectors.run_algorithm(args.algorithm, problem, seed_sequence(args.seed, 1))
     payload = {
         "status": "ok",

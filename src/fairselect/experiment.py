@@ -5,7 +5,7 @@ trial count. Every trial derives its own substreams from (seed, grid
 index, trial index), so results are byte-identical no matter how trials
 are scheduled; the worker count only changes wall-clock time.
 
-Fractional outputs (the LP vertex and the multi-objective iterate) are
+Fractional outputs (the LP vertex and the multi-objective optimum) are
 rounded to exactly-n subsets with marginal-preserving dependent rounding
 before metrics are computed, mirroring how the sweeps are reported.
 """
@@ -40,7 +40,7 @@ METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_viola
 WORKERS_ENV = "FAIRSELECT_WORKERS"
 REQUIRED_CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m",
                                   "target", "delta", "seed"})
-CONFIG_KEYS = REQUIRED_CONFIG_KEYS | {"alpha", "lambda", "tau", "fw_iters", "bins"}
+CONFIG_KEYS = REQUIRED_CONFIG_KEYS | {"alpha", "lambda", "tau", "bins"}
 FIELDS = {"lambda": "lambda_"}  # the config keys whose field has another name
 # each real setting's range, which a grid over it shares; delta's is open at 1
 REAL_RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1), "lambda": (0, np.inf), "tau": (0, 0.5)}
@@ -67,11 +67,10 @@ class ExperimentConfig:
     alpha: float = 1.0      # fixed alpha when the sweep axis is another knob
     lambda_: float = 0.0    # fixed lambda likewise
     tau: float = 0.0        # fixed flip noise likewise
-    fw_iters: int = selectors.FW_ITERS
     bins: int = UTILITY_BINS
 
     def __post_init__(self):
-        for name in ("m", "n", "trials", "seed", "fw_iters", "bins"):
+        for name in ("m", "n", "trials", "seed", "bins"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
         for key, bounds in REAL_RANGES.items():
             name = FIELDS.get(key, key)
@@ -102,8 +101,6 @@ class ExperimentConfig:
         if gen.seed != 0:
             raise ValueError(f"the generator seed must be 0, not {gen.seed}: trials draw "
                              f"from the config seed ({self.seed})")
-        if self.fw_iters < 1:
-            raise ValueError(f"fw_iters must be a positive integer, not {self.fw_iters}")
         # only the disparate-utility kind reads bins, from a training draw of m items
         if self.bins < 1 or (gen.kind == KIND_DISPARATE_UTILITY and self.bins > self.m):
             raise ValueError(f"bins must lie in [1, m={self.m}], not {self.bins}")
@@ -198,8 +195,7 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
     t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
     cs = constraints_from_alpha(n, t, alpha, delta=cfg.delta)
-    problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(ss, 3),
-                                lambda_=lam, fw_iters=cfg.fw_iters)
+    problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(ss, 3), lambda_=lam)
     blind_utility = problem.blind_selection.total_utility
 
     out = {}

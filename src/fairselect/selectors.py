@@ -10,9 +10,8 @@ seeding.make_rng, so runs are reproducible and order-independent.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,8 +25,6 @@ from .seeding import make_rng
 # Both KL arguments of MultObj's penalty are mixed with this much of the
 # uniform distribution, so an unselected group does not produce log 0.
 KL_EPSILON = 1e-6
-# MultObj's Frank-Wolfe steps, unless a config or `select --fw-iters` says otherwise
-FW_ITERS = 500
 
 
 def blind(inst: Instance) -> Selection:
@@ -156,92 +153,87 @@ def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:
     return Selection.from_mask(taken, inst.utilities)
 
 
-def _numpy_sum(values: list) -> float:
-    """``np.add.reduce(values)``, bit for bit: numpy adds fewer than 8
-    values left to right and more pairwise. Not ``sum``, which compensates
-    from Python 3.12 on."""
-    if len(values) >= 8:
-        return float(np.add.reduce(values))
-    return reduce(operator.add, values, 0.0)
-
-
-def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray,
-             fw_iters: int = FW_ITERS) -> np.ndarray:
-    """Frank-Wolfe on the KL-penalized utility over {x in [0,1]^m: sum x = n},
-    with lambda_ the KL penalty weight, target the desired distribution over
-    p = len(target) groups and ``imputed`` one group label per item.
+def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray) -> np.ndarray:
+    """The maximizer over {x in [0,1]^m: sum x = n} of the KL-penalized
+    utility, with lambda_ the penalty weight, target the desired distribution
+    over p = len(target) groups and ``imputed`` one group label per item.
 
     The objective is utility minus lambda_ times the KL divergence between
     the selected imputed distribution and the target, both smoothed by
-    KL_EPSILON, times the mean utility. The linear minimization oracle over
-    the polytope is "top-n by gradient", so no projection is needed. Step
-    size 2/(k+2), and the best-so-far iterate is returned, so more iterations
-    never hurt. With lambda_=0 the blind indicator is returned.
+    KL_EPSILON, times the mean utility. With lambda_=0, or every utility 0,
+    the blind indicator is returned.
 
-    The gradient is w_i - c[g(i)] for a p-vector c, so within a group it
-    orders items by utility. The top n therefore lies among each group's
-    n best items, and each step searches only those (plus one more per
-    group, which shows whether a tie runs past them) instead of sorting m.
+    The objective depends on x only through w'x and the group sums g, and
+    for fixed g the best x fills each group by utility, so it is concave in
+    g. The penalty's derivative in g_l is h(g_l) = scale * (log(d_s/t_s) + 1).
+    Item j, ranked k in its group, is the piece of the group's utility from
+    g_l = k to k + 1, with slope w_j. At a multiplier nu on sum x = n the
+    piece is empty for nu >= w_j - h(k), full for nu <= w_j - h(k + 1), and
+    in between filled to d_s = t_s * exp((w_j - nu)/scale - 1). The total
+    fill falls continuously as nu rises, so a bisection over these
+    breakpoints finds the interval where it passes n, and one closed-form
+    step inside it sets the fractional pieces: at most one per group.
     """
     t = probability_vector(target)
     if not 0.0 <= lambda_ < np.inf:
-        raise ValueError("lambda_ must be finite and nonnegative")
-    if fw_iters < 1:
-        raise ValueError("fw_iters must be positive")
+        raise ValueError("lambda must be finite and nonnegative")
     w = inst.utilities
     m, n, p = inst.m, inst.n, len(t)
     groups = _check_imputed(imputed, m, p)
-    x = np.zeros(m)
-    x[top_n(w, n)] = 1.0
-    if lambda_ == 0.0:
-        return x
     eps = KL_EPSILON
-    t_s = ((1 - eps) * t + eps / p).tolist()
     mean_w = float(w.sum()) / m
-    # |log_ratio| <= log(p / eps), so this bounds the penalty and every gradient
-    # entry; Python floats overflow to inf without a numpy warning
+    # |log(d_s/t_s)| <= log(p / eps), so this bounds the penalty and h
     if not math.isfinite(float(w.max()) + lambda_ * (math.log(p / eps) + 1.0) * mean_w):
-        raise ValueError(f"lambda_={lambda_:g} is too large: the KL penalty overflows")
+        raise ValueError(f"lambda={lambda_:g} is too large: the KL penalty overflows")
     scale = lambda_ * mean_w * (1 - eps) / n
-    # one-hot rows (m, p), taken as the (p, m) view so it @ x sums x by group
-    by_group = np.eye(p)[groups].T
+    if scale == 0.0:  # no penalty
+        x = np.zeros(m)
+        x[top_n(w, n)] = 1.0
+        return x
     order, rank = _group_ranks(w, groups, p)
-    heads = order[rank <= n]  # each group's n + 1 best items
-    head_w, head_g = w[heads], groups[heads]
-    cut = heads.size - n
+    # a group holds at most n, so its pieces past the n-th never fill
+    order, rank = order[rank < n], rank[rank < n]
+    w_j = w[order]
+    t_j = ((1 - eps) * t + eps / p)[groups[order]]
+    d_per_g, d_at_0 = (1 - eps) / n, eps / p  # d_s = d_per_g * g + d_at_0
 
-    # The p-sized state is in Python floats, which do the same IEEE operations
-    # without numpy's per-call dispatch. The log stays np.log, because math.log
-    # rounds some values differently.
-    def log_ratio_and_value(x):
-        dist_s = [(1 - eps) * (g / n) + eps / p for g in (by_group @ x).tolist()]
-        log_ratio = np.log([d / s for d, s in zip(dist_s, t_s)]).tolist()
-        kl = _numpy_sum([d * r for d, r in zip(dist_s, log_ratio)])
-        return log_ratio, float(w @ x) - lambda_ * kl * mean_w
+    def h(g):
+        return scale * (np.log((d_per_g * g + d_at_0) / t_j) + 1.0)
 
-    log_ratio, best_val = log_ratio_and_value(x)
-    best_x = x
-    for it in range(fw_iters):
-        c = np.array([scale * (r + 1.0) for r in log_ratio])
-        head_grad = head_w - c[head_g]
-        kth = head_grad.copy()  # ndarray.partition skips np.partition's wrapper
-        kth.partition(cut)
-        tau = kth[cut]  # the n-th largest gradient entry
-        top = heads[head_grad >= tau]
-        if top.size != n:  # a tie at tau, which may run past the heads; the lowest indices win it
-            top = top_n(w - c[groups], n)
-        # x + gamma * (vertex - x) in place, as gamma * (vertex - x) + x; the
-        # bits are the same: -x + 1.0 == 1.0 - x, and + x turns the -0.0 that
-        # -x leaves at x_i = 0 back into the 0.0 that 0.0 - x gives
-        step = -x
-        step[top] += 1.0
-        step *= 2.0 / (it + 2.0)
-        step += x
-        x = step
-        log_ratio, val = log_ratio_and_value(x)
-        if val > best_val + 1e-12:
-            best_x, best_val = x, val
-    return best_x
+    nu_hi, nu_lo = w_j - h(rank), w_j - h(rank + 1)
+
+    def fill(nu, pieces):  # only for pieces with nu in [nu_lo, nu_hi], where exp cannot overflow
+        d_s = t_j[pieces] * np.exp((w_j[pieces] - nu) / scale - 1.0)
+        return (d_s - d_at_0) / d_per_g - rank[pieces]
+
+    def total(nu):
+        return np.count_nonzero(nu_lo >= nu) + fill(nu, (nu_lo < nu) & (nu < nu_hi)).sum()
+
+    cuts = np.sort(np.concatenate([nu_lo, nu_hi, [np.inf]]))
+    lo, hi = 0, cuts.size - 1  # total(cuts[lo]) >= n > total(cuts[hi]); every piece is full at lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if total(cuts[mid]) >= n:
+            lo = mid
+        else:
+            hi = mid
+    full = nu_lo >= cuts[hi]
+    frac = (nu_lo <= cuts[lo]) & (nu_hi >= cuts[hi])
+    x = full.astype(float)
+    # as nu falls from cuts[hi], every fractional piece's d_s grows by the same
+    # factor, so they share the shortfall there in proportion to their d_s
+    at_hi = fill(cuts[hi], frac)
+    share = at_hi + rank[frac] + d_at_0 / d_per_g
+    x[frac] = np.clip(at_hi + (n - x.sum() - at_hi.sum()) * share / share.sum(), 0.0, 1.0)
+    # breakpoints closer than the floats can tell apart can leave the sum off n;
+    # the pieces next in line as nu moves take up the difference
+    short = n - x.sum()
+    line = np.argsort(-nu_hi if short > 0 else nu_lo, kind="stable")
+    room = (1.0 - x if short > 0 else x)[line]
+    x[line] += np.sign(short) * np.clip(abs(short) - (np.cumsum(room) - room), 0.0, room)
+    out = np.zeros(m)
+    out[order] = x
+    return out
 
 
 def dependent_round(x: np.ndarray, n: int, seed, utilities: np.ndarray) -> Selection:
@@ -286,7 +278,6 @@ class Problem:
     target: Optional[np.ndarray] = None
     imputed_seed: object = 0
     lambda_: float = 0.0
-    fw_iters: int = FW_ITERS
 
     @cached_property
     def imputed(self) -> np.ndarray:
@@ -316,9 +307,8 @@ ALGORITHMS = {
     "FairExpecGrp": Algorithm(
         lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
     "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed)),
-    "MultObj": Algorithm(
-        lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed, pb.fw_iters),
-        DEPENDENT, imputed_key=17),
+    "MultObj": Algorithm(lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed),
+                         DEPENDENT, imputed_key=17),
 }
 
 

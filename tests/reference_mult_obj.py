@@ -1,9 +1,10 @@
-"""MultObj's Frank-Wolfe loop as it stood before the per-group vertex search.
+"""MultObj's objective, and Frank-Wolfe on it with a full sort per step.
 
-Each step sorts all m gradient entries to find its vertex and evaluates the
-objective from scratch. The library's ``selectors.mult_obj`` must return
-the same array, bit for bit; ``tests/test_selectors.py`` checks that with
-hypothesis. This is a test fixture, not a production path.
+``selectors.mult_obj`` solves the same problem exactly, so the objective
+of its x must be at least that of this loop's best iterate, after any
+number of steps; ``tests/test_selectors.py`` checks that with hypothesis.
+Frank-Wolfe is a lower bound here, not a reference for the bits. This is a
+test fixture, not a production path.
 """
 
 from __future__ import annotations

@@ -250,6 +250,7 @@ METRICS = "metrics --instance {input}"
 MULT_OBJ = "select --instance {input} --algorithm MultObj"
 EXPERIMENT = "experiment --config {input} --out {out}"
 GEN = "gen --kind disparate-error --m 10 --n 2 --out {out}"
+GEN_UTILITY = "gen --kind disparate-utility --m 10 --n 2 --out {out}"
 INTEGERS_PAST_INT64 = "must hold integers in [-2**63, 2**63)"
 
 # The tests of bad input, keyed by test id: (argv, input file, message on
@@ -268,7 +269,12 @@ BAD_INPUT = {
         GEN + " --seed -1", None, "argument --seed: must be a non-negative integer, not -1"),
     "test_a_negative_seed_is_rejected_by_name[select-argument --seed:]": (
         BLIND + " --seed -1", TINY, "argument --seed: must be a non-negative integer, not -1"),
-    "test_gen_rejects_tau_out_of_range": (GEN + " --tau 0.7", None, "tau must be in [0, 0.5]"),
+    "test_gen_rejects_tau_out_of_range": (GEN_UTILITY + " --tau 0.7", None,
+                                          "tau must be in [0, 0.5]"),
+    # only the disparate-utility kind reads these two
+    f"{NEW}[gen-tau-unread]": (GEN + " --tau 0.4", None, "--kind disparate-error reads no --tau"),
+    f"{NEW}[gen-bins-unread]": (GEN + " --bins -5 --tau 0.4", None,
+                                "--kind disparate-error reads no --tau or --bins"),
     **{f"test_a_malformed_flag_is_rejected_by_name[{argv.split()[0]}-flags{i}-{message}]":
        (argv, content, message) for i, (argv, content, message) in enumerate([
            (METRICS + " --indices 1,x", TINY,
@@ -290,8 +296,10 @@ BAD_INPUT = {
             "argument --lambda: must be a finite non-negative number, not 'nan'"),
            (FAIR + " --lambda -1", TINY,
             "argument --lambda: must be a finite non-negative number, not -1.0"),
-           (FAIR + " --fw-iters 0", TINY, "argument --fw-iters: must be a positive integer, not 0"),
        ])},
+    # MultObj is solved exactly, so it takes no step count
+    "test_a_malformed_flag_is_rejected_by_name[select-flags9-argument --fw-iters: must be a "
+    "positive integer, not 0]": (FAIR + " --fw-iters 0", TINY, "unrecognized arguments: --fw-iters 0"),
     **{f"test_metrics_rejects_repeated_or_miscounted_indices[{indices}-{message}]":
        (METRICS + " --indices " + indices, TINY, message)
        for indices, message in [("1,1", "--indices repeats an item"),
@@ -307,8 +315,9 @@ BAD_INPUT = {
     "test_select_rejects_non_finite_flags[flags3]": (
         MULT_OBJ + " --lambda inf", TINY,
         "argument --lambda: must be a finite non-negative number, not 'inf'"),
-    "test_select_rejects_a_lambda_whose_penalty_overflows": (MULT_OBJ + " --lambda 1e308", TINY,
-                                                             "lambda_=1e+308 is too large"),
+    # named as the flag and the config key name it
+    "test_select_rejects_a_lambda_whose_penalty_overflows": (
+        MULT_OBJ + " --lambda 1e308", TINY, "lambda=1e+308 is too large: the KL penalty overflows"),
     "test_select_rejects_bounds_of_wrong_length": (
         FAIR + " --lower 0 --upper 1", TINY, "--lower and --upper need one bound per group (p=2)"),
     f"{NEW}[select-delta-past-one]": (FAIR + " --delta 1.5", TINY,
@@ -418,7 +427,7 @@ BAD_INPUT = {
     **{f"test_experiment_rejects_non_integral_numbers[{field}-{value}]": (
         EXPERIMENT, {**CONFIG, field: value}, f"{field} must be an integer, not {value}")
        for field, value in [("m", 50.5), ("n", 9.9), ("trials", 2.5), ("seed", 3.2),
-                            ("fw_iters", 10.5), ("bins", 19.5)]},
+                            ("bins", 19.5)]},
     # int() would draw every instance at n=10 while the CSV says 10.7
     "test_experiment_rejects_a_non_integral_n_grid": (
         EXPERIMENT, {**CONFIG, "sweep": {"n_grid": [10.7]}}, "n_grid must be an integer, not 10.7"),
@@ -495,7 +504,7 @@ BAD_INPUT = {
         ("algorithms-object", {**CONFIG, "algorithms": [{"Blind": 1}]},
          "unknown algorithms: [{{'Blind': 1}}]"),
         # each real setting and grid value is a finite JSON number in its range, checked
-        # before the first trial; CONFIG runs no MultObj, which reads lambda and fw_iters
+        # before the first trial; CONFIG runs no MultObj, which reads lambda
         ("alpha-boolean", {**CONFIG, "alpha": True}, "alpha must hold numbers only"),
         ("alpha-grid-booleans", {**CONFIG, "sweep": {"alpha_grid": [True, False]}},
          "alpha_grid must hold numbers only"),
@@ -511,22 +520,31 @@ BAD_INPUT = {
          "alpha_grid must lie in [0, 1], not [0.0, 2.0]"),
         ("tau-grid-past-half", {**CONFIG, "sweep": {"tau_grid": [0.0, 0.7]}},
          "tau_grid must lie in [0, 0.5], not [0.0, 0.7]"),
-        ("fw-iters-zero", {**CONFIG, "fw_iters": 0}, "fw_iters must be a positive integer, not 0"),
+        # MultObj is solved exactly, so it takes no step count
+        ("fw-iters-zero", {**CONFIG, "fw_iters": 0}, "unknown config keys: ['fw_iters']"),
+        # rejected in the first trial: the bound depends on the drawn utilities
+        ("lambda-overflows", {**CONFIG, "algorithms": ["MultObj"], "lambda": 1e308},
+         "lambda=1e+308 is too large: the KL penalty overflows"),
         ("bins-zero", {**CONFIG, "bins": 0}, "bins must lie in [1, m=50], not 0"),
         ("bins-past-m", {**experiment_config(kind="disparate_utility"), "bins": 51},
          "bins must lie in [1, m=50], not 51")]},
     f"{NEW}[gen-n-past-m]": ("gen --kind disparate-error --m 5 --n 10 --out {out}", None,
                              "need 1 <= n <= m"),
 }
+# the cases rejected inside the first trial, which may run: all the others are
+# rejected before the sweep starts
+IN_A_TRIAL = {f"{NEW}[config-lambda-overflows]"}
 
 
 def _no_trial(*args):
     pytest.fail("a trial ran on bad input")
 
 
-def _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message):
+def _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message,
+                       in_a_trial=False):
     path, out = tmp_path / "input.json", tmp_path / "out"
-    monkeypatch.setattr(experiment, "run_trial", _no_trial)  # rejected before the sweep starts
+    if not in_a_trial:
+        monkeypatch.setattr(experiment, "run_trial", _no_trial)  # rejected before the sweep starts
     if callable(content):
         content = content(instance_to_dict(tiny))
     if isinstance(content, bytes):
@@ -553,9 +571,11 @@ def _bad_input_test(cases):
             _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, *cases[""])
         return test
 
-    @pytest.mark.parametrize("argv, content, message", list(cases.values()), ids=list(cases))
-    def test(tiny, tmp_path, capsys, monkeypatch, argv, content, message):
-        _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message)
+    @pytest.mark.parametrize("argv, content, message, in_a_trial", list(cases.values()),
+                             ids=list(cases))
+    def test(tiny, tmp_path, capsys, monkeypatch, argv, content, message, in_a_trial):
+        _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message,
+                           in_a_trial)
     return test
 
 
@@ -563,7 +583,7 @@ def _bad_input_tests():
     by_name = {}
     for test_id, row in BAD_INPUT.items():
         name, _, case = test_id.partition("[")
-        by_name.setdefault(name, {})[case.removesuffix("]")] = row
+        by_name.setdefault(name, {})[case.removesuffix("]")] = (*row, test_id in IN_A_TRIAL)
     return {name: _bad_input_test(cases) for name, cases in by_name.items()}
 
 
@@ -574,10 +594,10 @@ globals().update(_bad_input_tests())
 
 # a valid config that sets every optional key
 FUZZ_BASE = {**experiment_config(kind="disparate_utility"), "alpha": 0.5, "lambda": 10.0,
-             "tau": 0.1, "fw_iters": 5, "bins": 10}
+             "tau": 0.1, "bins": 10}
 # each key's (lowest, highest) valid value; None for no upper end. delta must stay below 1
 FUZZ_RANGES = {"delta": (0.0, float(np.nextafter(1.0, 0.0))), "alpha": (0.0, 1.0),
-               "lambda": (0.0, None), "tau": (0.0, 0.5), "fw_iters": (1, None), "bins": (1, 50)}
+               "lambda": (0.0, None), "tau": (0.0, 0.5), "bins": (1, 50)}
 
 
 def _beyond(bound, way):
@@ -677,7 +697,7 @@ def test_parsing_leaves_no_state_in_the_cached_parser(capsys):
         [*select, "--alpha", "1", "--delta", "0.1", "--target", "proportional"],
         [*select, "--seed", "-1"],
         [*select, "--lower", "-1,x", "--upper", "2,2"],
-        [*select, "--lower", "-1,0", "--upper", "2,2", "--fw-iters", "7"],
+        [*select, "--lower", "-1,0", "--upper", "2,2", "--seed", "7"],
         ["metrics", "--instance", "i.json", "--indices", "3,1", "--ndcg"],
         ["metrics", "--instance", "i.json", "--indices", "1,x"],
         ["metrics", "--instance", "i.json"],

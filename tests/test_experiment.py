@@ -49,11 +49,11 @@ def test_config_file_reads_the_documented_schema(tmp_path):
 
 def test_config_file_optional_keys_default_to_the_fields():
     cfg = ExperimentConfig.from_dict(small_config_dict())
-    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.fw_iters, cfg.bins) == (1.0, 0.0, 0.0, 500, 20)
+    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (1.0, 0.0, 0.0, 20)
     cfg = ExperimentConfig.from_dict({**small_config_dict(), "alpha": 0.5, "lambda": 3,
-                                      "tau": 0.25, "fw_iters": 7.0, "bins": 4})
-    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.fw_iters, cfg.bins) == (0.5, 3.0, 0.25, 7, 4)
-    assert type(cfg.lambda_) is float and type(cfg.fw_iters) is int
+                                      "tau": 0.25, "bins": 4.0})
+    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (0.5, 3.0, 0.25, 4)
+    assert type(cfg.lambda_) is float and type(cfg.bins) is int
 
 
 def test_config_validation():
@@ -70,8 +70,8 @@ def test_config_validation():
         small_config(delta=1.0)
     with pytest.raises(ValueError, match="alpha_grid must hold numbers only"):
         small_config(grid=(True, False))
-    with pytest.raises(ValueError, match="fw_iters must be a positive integer, not 0"):
-        small_config(fw_iters=0)
+    with pytest.raises(ValueError, match=r"bins must lie in \[1, m=60\], not 0"):
+        small_config(bins=0)
     with pytest.raises(ValueError, match="m must be an integer, not 60.5"):
         small_config(m=60.5, generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=60.5, n=12))
 

@@ -1,8 +1,8 @@
 """Byte-identity pins: results CSVs of small sweeps and ``select`` output.
 
-The golden files under tests/golden/ were written by the code before the
-algorithm registry replaced the per-caller dispatch; any change to them
-is a change of behaviour. Regenerate with
+The golden files under tests/golden/ were last written when MultObj
+changed from Frank-Wolfe to its exact optimum, which changed only MultObj's
+rows; any other change to them is a change of behaviour. Regenerate with
 ``PYTHONPATH=src python tests/test_golden.py`` only when that is intended.
 """
 
