@@ -143,6 +143,8 @@ def cmd_gen(args) -> int:
     if kind == KIND_DISPARATE_ERROR and given:
         raise ValueError(f"--kind disparate-error reads no {' or '.join(given)}")
     spec = GeneratorSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
+    if args.bins is not None and not 1 <= args.bins <= args.m:
+        raise ValueError(f"--bins must lie in [1, m={args.m}], not {args.bins}")
     inst = build_instance(spec, 0.0 if args.tau is None else args.tau,
                           UTILITY_BINS if args.bins is None else args.bins)
     save_instance(inst, args.out)

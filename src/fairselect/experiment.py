@@ -200,9 +200,11 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
 
     out = {}
     for a_idx, alg in enumerate(cfg.algorithms):
+        # only an algorithm that rounds draws from its rounding stream
+        round_seed = (seed_sequence(ss, 4, a_idx)
+                      if selectors.ALGORITHMS[alg].rounding is not None else None)
         try:
-            sel = selectors.run_algorithm(alg, problem, seed_sequence(ss, 4, a_idx),
-                                          rounding=selectors.DEPENDENT)
+            sel = selectors.run_algorithm(alg, problem, round_seed, rounding=selectors.DEPENDENT)
         except InfeasibleError:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue
@@ -246,20 +248,27 @@ def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> Resu
                           for tr, vals in enumerate(runs) for name in METRIC_NAMES]
             # a trial's metrics are all set, or all None when it was infeasible
             feasible = [vals for vals in runs if vals["risk_difference"] is not None]
-            for name in METRIC_NAMES:
-                mean, sem = _mean_sem([vals[name] for vals in feasible])
-                rows.append(ResultRow(grid_value, alg, name, mean, sem))
+            cell = _mean_sem([[vals[name] for vals in feasible] for name in METRIC_NAMES])
+            rows += [ResultRow(grid_value, alg, name, mean, sem)
+                     for name, (mean, sem) in zip(METRIC_NAMES, cell)]
             rows.append(ResultRow(grid_value, alg, "excluded_trials",
                                   float(len(runs) - len(feasible)), 0.0))
     return ResultTable(rows=tuple(rows), per_trial=tuple(per_trial))
 
 
-def _mean_sem(values: list):
-    """The mean and its standard error, or (None, None) for no values."""
-    if not values:
-        return None, None
-    sem = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return float(np.mean(values)), sem
+def _mean_sem(rows: list) -> list:
+    """(mean, standard error of the mean) of each row of equally many values:
+    (None, None) for rows of no values, and a standard error of 0.0 for rows
+    of one. One reduction along the rows gives each row the bits that
+    np.mean and np.std give it alone, since both sum a contiguous row pairwise."""
+    values = np.array(rows, dtype=float)
+    count = values.shape[1]
+    if count == 0:
+        return [(None, None)] * len(rows)
+    means = values.mean(axis=1).tolist()
+    if count == 1:
+        return [(mean, 0.0) for mean in means]
+    return list(zip(means, (values.std(axis=1, ddof=1) / np.sqrt(count)).tolist()))
 
 
 def _fmt(value: Optional[float]) -> str:

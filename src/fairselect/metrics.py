@@ -16,13 +16,30 @@ import numpy as np
 from .core import Instance, Selection, UnsupportedError
 
 
-def _normalized(counts, t, n: int):
-    """The target as floats, and each group's normalized count
-    counts[l] / (n t_l); every target entry must be positive."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+class _Target(tuple):
+    """A target already checked: its entries as floats, none of them <= 0."""
+
+
+def _target(t) -> _Target:
+    """``t`` as a checked target; every entry must be positive. A NaN entry
+    passes the check, as in numpy, and makes the risk difference NaN."""
+    if isinstance(t, _Target):
+        return t
+    t = _Target(np.asarray(t, dtype=float).tolist())
+    if any(v <= 0 for v in t):
         raise ValueError("every target entry must be strictly positive")
-    return t, np.asarray(counts, dtype=float) / (n * t)
+    return t
+
+
+def _floats(values) -> list:
+    return [float(v) for v in values]
+
+
+def _normalized(counts, t, n: int):
+    """The checked target, the counts as floats, and each group's
+    normalized count counts[l] / (n t_l)."""
+    t, counts = _target(t), _floats(counts)
+    return t, counts, [c / (n * t_l) for c, t_l in zip(counts, t, strict=True)]
 
 
 def risk_difference(counts, t, n: int) -> float:
@@ -31,10 +48,12 @@ def risk_difference(counts, t, n: int) -> float:
     ``counts[l]`` is |S ∩ G_l|; its normalized count is counts[l] / (n t_l).
     Equal normalized counts give 1 (most fair), maximal disparity gives 0.
     """
-    t, ratios = _normalized(counts, t, n)
-    if np.sum(counts) != n:
+    t, counts, ratios = _normalized(counts, t, n)
+    if sum(counts) != n:
         raise ValueError("risk difference is defined for selections of size exactly n")
-    return float(1.0 - t.min() * (ratios.max() - ratios.min()))
+    if any(math.isnan(v) for v in t):  # numpy's min carries a NaN through; Python's may not
+        return math.nan
+    return float(1.0 - min(t) * (max(ratios) - min(ratios)))
 
 
 def selection_lift(counts, t, n: int) -> float:
@@ -43,21 +62,21 @@ def selection_lift(counts, t, n: int) -> float:
     A group selected zero times while another is selected gives 0 (the
     conservative limit); pairs where both sides are zero are skipped.
     """
-    _, ratios = _normalized(counts, t, n)
-    nonzero = ratios[ratios > 0]
-    if nonzero.size == 0:
+    _, _, ratios = _normalized(counts, t, n)
+    nonzero = [r for r in ratios if r > 0]
+    if not nonzero:
         raise ValueError("no selected items in any group")
-    if nonzero.size < ratios.size:
+    if len(nonzero) < len(ratios):
         return 0.0
-    return float(nonzero.min() / nonzero.max())
+    return float(min(nonzero) / max(nonzero))
 
 
 def selection_rates(counts, sizes, n: int, m: int) -> tuple:
     """(|S ∩ G_l| / n) * (m / |G_l|) for every group l, None where G_l is
     empty: 1 means proportional representation."""
-    sizes = np.asarray(sizes)
-    rates = (np.asarray(counts, dtype=float) / n) * (m / np.maximum(sizes, 1))
-    return tuple(np.where(sizes > 0, rates, None).tolist())
+    n, m = float(n), float(m)
+    return tuple(c / n * (m / max(size, 1.0)) if size > 0 else None
+                 for c, size in zip(_floats(counts), _floats(sizes), strict=True))
 
 
 def utility_ratio(u_alg: float, u_blind: float) -> float:
@@ -110,8 +129,9 @@ def compute_report(inst: Instance, selection: Selection, t, u_blind: float,
     if inst.s != 1:
         raise UnsupportedError("the metrics report covers single-attribute instances")
     groups = inst.true_attrs[:, 0]
-    counts = np.bincount(groups[selection.chosen], minlength=inst.p[0]).astype(float)
-    sizes = np.bincount(groups, minlength=inst.p[0])
+    counts = np.bincount(groups[selection.chosen], minlength=inst.p[0]).tolist()
+    sizes = np.bincount(groups, minlength=inst.p[0]).tolist()
+    t = _target(t)  # checked once for both fairness metrics
     return MetricsReport(
         risk_difference=risk_difference(counts, t, inst.n),
         selection_lift=selection_lift(counts, t, inst.n),

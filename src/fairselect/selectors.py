@@ -79,15 +79,18 @@ def group_level_instance(inst: Instance) -> Instance:
 
 def impute_bayes(q: np.ndarray, seed=0) -> np.ndarray:
     """Each item's imputed group: the argmax of its row of q. Exact ties are
-    broken uniformly at random from the seeded stream."""
+    broken uniformly at random from the seeded stream, which is built only
+    when some row has a tie."""
     q = np.asarray(q, dtype=float)
-    rng = make_rng(seed)
     row_max = q.max(axis=1)
     is_max = q == row_max[:, None]
     picks = np.argmax(is_max, axis=1)
-    for i in np.flatnonzero(is_max.sum(axis=1) > 1):
-        winners = np.flatnonzero(is_max[i])
-        picks[i] = winners[rng.integers(winners.size)]
+    tied = np.flatnonzero(is_max.sum(axis=1) > 1)
+    if tied.size:
+        rng = make_rng(seed)
+        for i in tied:
+            winners = np.flatnonzero(is_max[i])
+            picks[i] = winners[rng.integers(winners.size)]
     return picks
 
 

@@ -325,7 +325,7 @@ BAD_INPUT = {
     f"{NEW}[select-alpha-past-one]": (FAIR + " --alpha 2", TINY,
                                       "alpha must be in [0, 1], got 2.0"),
     f"{NEW}[gen-bins-zero]": ("gen --kind disparate-utility --m 40 --n 5 --bins 0 --out {out}",
-                              None, "need at least one bin"),
+                              None, "--bins must lie in [1, m=40], not 0"),
     # instance files
     "test_select_missing_file_exit_code": (BLIND, None, "No such file or directory"),
     "test_select_malformed_instance_exit_code": (BLIND, b"{not json",
@@ -530,6 +530,9 @@ BAD_INPUT = {
          "bins must lie in [1, m=50], not 51")]},
     f"{NEW}[gen-n-past-m]": ("gen --kind disparate-error --m 5 --n 10 --out {out}", None,
                              "need 1 <= n <= m"),
+    **{f"{NEW}[gen-bins-{name}]": (f"gen --kind disparate-utility --m 20 --n 4 --bins {bins} "
+                                   "--out {out}", None, f"--bins must lie in [1, m=20], not {bins}")
+       for name, bins in [("negative", -3), ("past-m", 50)]},
 }
 # the cases rejected inside the first trial, which may run: all the others are
 # rejected before the sweep starts

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from fairselect import experiment
+from fairselect import experiment, seeding
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY
 from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, load_config,
                                    render_csv, run_experiment, run_trial, write_per_trial,
@@ -319,3 +320,54 @@ def test_run_trial_with_each_registry_algorithm():
     for name in ALGORITHMS:
         res = run_trial(small_config(algorithms=(name,)), 1, 0)
         assert set(res) == {name}
+
+
+def test_a_trial_derives_a_rounding_stream_only_for_an_algorithm_that_rounds(monkeypatch):
+    keys = []
+
+    def recording(seed, *key):
+        keys.append(key)
+        return seeding.seed_sequence(seed, *key)
+
+    monkeypatch.setattr(experiment, "seed_sequence", recording)
+    cfg = small_config(algorithms=("Blind", "Thrsh"))
+    assert run_trial(cfg, 0, 0)["Thrsh"]["risk_difference"] is not None
+    assert keys and not any(key[:1] == (4,) for key in keys)
+    keys.clear()
+    run_trial(small_config(algorithms=("Blind", "FairExpec", "Thrsh", "MultObj")), 0, 0)
+    assert [key for key in keys if key[:1] == (4,)] == [(4, 1), (4, 3)]
+
+
+@st.composite
+def result_cells(draw):
+    """Rows of equally many metric values, as one (grid, algorithm) cell
+    holds them: 0 or 1 values, 2-7 (numpy adds them in order) or 8-600
+    (numpy adds them pairwise), with signed zeros, repeats and magnitudes
+    from 1e-12 to 1e12."""
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 7) | st.integers(8, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    repeated = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rows = []
+    for _ in experiment.METRIC_NAMES:
+        values = rng.standard_normal(count) * 10.0 ** rng.integers(-12, 13, size=count)
+        picks = rng.random(count) < repeated
+        values[picks] = rng.choice([0.0, -0.0, 1.0, 0.1, -2.5], size=int(picks.sum()))
+        rows.append(values.tolist())
+    return rows
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+@given(result_cells())
+def test_a_cell_reduction_gives_each_row_its_own_bits(rows):
+    expected = []
+    for values in rows:
+        if not values:
+            expected.append((None, None))
+            continue
+        sem = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+        expected.append((float(np.mean(values)), sem))
+    got = experiment._mean_sem(rows)
+    assert [(_bits(m), _bits(s)) for m, s in got] == [(_bits(m), _bits(s)) for m, s in expected]

@@ -1,15 +1,18 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from fairselect import metrics
 from fairselect.core import Instance, Selection, target_vector
 from fairselect.metrics import (compute_report, dcg, ndcg, ndcg_for_selection,
                                 risk_difference, selection_lift, selection_rates,
                                 utility_ratio)
 
+import reference_count_metrics
 import reference_metrics
 
 
@@ -187,3 +190,47 @@ def test_compute_report_matches_the_mask_reference(drawn, proportional):
     assert [_bits(r) for r in report.selection_rates] == [_bits(r) for r in rates]
     assert _bits(report.utility_ratio) == _bits(utility_ratio(sel.total_utility, u_blind))
     assert _bits(report.ndcg) == _bits(ndcg_for_selection(inst.utilities, mask))
+
+
+# a target entry: NaN, infinity, zero and negatives beside ordinary shares
+TARGET_ENTRIES = st.sampled_from([np.nan, np.inf, 0.0, -0.5, 5e-324, 0.25, 0.5, 1.0]) | \
+    st.floats(1e-3, 1.0)
+
+
+@st.composite
+def count_vectors(draw):
+    """(counts, sizes, t, n, m) for p = 1..8 groups and n >= 1: counts that
+    sum to n or not, as ints or floats, with a NaN or a negative count now
+    and then."""
+    p = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 30), min_size=p, max_size=p))
+    sizes = [c + draw(st.integers(0, 20)) for c in counts]
+    n = draw(st.just(max(sum(counts), 1)) | st.integers(1, 100))
+    if draw(st.booleans()):
+        counts = [float(c) for c in counts]
+        counts[draw(st.integers(0, p - 1))] = draw(st.sampled_from([np.nan, -1.0, 0.5, 0.0]))
+    t = draw(st.lists(TARGET_ENTRIES, min_size=p, max_size=p))
+    as_array = draw(st.booleans())
+    return (np.array(counts) if as_array else counts, sizes, np.array(t) if as_array else t,
+            n, sum(sizes) + draw(st.integers(0, 50)))
+
+
+def _outcome(metric, *args):
+    """The bits of metric(*args), or its ValueError's message."""
+    try:
+        with np.errstate(all="ignore"):
+            value = metric(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return [_bits(v) for v in value] if isinstance(value, tuple) else _bits(value)
+
+
+@given(count_vectors())
+def test_count_metrics_match_the_numpy_reference(drawn):
+    counts, sizes, t, n, m = drawn
+    for name, args in [("risk_difference", (counts, t, n)), ("selection_lift", (counts, t, n)),
+                       ("selection_rates", (counts, sizes, n, m))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the Python-float path warns on nothing
+            got = _outcome(getattr(metrics, name), *args)
+        assert got == _outcome(getattr(reference_count_metrics, name), *args), name

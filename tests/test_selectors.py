@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fairselect.core import Instance, InfeasibleError, UnsupportedError, make_constraints, constraints_from_alpha
 from fairselect.datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
+from fairselect import selectors
 from fairselect.experiment import build_instance
 from fairselect.selectors import (blind, ceil_round, dependent_round, denoised_bfs,
                                   estimate_group_level_q, fair_expec, fair_expec_grp,
@@ -233,6 +234,14 @@ def test_impute_tie_frequencies():
         out = impute_bayes(np.array([[0.5, 0.5]]), seed=seed_sequence(7, i))
         hits += int(out[0] == 0)
     assert abs(hits / 10000 - 0.5) < 0.02
+
+
+def test_impute_without_a_tie_builds_no_generator(monkeypatch):
+    def no_rng(*args):
+        raise AssertionError("a generator was built for a q without ties")
+    monkeypatch.setattr(selectors, "make_rng", no_rng)
+    q = np.random.default_rng(5).dirichlet([1, 1, 1], 40)
+    assert np.array_equal(impute_bayes(q, seed=seed_sequence(3, 3)), np.argmax(q, axis=1))
 
 
 def test_impute_picks_a_row_maximum():
