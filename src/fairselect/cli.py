@@ -27,10 +27,9 @@ from .core import (InfeasibleError, Instance, Selection, UnsupportedError,
                    constraints_from_alpha, load_instance, make_constraints, save_instance,
                    target_vector, validate_instance, violation_report)
 from .datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
-from .experiment import (UTILITY_BINS, build_instance, load_config, run_experiment,
-                         write_per_trial, write_results)
+from .experiment import (DRAW_SETTINGS, build_instance, check_setting, load_config,
+                         run_experiment, write_per_trial, write_results)
 from .metrics import compute_report
-from .seeding import seed_sequence
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,10 +94,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=_seed, default=0,
                      help="root of the seed tree the instance is drawn from, as in a sweep trial")
-    gen.add_argument("--tau", type=float,
-                     help="label flip probability (disparate-utility only; default 0)")
+    reads = DRAW_SETTINGS[KIND_DISPARATE_UTILITY]  # the one kind that reads --tau and --bins
+    gen.add_argument("--tau", type=float, help="label flip probability "
+                     f"(disparate-utility only; default {reads['tau']:g})")
     gen.add_argument("--bins", type=int, help="utility bins for the probability estimate "
-                     f"(disparate-utility only; default {UTILITY_BINS})")
+                     f"(disparate-utility only; default {reads['bins']})")
     gen.add_argument("--out", required=True)
 
     sel = sub.add_parser("select", help="run one algorithm on an instance file")
@@ -124,8 +124,8 @@ def _build_parser() -> _Parser:
     exp.add_argument("--out", required=True)
     exp.add_argument("--format", choices=["csv", "json"], default="csv")
     exp.add_argument("--per-trial", default=None, help="also dump per-trial metric values")
-    exp.add_argument("--workers", type=_positive,
-                     help="override the FAIRSELECT_WORKERS environment variable")
+    exp.add_argument("--workers", type=_positive, default=1,
+                     help="worker processes (default 1); results do not depend on it")
     return parser
 
 
@@ -139,14 +139,9 @@ def _load_checked_instance(path) -> Instance:
 
 def cmd_gen(args) -> int:
     kind = KIND_DISPARATE_ERROR if args.kind == "disparate-error" else KIND_DISPARATE_UTILITY
-    given = [f"--{name}" for name in ("tau", "bins") if getattr(args, name) is not None]
-    if kind == KIND_DISPARATE_ERROR and given:
-        raise ValueError(f"--kind disparate-error reads no {' or '.join(given)}")
-    spec = GeneratorSpec(kind=kind, m=args.m, n=args.n, seed=args.seed)
-    if args.bins is not None and not 1 <= args.bins <= args.m:
-        raise ValueError(f"--bins must lie in [1, m={args.m}], not {args.bins}")
-    inst = build_instance(spec, 0.0 if args.tau is None else args.tau,
-                          UTILITY_BINS if args.bins is None else args.bins)
+    n, tau, bins = (check_setting(f"--{key}", getattr(args, key), kind, args.m)
+                    for key in ("n", "tau", "bins"))
+    inst = build_instance(GeneratorSpec(kind=kind, m=args.m, n=n, seed=args.seed), tau, bins)
     save_instance(inst, args.out)
     _print_json({"written": args.out, "m": inst.m, "n": inst.n, "p": list(inst.p)})
     return EXIT_OK
@@ -168,10 +163,9 @@ def cmd_select(args) -> int:
     else:
         cs = constraints_from_alpha(inst.n, t, args.alpha, delta=args.delta)
 
-    imputed_key = selectors.ALGORITHMS[args.algorithm].imputed_key
-    problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(args.seed, imputed_key),
-                                lambda_=args.lambda_)
-    sel = selectors.run_algorithm(args.algorithm, problem, seed_sequence(args.seed, 1))
+    problem = selectors.Problem(inst, cs, t, seed=args.seed, lambda_=args.lambda_,
+                                imputed_key=selectors.ALGORITHMS[args.algorithm].imputed_key)
+    sel = selectors.run_algorithm(args.algorithm, problem, (1,))
     payload = {
         "status": "ok",
         "algorithm": args.algorithm,
@@ -211,8 +205,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config)
-    table = run_experiment(cfg, workers=args.workers)
+    table = run_experiment(load_config(args.config), workers=args.workers)
     write_results(table, args.out, format=args.format)
     if args.per_trial:
         write_per_trial(table, args.per_trial)

@@ -84,8 +84,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _DEFAULTS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.m < 1 or self.n < 1 or self.n > self.m:
-            raise ValueError("need 1 <= n <= m")
+        if not 1 <= self.n <= self.m:
+            raise ValueError(f"n must lie in [1, m={self.m}], not {self.n}")
         unknown = sorted(set(self.params) - set(_DEFAULTS[self.kind]))
         if unknown:
             raise ValueError(f"unknown {self.kind} generator params: {unknown}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -37,19 +36,42 @@ SWEEP_KINDS = ("alpha_grid", "lambda_grid", "tau_grid", "n_grid")
 TARGET_EQUAL = "EqualRepresentation"
 TARGET_PROPORTIONAL = "Proportional"
 METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_violation")
-WORKERS_ENV = "FAIRSELECT_WORKERS"
 REQUIRED_CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m",
                                   "target", "delta", "seed"})
 CONFIG_KEYS = REQUIRED_CONFIG_KEYS | {"alpha", "lambda", "tau", "bins"}
 FIELDS = {"lambda": "lambda_"}  # the config keys whose field has another name
-# each real setting's range, which a grid over it shares; delta's is open at 1
-REAL_RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1), "lambda": (0, np.inf), "tau": (0, 0.5)}
+# each setting's range, shared by a grid over it; n and bins are integers in [1, m]
+RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1), "lambda": (0, np.inf), "tau": (0, 0.5),
+          "n": (1, "m"), "bins": (1, "m")}
+# the draw settings each generator kind reads, with their defaults; the other defaults
+DRAW_SETTINGS = {KIND_DISPARATE_ERROR: {}, KIND_DISPARATE_UTILITY: {"tau": 0.0, "bins": 20}}
+DEFAULTS = {"alpha": 1.0, "lambda": 0.0}
 # a generator section names only what to draw: every trial draws at the
 # config's own m and n, from the config's seed (see run_trial)
 GENERATOR_KEYS = frozenset({"kind", "params"})
-# utility bins of build_instance's probability estimate, unless a config or
-# `gen --bins` says otherwise
-UTILITY_BINS = 20
+
+
+def check_setting(name: str, value, kind: str, m: int):
+    """Config key or ``gen`` flag ``name`` (``tau``, ``tau_grid``, ``--tau``) for a
+    ``kind`` generator of m items: a float (an int for n and bins) or a grid's tuple of
+    floats; None gives the default if the kind reads the setting. Raises ValueError
+    naming ``name`` if the kind reads no such setting or a value is out of range."""
+    key, grid = name.lstrip("-").removesuffix("_grid"), name.endswith("_grid")
+    reads, default = DRAW_SETTINGS[kind], value is None
+    if key not in reads and any(key in other for other in DRAW_SETTINGS.values()):
+        if not default:
+            raise ValueError(f"the {kind} generator reads no {name}")
+        return None
+    value = {**DEFAULTS, **reads}.get(key) if default else value  # delta and n have none
+    if RANGES[key][1] != "m":
+        values = real_values(name, value, (len(value),) if grid else (), *RANGES[key])
+        return tuple(values.tolist()) if grid else values.item()
+    values = [integer(name, v) for v in (value if grid else [value])]
+    for v in values:
+        if not 1 <= v <= m:
+            raise ValueError(f"{name}{' values' * grid} must lie in [1, m={m}], not {v!r}"
+                             + " (its default)" * default)
+    return tuple(map(float, values)) if grid else values[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,21 +86,27 @@ class ExperimentConfig:
     target: str
     delta: float
     seed: int
-    alpha: float = 1.0      # fixed alpha when the sweep axis is another knob
-    lambda_: float = 0.0    # fixed lambda likewise
-    tau: float = 0.0        # fixed flip noise likewise
-    bins: int = UTILITY_BINS
+    # None stands for the default (see check_setting)
+    alpha: Optional[float] = None
+    lambda_: Optional[float] = None
+    tau: Optional[float] = None
+    bins: Optional[int] = None
 
     def __post_init__(self):
-        for name in ("m", "n", "trials", "seed", "bins"):
+        for name in ("m", "trials", "seed"):
             object.__setattr__(self, name, integer(name, getattr(self, name)))
-        for key, bounds in REAL_RANGES.items():
+        given = {key for key in RANGES if getattr(self, FIELDS.get(key, key)) is not None}
+        gen, kind = self.generator, self.generator.kind
+        for key in RANGES:
             name = FIELDS.get(key, key)
-            object.__setattr__(self, name, real_values(key, getattr(self, name), (), *bounds).item())
+            object.__setattr__(self, name, check_setting(key, getattr(self, name), kind, self.m))
         if self.sweep_kind not in SWEEP_KINDS:
             raise ValueError(f"sweep must be one of {SWEEP_KINDS}")
         if not self.grid:
             raise ValueError("the sweep grid must be nonempty")
+        object.__setattr__(self, "grid", check_setting(self.sweep_kind, self.grid, kind, self.m))
+        if (axis := self.sweep_kind.removesuffix("_grid")) in given - {"n"}:  # n is required
+            raise ValueError(f"the config fixes {axis} and sweeps {self.sweep_kind}: drop one")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:
@@ -94,23 +122,12 @@ class ExperimentConfig:
         if self.target not in (TARGET_EQUAL, TARGET_PROPORTIONAL):
             raise ValueError(f"target must be {TARGET_EQUAL} or {TARGET_PROPORTIONAL}")
         # every trial draws at the config's own m, n and seed (see run_trial)
-        gen = self.generator
         if (gen.m, gen.n) != (self.m, self.n):
             raise ValueError(f"the generator's m={gen.m}, n={gen.n} differ from the "
                              f"config's m={self.m}, n={self.n}")
         if gen.seed != 0:
             raise ValueError(f"the generator seed must be 0, not {gen.seed}: trials draw "
                              f"from the config seed ({self.seed})")
-        # only the disparate-utility kind reads bins, from a training draw of m items
-        if self.bins < 1 or (gen.kind == KIND_DISPARATE_UTILITY and self.bins > self.m):
-            raise ValueError(f"bins must lie in [1, m={self.m}], not {self.bins}")
-        if self.sweep_kind == "n_grid":
-            for g in self.grid:
-                if not 1 <= integer("n_grid", g) <= self.m:
-                    raise ValueError(f"n_grid values must lie in [1, m={self.m}], not {g!r}")
-        grid = real_values(self.sweep_kind, self.grid, (len(self.grid),),
-                           *REAL_RANGES.get(self.sweep_kind.removesuffix("_grid"), (1, self.m)))
-        object.__setattr__(self, "grid", tuple(grid.tolist()))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
     @classmethod
@@ -121,6 +138,9 @@ class ExperimentConfig:
         if len(sweep) != 1:
             raise ValueError("the sweep section must contain exactly one grid")
         (kind, grid), = sweep.items()
+        null = sorted(key for key in data.keys() - REQUIRED_CONFIG_KEYS if data[key] is None)
+        if null:  # a field left None takes its default
+            raise ValueError(f"{null[0]} must be a number, not null")
         gen = data["generator"]
         check_keys("generator", gen, GENERATOR_KEYS, frozenset({"kind"}))
         m, n = integer("m", data["m"]), integer("n", data["n"])
@@ -154,14 +174,7 @@ class ResultTable:
     # per_trial entries: (grid, algorithm, metric, trial index, value or None)
 
 
-def _grid_settings(cfg: ExperimentConfig, value: float):
-    """Resolve (alpha, lambda, tau, n) for one grid point."""
-    knobs = dict(zip(SWEEP_KINDS, (cfg.alpha, cfg.lambda_, cfg.tau, cfg.n)))
-    knobs[cfg.sweep_kind] = int(value) if cfg.sweep_kind == "n_grid" else value
-    return tuple(knobs.values())
-
-
-def build_instance(spec: GeneratorSpec, tau: float, bins: int) -> Instance:
+def build_instance(spec: GeneratorSpec, tau: Optional[float], bins: Optional[int]) -> Instance:
     """The instance drawn from substreams of ``spec.seed``.
 
     Disparate-error instances come from substream 0. Disparate-utility
@@ -169,9 +182,6 @@ def build_instance(spec: GeneratorSpec, tau: float, bins: int) -> Instance:
     flipped with probability ``tau`` from substream 2, and get probability
     rows from ``bins`` utility bins of a training draw from substream 0.
     """
-    if not 0.0 <= tau <= 0.5:
-        raise ValueError("tau must be in [0, 0.5]")
-
     def substream(key):
         return replace(spec, seed=seed_sequence(spec.seed, key))
 
@@ -188,23 +198,22 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     {algorithm: {metric: value or None}} with None marking an infeasible run.
     A draw with an empty true group has no metrics, so every algorithm's
     run on it counts as infeasible."""
-    alpha, lam, tau, n = _grid_settings(cfg, cfg.grid[grid_idx])
+    knobs = dict(zip(SWEEP_KINDS, (cfg.alpha, cfg.lambda_, cfg.tau, cfg.n)))  # grids hold floats
+    alpha, lam, tau, n = {**knobs, cfg.sweep_kind: cfg.grid[grid_idx]}.values()
     ss = seed_sequence(cfg.seed, grid_idx, trial)
-    inst = build_instance(replace(cfg.generator, m=cfg.m, n=n, seed=ss), tau, cfg.bins)
+    inst = build_instance(replace(cfg.generator, m=cfg.m, n=int(n), seed=ss), tau, cfg.bins)
     if np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0):
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
     t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
-    cs = constraints_from_alpha(n, t, alpha, delta=cfg.delta)
-    problem = selectors.Problem(inst, cs, t, imputed_seed=seed_sequence(ss, 3), lambda_=lam)
+    cs = constraints_from_alpha(inst.n, t, alpha, delta=cfg.delta)
+    # streams (ss, 3) to impute and (ss, 4, a_idx) to round, built where drawn from
+    problem = selectors.Problem(inst, cs, t, seed=ss, imputed_key=(3,), lambda_=lam)
     blind_utility = problem.blind_selection.total_utility
 
     out = {}
     for a_idx, alg in enumerate(cfg.algorithms):
-        # only an algorithm that rounds draws from its rounding stream
-        round_seed = (seed_sequence(ss, 4, a_idx)
-                      if selectors.ALGORITHMS[alg].rounding is not None else None)
         try:
-            sel = selectors.run_algorithm(alg, problem, round_seed, rounding=selectors.DEPENDENT)
+            sel = selectors.run_algorithm(alg, problem, (4, a_idx), rounding=selectors.DEPENDENT)
         except InfeasibleError:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue
@@ -219,17 +228,13 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig, workers: Optional[int] = None) -> ResultTable:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Full sweep. Output ordering is fixed by (grid index, algorithm,
     metric) regardless of scheduling; infeasible trials are excluded from
-    means and counted in an extra ``excluded_trials`` row. ``workers``
-    (default: the FAIRSELECT_WORKERS variable, else 1) must be positive."""
-    source, value = "workers", workers
-    if workers is None:
-        source, value = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
-        workers = int(value) if value.strip().isdecimal() else 0
+    means and counted in an extra ``excluded_trials`` row. ``workers`` must
+    be positive."""
     if workers < 1:
-        raise ValueError(f"{source} must be a positive integer, not {value!r}")
+        raise ValueError(f"workers must be a positive integer, not {workers!r}")
     tasks = [(gi, tr) for gi in range(len(cfg.grid)) for tr in range(cfg.trials)]
     workers = min(workers, len(tasks))  # a pool forks all its workers up front
     if workers > 1:

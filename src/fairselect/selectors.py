@@ -77,17 +77,17 @@ def group_level_instance(inst: Instance) -> Instance:
     return replace(inst, noise=(estimate_group_level_q(inst),))
 
 
-def impute_bayes(q: np.ndarray, seed=0) -> np.ndarray:
+def impute_bayes(q: np.ndarray, seed=0, *key: int) -> np.ndarray:
     """Each item's imputed group: the argmax of its row of q. Exact ties are
-    broken uniformly at random from the seeded stream, which is built only
-    when some row has a tie."""
+    broken uniformly at random from the stream (seed, *key), which is built
+    only when some row has a tie."""
     q = np.asarray(q, dtype=float)
     row_max = q.max(axis=1)
     is_max = q == row_max[:, None]
     picks = np.argmax(is_max, axis=1)
     tied = np.flatnonzero(is_max.sum(axis=1) > 1)
     if tied.size:
-        rng = make_rng(seed)
+        rng = make_rng(seed, *key)
         for i in tied:
             winners = np.flatnonzero(is_max[i])
             picks[i] = winners[rng.integers(winners.size)]
@@ -239,19 +239,19 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray) -> np.
     return out
 
 
-def dependent_round(x: np.ndarray, n: int, seed, utilities: np.ndarray) -> Selection:
+def dependent_round(x: np.ndarray, n: int, seed, utilities: np.ndarray, *key: int) -> Selection:
     """Round a fractional selection to exactly n items, preserving marginals.
 
     Systematic sampling over a random permutation: lay the entries out as
     consecutive intervals, then sample the unit grid {u, u+1, ..., u+n-1}.
     Each item's inclusion probability is exactly x_i, and a binary input
-    is returned unchanged.
+    is returned unchanged. The draws come from the stream (seed, *key).
     """
     x = np.asarray(x, dtype=float)
     total = float(x.sum())
     if abs(total - n) > 1e-6:
         raise ValueError(f"entries sum to {total}, expected n={n}")
-    rng = make_rng(seed)
+    rng = make_rng(seed, *key)
     perm = rng.permutation(len(x))
     cum = np.cumsum(x[perm])
     points = rng.random() + np.arange(n)
@@ -272,19 +272,20 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 
 @dataclass(eq=False)
 class Problem:
-    """One selection problem. The imputed groups (drawn from
-    ``imputed_seed``) and the blind selection are computed on first use and
-    then shared. Only Thrsh and MultObj read the fields after ``cs``."""
+    """One selection problem. The imputed groups (ties drawn from the stream
+    (seed, *imputed_key)) and the blind selection are computed on first use
+    and then shared. Only Thrsh and MultObj read the fields after ``cs``."""
 
     inst: Instance
     cs: ConstraintSet
     target: Optional[np.ndarray] = None
-    imputed_seed: object = 0
+    seed: object = 0
+    imputed_key: tuple = ()
     lambda_: float = 0.0
 
     @cached_property
     def imputed(self) -> np.ndarray:
-        return impute_bayes(self.inst.noise_matrix(0), seed=self.imputed_seed)
+        return impute_bayes(self.inst.noise_matrix(0), self.seed, *self.imputed_key)
 
     @cached_property
     def blind_selection(self) -> Selection:
@@ -295,11 +296,11 @@ class Problem:
 class Algorithm:
     """``solve`` maps a Problem to a Selection or, if the algorithm has a
     ``rounding`` rule, to a fractional vector. ``imputed_key`` is the spawn
-    key of the imputation seed under the seed of one ``select`` run."""
+    key of the imputation stream under the seed of one ``select`` run."""
 
     solve: Callable
     rounding: Optional[str] = None
-    imputed_key: int = 0
+    imputed_key: tuple = (0,)
 
 
 # The steps are lambdas so that each library function is looked up when the
@@ -311,16 +312,17 @@ ALGORITHMS = {
         lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
     "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed)),
     "MultObj": Algorithm(lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed),
-                         DEPENDENT, imputed_key=17),
+                         DEPENDENT, imputed_key=(17,)),
 }
 
 
-def run_algorithm(name: str, pb: Problem, round_seed,
+def run_algorithm(name: str, pb: Problem, round_key: tuple = (),
                   rounding: Optional[str] = None) -> Selection:
     """Run algorithm ``name`` on ``pb``; raises InfeasibleError like it.
 
     A fractional solution is rounded with ``rounding`` (CEIL, or DEPENDENT
-    drawing from ``round_seed``); None keeps the algorithm's own rule.
+    drawing from the stream (``pb.seed``, *``round_key``)); None keeps the
+    algorithm's own rule.
     """
     algo = ALGORITHMS[name]
     out = algo.solve(pb)
@@ -328,7 +330,7 @@ def run_algorithm(name: str, pb: Problem, round_seed,
         return out
     if (rounding or algo.rounding) == CEIL:
         return ceil_round(out, pb.inst.utilities)
-    return dependent_round(out, pb.inst.n, round_seed, pb.inst.utilities)
+    return dependent_round(out, pb.inst.n, pb.seed, pb.inst.utilities, *round_key)
 
 
 def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:
@@ -338,10 +340,10 @@ def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:
     The result never loses utility relative to the vertex and picks at
     most (number of fractional coordinates) extra items beyond n.
     """
-    return run_algorithm("FairExpec", Problem(inst, cs), None)
+    return run_algorithm("FairExpec", Problem(inst, cs))
 
 
 def fair_expec_grp(inst: Instance, cs: ConstraintSet) -> Selection:
     """FairExpecGrp as ``select`` runs it: fair_expec on the group-level
     probability estimate, rounded with the instance's own utilities."""
-    return run_algorithm("FairExpecGrp", Problem(inst, cs), None)
+    return run_algorithm("FairExpecGrp", Problem(inst, cs))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -244,6 +245,7 @@ TWO_ATTRS = tiny_with(p=[2, 2], z=[[0, 0, 0, 1], [0, 1, 0, 1]],
                       q=[[[0.9, 0.95, 0.8, 0.1], [0.1, 0.05, 0.2, 0.9]],
                          [[0.5, 0.2, 0.7, 0.4], [0.5, 0.8, 0.3, 0.6]]])
 CONFIG = experiment_config()
+UTILITY_CONFIG = experiment_config(kind="disparate_utility")
 BLIND = "select --instance {input} --algorithm Blind"
 FAIR = "select --instance {input} --algorithm FairExpec"
 METRICS = "metrics --instance {input}"
@@ -270,11 +272,19 @@ BAD_INPUT = {
     "test_a_negative_seed_is_rejected_by_name[select-argument --seed:]": (
         BLIND + " --seed -1", TINY, "argument --seed: must be a non-negative integer, not -1"),
     "test_gen_rejects_tau_out_of_range": (GEN_UTILITY + " --tau 0.7", None,
-                                          "tau must be in [0, 0.5]"),
-    # only the disparate-utility kind reads these two
-    f"{NEW}[gen-tau-unread]": (GEN + " --tau 0.4", None, "--kind disparate-error reads no --tau"),
+                                          "--tau must lie in [0, 0.5], not 0.7"),
+    f"{NEW}[gen-tau-past-half]": ("gen --kind disparate-utility --m 40 --n 5 --tau 0.7 --out {out}",
+                                  None, "--tau must lie in [0, 0.5], not 0.7"),
+    # only the disparate-utility kind reads these two; the first one given is named
+    f"{NEW}[gen-tau-unread]": (GEN + " --tau 0.4", None,
+                               "the disparate_error generator reads no --tau"),
     f"{NEW}[gen-bins-unread]": (GEN + " --bins -5 --tau 0.4", None,
-                                "--kind disparate-error reads no --tau or --bins"),
+                                "the disparate_error generator reads no --tau"),
+    f"{NEW}[gen-bins-unread-alone]": (GEN + " --bins 7", None,
+                                      "the disparate_error generator reads no --bins"),
+    # 20 utility bins, the default, cannot split a draw of 10 items
+    f"{NEW}[gen-bins-default-past-m]": (GEN_UTILITY, None,
+                                        "--bins must lie in [1, m=10], not 20 (its default)"),
     **{f"test_a_malformed_flag_is_rejected_by_name[{argv.split()[0]}-flags{i}-{message}]":
        (argv, content, message) for i, (argv, content, message) in enumerate([
            (METRICS + " --indices 1,x", TINY,
@@ -425,7 +435,7 @@ BAD_INPUT = {
     "test_a_negative_seed_is_rejected_by_name[experiment-seed]": (
         EXPERIMENT, {**CONFIG, "seed": -1}, "seed must be a non-negative integer, not -1"),
     **{f"test_experiment_rejects_non_integral_numbers[{field}-{value}]": (
-        EXPERIMENT, {**CONFIG, field: value}, f"{field} must be an integer, not {value}")
+        EXPERIMENT, {**UTILITY_CONFIG, field: value}, f"{field} must be an integer, not {value}")
        for field, value in [("m", 50.5), ("n", 9.9), ("trials", 2.5), ("seed", 3.2),
                             ("bins", 19.5)]},
     # int() would draw every instance at n=10 while the CSV says 10.7
@@ -518,18 +528,35 @@ BAD_INPUT = {
          "lambda_grid must lie in [0, inf], not [-1.0]"),
         ("alpha-grid-past-one", {**CONFIG, "sweep": {"alpha_grid": [0.0, 2.0]}},
          "alpha_grid must lie in [0, 1], not [0.0, 2.0]"),
-        ("tau-grid-past-half", {**CONFIG, "sweep": {"tau_grid": [0.0, 0.7]}},
+        ("tau-grid-past-half", {**UTILITY_CONFIG, "sweep": {"tau_grid": [0.0, 0.7]}},
          "tau_grid must lie in [0, 0.5], not [0.0, 0.7]"),
+        # only the disparate-utility kind reads tau and bins
+        ("tau-grid-unread", {**CONFIG, "sweep": {"tau_grid": [0.0, 0.3]}},
+         "the disparate_error generator reads no tau_grid"),
+        ("tau-unread", {**CONFIG, "tau": 0.1}, "the disparate_error generator reads no tau"),
+        ("bins-unread", {**CONFIG, "bins": 7}, "the disparate_error generator reads no bins"),
+        ("bins-default-past-m", {**UTILITY_CONFIG, "m": 10, "n": 2},
+         "bins must lie in [1, m=10], not 20 (its default)"),
+        ("n-past-m", {**CONFIG, "n": 60}, "n must lie in [1, m=50], not 60"),
+        # null would read as the default, which leaving the key out gives
+        ("alpha-null", {**CONFIG, "alpha": None}, "alpha must be a number, not null"),
+        # the sweep would overwrite the fixed value at every grid point
+        ("alpha-fixed-and-swept", {**CONFIG, "alpha": 0.5},
+         "the config fixes alpha and sweeps alpha_grid: drop one"),
+        ("lambda-fixed-and-swept", {**CONFIG, "sweep": {"lambda_grid": [0.0, 10.0]}, "lambda": 1},
+         "the config fixes lambda and sweeps lambda_grid: drop one"),
+        ("tau-fixed-and-swept", {**UTILITY_CONFIG, "sweep": {"tau_grid": [0.0, 0.3]}, "tau": 0.1},
+         "the config fixes tau and sweeps tau_grid: drop one"),
         # MultObj is solved exactly, so it takes no step count
         ("fw-iters-zero", {**CONFIG, "fw_iters": 0}, "unknown config keys: ['fw_iters']"),
         # rejected in the first trial: the bound depends on the drawn utilities
         ("lambda-overflows", {**CONFIG, "algorithms": ["MultObj"], "lambda": 1e308},
          "lambda=1e+308 is too large: the KL penalty overflows"),
-        ("bins-zero", {**CONFIG, "bins": 0}, "bins must lie in [1, m=50], not 0"),
-        ("bins-past-m", {**experiment_config(kind="disparate_utility"), "bins": 51},
+        ("bins-zero", {**UTILITY_CONFIG, "bins": 0}, "bins must lie in [1, m=50], not 0"),
+        ("bins-past-m", {**UTILITY_CONFIG, "bins": 51},
          "bins must lie in [1, m=50], not 51")]},
     f"{NEW}[gen-n-past-m]": ("gen --kind disparate-error --m 5 --n 10 --out {out}", None,
-                             "need 1 <= n <= m"),
+                             "--n must lie in [1, m=5], not 10"),
     **{f"{NEW}[gen-bins-{name}]": (f"gen --kind disparate-utility --m 20 --n 4 --bins {bins} "
                                    "--out {out}", None, f"--bins must lie in [1, m=20], not {bins}")
        for name, bins in [("negative", -3), ("past-m", 50)]},
@@ -595,8 +622,8 @@ globals().update(_bad_input_tests())
 
 # --- a config with one bad number -------------------------------------------------
 
-# a valid config that sets every optional key
-FUZZ_BASE = {**experiment_config(kind="disparate_utility"), "alpha": 0.5, "lambda": 10.0,
+# a valid config that sets every optional key, so it sweeps the one setting none of them fixes
+FUZZ_BASE = {**UTILITY_CONFIG, "sweep": {"n_grid": [5, 10]}, "alpha": 0.5, "lambda": 10.0,
              "tau": 0.1, "bins": 10}
 # each key's (lowest, highest) valid value; None for no upper end. delta must stay below 1
 FUZZ_RANGES = {"delta": (0.0, float(np.nextafter(1.0, 0.0))), "alpha": (0.0, 1.0),
@@ -641,6 +668,38 @@ def test_a_bad_number_in_a_config_is_rejected_before_any_trial(tiny, tmp_path, c
 
 def test_the_fuzzed_config_is_valid():
     experiment.ExperimentConfig.from_dict(FUZZ_BASE)
+
+
+def _settings_named(message: str) -> set:
+    """Which of n, tau and bins an error message names, as a key or as a flag."""
+    return set(re.findall(r"(?<![\w-])-{0,2}(n|tau|bins)\b", message))
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["disparate_error", "disparate_utility"]), m=st.integers(1, 60),
+       n=st.integers(-1, 62), tau=st.none() | st.floats(-0.1, 0.6),
+       bins=st.none() | st.integers(-1, 62))
+# the default of 20 bins past m=10
+@example(kind="disparate_utility", m=10, n=2, tau=None, bins=None)
+def test_gen_and_a_config_check_n_tau_and_bins_alike(tmp_path, capsys, kind, m, n, tau, bins):
+    # one check owns these settings: gen and a sweep config accept the same
+    # values and reject the same ones naming the same setting
+    out = tmp_path / "gen.json"
+    out.unlink(missing_ok=True)
+    fixed = {key: value for key, value in (("tau", tau), ("bins", bins)) if value is not None}
+    code, stdout, err = run_cli(capsys, "gen", "--kind", kind.replace("_", "-"), f"--m={m}",
+                                f"--n={n}", *(f"--{key}={value!r}" for key, value in fixed.items()),
+                                "--out", str(out))
+    try:
+        experiment.ExperimentConfig.from_dict({**experiment_config(kind=kind), "m": m, "n": n,
+                                               **fixed})
+    except ValueError as exc:
+        assert code == 1 and stdout == "" and not out.exists(), (err, exc)
+        assert len(_settings_named(str(exc))) == 1
+        assert _settings_named(err) == _settings_named(str(exc)), (err, exc)
+    else:
+        assert code == 0 and out.exists(), err
 
 
 def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,12 +50,18 @@ def test_config_file_reads_the_documented_schema(tmp_path):
 
 
 def test_config_file_optional_keys_default_to_the_fields():
+    # only the disparate-utility kind reads tau and bins
     cfg = ExperimentConfig.from_dict(small_config_dict())
+    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (1.0, 0.0, None, None)
+    utility = {**small_config_dict(), "generator": {"kind": KIND_DISPARATE_UTILITY},
+               "sweep": {"n_grid": [6, 12.0]}}
+    cfg = ExperimentConfig.from_dict(utility)
     assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (1.0, 0.0, 0.0, 20)
-    cfg = ExperimentConfig.from_dict({**small_config_dict(), "alpha": 0.5, "lambda": 3,
-                                      "tau": 0.25, "bins": 4.0})
+    cfg = ExperimentConfig.from_dict({**utility, "alpha": 0.5, "lambda": 3, "tau": 0.25,
+                                      "bins": 4.0})
     assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (0.5, 3.0, 0.25, 4)
     assert type(cfg.lambda_) is float and type(cfg.bins) is int
+    assert cfg.grid == (6.0, 12.0) and all(type(g) is float for g in cfg.grid)
 
 
 def test_config_validation():
@@ -72,7 +79,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="alpha_grid must hold numbers only"):
         small_config(grid=(True, False))
     with pytest.raises(ValueError, match=r"bins must lie in \[1, m=60\], not 0"):
+        small_config(bins=0, generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=60, n=12))
+    with pytest.raises(ValueError, match="the disparate_error generator reads no bins"):
         small_config(bins=0)
+    with pytest.raises(ValueError, match="the config fixes alpha and sweeps alpha_grid"):
+        small_config(alpha=1.0)
     with pytest.raises(ValueError, match="m must be an integer, not 60.5"):
         small_config(m=60.5, generator=GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=60.5, n=12))
 
@@ -150,25 +161,13 @@ def test_reproducible_and_parallelism_invariant(tmp_path):
     assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
 
 
-def test_workers_env_variable(tmp_path, monkeypatch):
-    cfg = small_config(trials=2)
-    base = run_experiment(cfg, workers=1)
-    monkeypatch.setenv("FAIRSELECT_WORKERS", "2")
-    from_env = run_experiment(cfg)
-    assert render_csv(from_env) == render_csv(base)
-
-
-@pytest.mark.parametrize("workers, env, message", [
-    (0, None, "workers must be a positive integer, not 0"),
-    (-3, "4", "workers must be a positive integer, not -3"),
-    (None, "0", "FAIRSELECT_WORKERS must be a positive integer, not '0'"),
-    (None, "-3", "FAIRSELECT_WORKERS must be a positive integer, not '-3'"),
-    (None, "abc", "FAIRSELECT_WORKERS must be a positive integer, not 'abc'"),
-])
-def test_a_worker_count_below_one_is_rejected_by_name(monkeypatch, workers, env, message):
-    monkeypatch.delenv("FAIRSELECT_WORKERS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("FAIRSELECT_WORKERS", env)
+# each id is the one its case ran under when an environment variable could also set the count
+@pytest.mark.parametrize("workers, message", [
+    (0, "workers must be a positive integer, not 0"),
+    (-3, "workers must be a positive integer, not -3"),
+], ids=["0-None-workers must be a positive integer, not 0",
+        "-3-4-workers must be a positive integer, not -3"])
+def test_a_worker_count_below_one_is_rejected_by_name(workers, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         run_experiment(small_config(trials=1), workers=workers)
 
@@ -322,20 +321,39 @@ def test_run_trial_with_each_registry_algorithm():
         assert set(res) == {name}
 
 
-def test_a_trial_derives_a_rounding_stream_only_for_an_algorithm_that_rounds(monkeypatch):
+def _record_seed_streams(monkeypatch) -> list:
+    """The spawn key of every SeedSequence built from now on, wherever it is built."""
     keys = []
 
-    def recording(seed, *key):
-        keys.append(key)
-        return seeding.seed_sequence(seed, *key)
+    class Recording(np.random.SeedSequence):
+        def __init__(self, entropy=None, *, spawn_key=(), **kwargs):
+            keys.append(tuple(spawn_key))
+            super().__init__(entropy, spawn_key=spawn_key, **kwargs)
 
-    monkeypatch.setattr(experiment, "seed_sequence", recording)
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    return keys
+
+
+def test_a_trial_derives_a_rounding_stream_only_for_an_algorithm_that_rounds(monkeypatch):
+    keys = _record_seed_streams(monkeypatch)
     cfg = small_config(algorithms=("Blind", "Thrsh"))
     assert run_trial(cfg, 0, 0)["Thrsh"]["risk_difference"] is not None
-    assert keys and not any(key[:1] == (4,) for key in keys)
+    assert keys and not any(key[2:3] == (4,) for key in keys)
     keys.clear()
     run_trial(small_config(algorithms=("Blind", "FairExpec", "Thrsh", "MultObj")), 0, 0)
-    assert [key for key in keys if key[:1] == (4,)] == [(4, 1), (4, 3)]
+    assert [key for key in keys if key[2:3] == (4,)] == [(0, 0, 4, 1), (0, 0, 4, 3)]
+
+
+@pytest.mark.parametrize("algorithms", [("Blind", "FairExpec"), ("Thrsh",)])
+def test_a_trial_derives_the_imputation_stream_only_for_a_tie(monkeypatch, algorithms):
+    # the disparate-error rows of q are continuous draws, so no row has a tie
+    cfg = small_config(algorithms=algorithms)
+    ss = seeding.seed_sequence(cfg.seed, 0, 0)  # run_trial's seed for (0, 0)
+    q = experiment.build_instance(replace(cfg.generator, seed=ss), None, None).noise_matrix(0)
+    assert np.all(q[:, 0] != q[:, 1])
+    keys = _record_seed_streams(monkeypatch)
+    assert all(res["risk_difference"] is not None for res in run_trial(cfg, 0, 0).values())
+    assert (0, 0) in keys and (0, 0, 3) not in keys
 
 
 @st.composite
