@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -50,16 +50,8 @@ def _flag(convert, expected: str, low=None):
     return parse
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
 _seed = _flag(int, "a non-negative integer", low=0)
 _positive = _flag(int, "a positive integer", low=1)
-_lambda = _flag(_finite, "a finite non-negative number", low=0)
 _numbers = _flag(lambda text: [float(v) for v in text.split(",")], "comma-separated numbers")
 _integers = _flag(lambda text: [int(v) for v in text.split(",")], "comma-separated integers")
 
@@ -104,10 +96,10 @@ def _build_parser() -> _Parser:
     sel = sub.add_parser("select", help="run one algorithm on an instance file")
     sel.add_argument("--instance", required=True)
     sel.add_argument("--algorithm", choices=list(selectors.ALGORITHMS), required=True)
-    sel.add_argument("--alpha", type=float, default=0.0)
+    sel.add_argument("--alpha", type=float, help="default 0; not with --lower and --upper")
     sel.add_argument("--delta", type=float, default=0.0)
     sel.add_argument("--target", choices=["equal", "proportional"], default="equal")
-    sel.add_argument("--lambda", dest="lambda_", type=_lambda, default=0.0)
+    sel.add_argument("--lambda", dest="lambda_", type=float, default=0.0)
     sel.add_argument("--seed", type=_seed, default=0)
     sel.add_argument("--lower", type=_numbers, help="comma-separated explicit lower bounds")
     sel.add_argument("--upper", type=_numbers, help="comma-separated explicit upper bounds")
@@ -148,23 +140,29 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
+    bounds = args.lower is not None or args.upper is not None
+    if bounds and (args.lower is None or args.upper is None):
+        raise ValueError("--lower and --upper must be given together")
+    if bounds and args.alpha is not None:
+        raise ValueError("select reads no --alpha with --lower and --upper")
+    # checked as a config's keys are, in its order, so both name the same bad setting first
+    flags = {"delta": args.delta, "alpha": args.alpha or 0.0, "lambda": args.lambda_}
+    delta, alpha, lambda_ = (check_setting(f"--{key}", value) for key, value in flags.items())
     inst = _load_checked_instance(args.instance)
     if inst.noise is None:
         raise ValueError("instance file carries no probability rows")
     if inst.s != 1:
         raise ValueError(f"select handles one protected attribute; the instance has s={inst.s}")
     t = target_vector(inst, proportional=args.target == "proportional")
-    if args.lower is not None or args.upper is not None:
-        if args.lower is None or args.upper is None:
-            raise ValueError("--lower and --upper must be given together")
+    if bounds:
         if len(args.lower) != inst.p[0] or len(args.upper) != inst.p[0]:
             raise ValueError(f"--lower and --upper need one bound per group (p={inst.p[0]})")
-        cs = make_constraints([args.lower], [args.upper], delta=args.delta, n=inst.n)
+        cs = make_constraints([args.lower], [args.upper], delta=delta, n=inst.n)
     else:
-        cs = constraints_from_alpha(inst.n, t, args.alpha, delta=args.delta)
+        cs = constraints_from_alpha(inst.n, t, alpha, delta=delta)
 
-    problem = selectors.Problem(inst, cs, t, seed=args.seed, lambda_=args.lambda_,
-                                imputed_key=selectors.ALGORITHMS[args.algorithm].imputed_key)
+    # every algorithm breaks imputation ties from the stream (seed, 0)
+    problem = selectors.Problem(inst, cs, t, seed=args.seed, imputed_key=(0,), lambda_=lambda_)
     sel = selectors.run_algorithm(args.algorithm, problem, (1,))
     payload = {
         "status": "ok",
@@ -205,6 +203,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    for flag, path in (("--out", args.out), ("--per-trial", args.per_trial)):
+        # else a sweep runs to its end before the write fails
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ValueError(f"{flag} must name a file in an existing directory, not {path}")
     table = run_experiment(load_config(args.config), workers=args.workers)
     write_results(table, args.out, format=args.format)
     if args.per_trial:

@@ -51,13 +51,13 @@ DEFAULTS = {"alpha": 1.0, "lambda": 0.0}
 GENERATOR_KEYS = frozenset({"kind", "params"})
 
 
-def check_setting(name: str, value, kind: str, m: int):
-    """Config key or ``gen`` flag ``name`` (``tau``, ``tau_grid``, ``--tau``) for a
-    ``kind`` generator of m items: a float (an int for n and bins) or a grid's tuple of
-    floats; None gives the default if the kind reads the setting. Raises ValueError
-    naming ``name`` if the kind reads no such setting or a value is out of range."""
+def check_setting(name: str, value, kind: Optional[str] = None, m: Optional[int] = None):
+    """Config key or flag ``name`` (``tau``, ``tau_grid``, ``--tau``) for a ``kind``
+    generator of m items, or of no kind (``select``): a float (an int for n and bins) or a
+    grid's tuple of floats; None gives the default if the kind reads the setting. Raises
+    ValueError naming ``name`` if the kind reads no such setting or a value is out of range."""
     key, grid = name.lstrip("-").removesuffix("_grid"), name.endswith("_grid")
-    reads, default = DRAW_SETTINGS[kind], value is None
+    reads, default = DRAW_SETTINGS.get(kind, {}), value is None
     if key not in reads and any(key in other for other in DRAW_SETTINGS.values()):
         if not default:
             raise ValueError(f"the {kind} generator reads no {name}")

@@ -273,8 +273,9 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 @dataclass(eq=False)
 class Problem:
     """One selection problem. The imputed groups (ties drawn from the stream
-    (seed, *imputed_key)) and the blind selection are computed on first use
-    and then shared. Only Thrsh and MultObj read the fields after ``cs``."""
+    (seed, *imputed_key): (seed, 0) in ``select``, (trial seed, 3) in a sweep)
+    and the blind selection are computed on first use and then shared by every
+    algorithm. Only Thrsh and MultObj read the fields after ``cs``."""
 
     inst: Instance
     cs: ConstraintSet
@@ -295,12 +296,10 @@ class Problem:
 @dataclass(frozen=True, eq=False)
 class Algorithm:
     """``solve`` maps a Problem to a Selection or, if the algorithm has a
-    ``rounding`` rule, to a fractional vector. ``imputed_key`` is the spawn
-    key of the imputation stream under the seed of one ``select`` run."""
+    ``rounding`` rule, to a fractional vector."""
 
     solve: Callable
     rounding: Optional[str] = None
-    imputed_key: tuple = (0,)
 
 
 # The steps are lambdas so that each library function is looked up when the
@@ -312,7 +311,7 @@ ALGORITHMS = {
         lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
     "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed)),
     "MultObj": Algorithm(lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed),
-                         DEPENDENT, imputed_key=(17,)),
+                         DEPENDENT),
 }
 
 

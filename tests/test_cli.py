@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from fairselect import cli, experiment
+from fairselect import cli, experiment, selectors
 from fairselect.cli import _build_parser, main
 from fairselect.core import (InfeasibleError, Instance, constraints_from_alpha, instance_to_dict,
                              load_instance, save_instance)
@@ -217,7 +217,7 @@ def test_cli_module_entry_rejects_a_malformed_flag(tiny_path):
                       "--lambda", "-1")
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "argument --lambda:" in proc.stderr
+    assert "--lambda must lie in [0, inf], not -1.0" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -301,12 +301,14 @@ BAD_INPUT = {
             "argument --workers: must be a positive integer, not 0"),
            (EXPERIMENT + " --workers -3", CONFIG,
             "argument --workers: must be a positive integer, not -3"),
-           # FairExpec never reads these two; they are checked all the same
-           (FAIR + " --lambda nan", TINY,
-            "argument --lambda: must be a finite non-negative number, not 'nan'"),
-           (FAIR + " --lambda -1", TINY,
-            "argument --lambda: must be a finite non-negative number, not -1.0"),
        ])},
+    # FairExpec never reads these two; they are checked all the same, as a config's lambda is
+    "test_a_malformed_flag_is_rejected_by_name[select-flags7-argument --lambda: must be a finite "
+    "non-negative number, not 'nan']": (FAIR + " --lambda nan", TINY,
+                                        "--lambda must be finite, not nan"),
+    "test_a_malformed_flag_is_rejected_by_name[select-flags8-argument --lambda: must be a finite "
+    "non-negative number, not -1.0]": (FAIR + " --lambda -1", TINY,
+                                       "--lambda must lie in [0, inf], not -1.0"),
     # MultObj is solved exactly, so it takes no step count
     "test_a_malformed_flag_is_rejected_by_name[select-flags9-argument --fw-iters: must be a "
     "positive integer, not 0]": (FAIR + " --fw-iters 0", TINY, "unrecognized arguments: --fw-iters 0"),
@@ -319,21 +321,31 @@ BAD_INPUT = {
                                                      "non-finite bound for attribute 0"),
     "test_select_rejects_non_finite_flags[flags1]": (FAIR + " --lower 0,0 --upper nan,1", TINY,
                                                      "non-finite bound for attribute 0"),
-    "test_select_rejects_non_finite_flags[flags2]": (
-        MULT_OBJ + " --lambda nan", TINY,
-        "argument --lambda: must be a finite non-negative number, not 'nan'"),
-    "test_select_rejects_non_finite_flags[flags3]": (
-        MULT_OBJ + " --lambda inf", TINY,
-        "argument --lambda: must be a finite non-negative number, not 'inf'"),
+    "test_select_rejects_non_finite_flags[flags2]": (MULT_OBJ + " --lambda nan", TINY,
+                                                     "--lambda must be finite, not nan"),
+    "test_select_rejects_non_finite_flags[flags3]": (MULT_OBJ + " --lambda inf", TINY,
+                                                     "--lambda must be finite, not inf"),
     # named as the flag and the config key name it
     "test_select_rejects_a_lambda_whose_penalty_overflows": (
         MULT_OBJ + " --lambda 1e308", TINY, "lambda=1e+308 is too large: the KL penalty overflows"),
     "test_select_rejects_bounds_of_wrong_length": (
         FAIR + " --lower 0 --upper 1", TINY, "--lower and --upper need one bound per group (p=2)"),
     f"{NEW}[select-delta-past-one]": (FAIR + " --delta 1.5", TINY,
-                                      "delta must be in [0, 1), got 1.5"),
+                                      "--delta must lie in [0, 1), not 1.5"),
     f"{NEW}[select-alpha-past-one]": (FAIR + " --alpha 2", TINY,
-                                      "alpha must be in [0, 1], got 2.0"),
+                                      "--alpha must lie in [0, 1], not 2.0"),
+    # the flags are checked before the instance file is opened: here there is none
+    **{f"{NEW}[select-{flag}-{value}-before-the-file]": (
+        f"{FAIR} --{flag} {value}", None, f"--{flag} must {message}")
+       for flag, value, message in [("alpha", "nan", "be finite, not nan"),
+                                    ("alpha", "2", "lie in [0, 1], not 2.0"),
+                                    ("delta", "1.5", "lie in [0, 1), not 1.5"),
+                                    ("lambda", "-1", "lie in [0, inf], not -1.0"),
+                                    ("lambda", "nan", "be finite, not nan")]},
+    # explicit bounds leave alpha unread, so giving it is an error whatever its value
+    **{f"{NEW}[select-alpha-{alpha}-with-bounds]": (
+        f"{FAIR} --alpha {alpha} --lower 0,0 --upper 5,5", TINY,
+        "select reads no --alpha with --lower and --upper") for alpha in ("0.5", "7")},
     f"{NEW}[gen-bins-zero]": ("gen --kind disparate-utility --m 40 --n 5 --bins 0 --out {out}",
                               None, "--bins must lie in [1, m=40], not 0"),
     # instance files
@@ -555,6 +567,12 @@ BAD_INPUT = {
         ("bins-zero", {**UTILITY_CONFIG, "bins": 0}, "bins must lie in [1, m=50], not 0"),
         ("bins-past-m", {**UTILITY_CONFIG, "bins": 51},
          "bins must lie in [1, m=50], not 51")]},
+    # both output paths are checked before the first trial, and neither file is written
+    **{f"{NEW}[experiment-{flag}-in-no-directory]": (
+        EXPERIMENT + extra, CONFIG, f"--{flag} must name a file in an existing directory, not {path}")
+       for flag, extra, path in [
+           ("out", "/r.csv", "{out}/r.csv"),
+           ("per-trial", " --per-trial {out}/t.csv", "{out}/t.csv")]},
     f"{NEW}[gen-n-past-m]": ("gen --kind disparate-error --m 5 --n 10 --out {out}", None,
                              "--n must lie in [1, m=5], not 10"),
     **{f"{NEW}[gen-bins-{name}]": (f"gen --kind disparate-utility --m 20 --n 4 --bins {bins} "
@@ -590,7 +608,7 @@ def _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, messa
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert message.format(input=path) in captured.err
+    assert message.format(input=path, out=out) in captured.err
     assert not out.exists()
 
 
@@ -670,9 +688,9 @@ def test_the_fuzzed_config_is_valid():
     experiment.ExperimentConfig.from_dict(FUZZ_BASE)
 
 
-def _settings_named(message: str) -> set:
-    """Which of n, tau and bins an error message names, as a key or as a flag."""
-    return set(re.findall(r"(?<![\w-])-{0,2}(n|tau|bins)\b", message))
+def _settings_named(message: str, names=("n", "tau", "bins")) -> set:
+    """Which of ``names`` an error message names, as a key or as a flag."""
+    return set(re.findall(rf"(?<![\w-])-{{0,2}}({'|'.join(names)})\b", message))
 
 
 @settings(max_examples=80, deadline=None,
@@ -700,6 +718,56 @@ def test_gen_and_a_config_check_n_tau_and_bins_alike(tmp_path, capsys, kind, m, 
         assert _settings_named(err) == _settings_named(str(exc)), (err, exc)
     else:
         assert code == 0 and out.exists(), err
+
+
+# a value of alpha, delta or lambda: None leaves it out, else in or near [0, 1], non-finite,
+# or large, which only lambda accepts
+SELECT_SETTING = st.none() | st.floats(-0.5, 1.5) | st.floats(1.0, 1e300) | st.sampled_from(
+    [0.0, 1.0, float(np.nextafter(1.0, 0.0)), float("nan"), float("inf"), -float("inf")])
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=SELECT_SETTING, delta=SELECT_SETTING, lambda_=SELECT_SETTING)
+@example(alpha=2.0, delta=1.0, lambda_=float("nan"))  # all three out: the first is named
+def test_select_and_a_config_check_alpha_delta_and_lambda_alike(tiny_path, capsys, alpha,
+                                                                 delta, lambda_):
+    # one check owns these settings: select and a sweep config accept the same
+    # values and reject the same ones naming the same setting
+    names = ("alpha", "delta", "lambda")
+    fixed = {key: value for key, value in zip(names, (alpha, delta, lambda_)) if value is not None}
+    code, stdout, err = run_cli(capsys, "select", "--instance", tiny_path, "--algorithm", "Blind",
+                                *(f"--{key}={value!r}" for key, value in fixed.items()))
+    try:  # a config requires delta, which select defaults to 0
+        experiment.ExperimentConfig.from_dict({**CONFIG, "sweep": {"n_grid": [10]}, "delta": 0.0,
+                                               **fixed})
+    except ValueError as exc:
+        assert code == 1 and stdout == "", (err, exc)
+        assert len(_settings_named(str(exc), names)) == 1
+        assert _settings_named(err, names) == _settings_named(str(exc), names), (err, exc)
+    else:
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_algorithm_in_select_imputes_from_one_stream(tmp_path, capsys, monkeypatch, seed):
+    # ten exactly tied rows, so the labels tell the tie-breaking streams apart
+    q = np.array([[0.5, 0.5]] * 10 + [[0.9, 0.1], [0.2, 0.8]])
+    inst = Instance(n=4, p=(2,), utilities=np.linspace(1.0, 2.0, 12), noise=(q,))
+    path = tmp_path / "tied.json"
+    save_instance(inst, path)
+    seen = {}
+    for name in ("thrsh", "mult_obj"):  # both take the imputed labels last
+        def spy(*args, real=getattr(selectors, name), name=name):
+            seen[name] = args[-1]
+            return real(*args)
+        monkeypatch.setattr(selectors, name, spy)
+    for algorithm in ("Thrsh", "MultObj"):
+        code, _, err = run_cli(capsys, "select", "--instance", str(path), "--algorithm", algorithm,
+                               "--seed", str(seed), "--lambda", "1")
+        assert code == 0, err
+    assert np.array_equal(seen["thrsh"], selectors.impute_bayes(q, seed, 0))
+    assert np.array_equal(seen["mult_obj"], seen["thrsh"])
 
 
 def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):
