@@ -129,7 +129,14 @@ def _load_checked_instance(path) -> Instance:
     return inst
 
 
+def _check_output(flag: str, path) -> None:
+    """Reject a path no file can be written at before the draw or sweep that fills it runs."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ValueError(f"{flag} must name a file in an existing directory, not {path}")
+
+
 def cmd_gen(args) -> int:
+    _check_output("--out", args.out)
     kind = KIND_DISPARATE_ERROR if args.kind == "disparate-error" else KIND_DISPARATE_UTILITY
     n, tau, bins = (check_setting(f"--{key}", getattr(args, key), kind, args.m)
                     for key in ("n", "tau", "bins"))
@@ -203,10 +210,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    for flag, path in (("--out", args.out), ("--per-trial", args.per_trial)):
-        # else a sweep runs to its end before the write fails
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-            raise ValueError(f"{flag} must name a file in an existing directory, not {path}")
+    _check_output("--out", args.out)
+    _check_output("--per-trial", args.per_trial)
     table = run_experiment(load_config(args.config), workers=args.workers)
     write_results(table, args.out, format=args.format)
     if args.per_trial:

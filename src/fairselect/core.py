@@ -356,15 +356,15 @@ def json_list(name: str, value) -> list:
 
 
 def integer(name: str, value) -> int:
-    """A JSON number that must be an integer (3.0 reads as 3).
+    """A JSON or numpy number that must be an integer (3.0 reads as 3).
 
     Raises ValueError naming ``name`` for anything else, such as 1.9,
     which ``int`` would truncate to 1.
     """
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
     raise ValueError(f"{name} must be an integer, not {value!r}")
 
 

@@ -10,8 +10,8 @@ Two families:
   by binning utilities (estimate_q_by_utility_bins), optionally after
   flipping the observed labels with probability tau.
 
-Generators are pure functions of their GeneratorSpec (including its seed);
-regenerating reproduces the instance bit-exactly.
+Generators are pure functions of their GeneratorSpec and key path (see
+seeding.make_rng); regenerating reproduces the instance bit-exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, UnsupportedError, real_values
+from .core import Instance, UnsupportedError, integer, real_values
 from .seeding import make_rng
 
 KIND_DISPARATE_ERROR = "disparate_error"
@@ -78,7 +78,7 @@ class GeneratorSpec:
     kind: str
     m: int
     n: int
-    seed: object = 0  # int or SeedSequence
+    seed: object = 0  # int or SeedSequence: the root a draw's (seed, *key) stream grows from
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -124,13 +124,13 @@ def truncated_normal(rng: np.random.Generator, mean, std, size: int) -> np.ndarr
     return out
 
 
-def gen_disparate_error(spec: GeneratorSpec) -> Instance:
-    """Uniform utilities; probability rows from the truncated mixture;
-    true attributes sampled from the rows themselves."""
+def gen_disparate_error(spec: GeneratorSpec, *key: int) -> Instance:
+    """Uniform utilities; probability rows from the truncated mixture; true
+    attributes sampled from the rows themselves; all from (spec.seed, *key)."""
     if spec.kind != KIND_DISPARATE_ERROR:
         raise ValueError(f"spec kind is {spec.kind!r}")
     par = spec.merged_params()
-    rng = make_rng(spec.seed)
+    rng = make_rng(spec.seed, *key)
     m = spec.m
     weights = np.asarray(par["mixture_weights"], dtype=float)
     component = (rng.random(m) >= weights[0]).astype(int)
@@ -144,17 +144,17 @@ def gen_disparate_error(spec: GeneratorSpec) -> Instance:
                     true_attrs=z[:, None])
 
 
-def gen_disparate_utility(spec: GeneratorSpec) -> Instance:
+def gen_disparate_utility(spec: GeneratorSpec, *key: int) -> Instance:
     """Binary group and experience flag, real qualification score, and
     Gaussian utilities whose means drop for the disadvantaged cells.
 
-    No probability rows are attached; estimate them afterwards with
-    estimate_q_by_utility_bins. Utilities are clamped at 0 to keep the
-    nonnegativity contract."""
+    Draws from (spec.seed, *key). No probability rows are attached; estimate
+    them afterwards with estimate_q_by_utility_bins. Utilities are clamped at
+    0 to keep the nonnegativity contract."""
     if spec.kind != KIND_DISPARATE_UTILITY:
         raise ValueError(f"spec kind is {spec.kind!r}")
     par = spec.merged_params()
-    rng = make_rng(spec.seed)
+    rng = make_rng(spec.seed, *key)
     m = spec.m
     cell = rng.choice(4, size=m, p=_cell_rates(par))
     z = (cell >= 2).astype(int)          # 0 = minority group
@@ -165,16 +165,16 @@ def gen_disparate_utility(spec: GeneratorSpec) -> Instance:
     return Instance(n=spec.n, p=(2,), utilities=w, noise=None, true_attrs=z[:, None])
 
 
-def inject_flip_noise(inst: Instance, tau: float, seed) -> Instance:
+def inject_flip_noise(inst: Instance, tau: float, seed, *key: int) -> Instance:
     """Observed labels: flip each true binary label independently with
-    probability tau. True attributes are left untouched."""
+    probability tau, drawn from (seed, *key). True attributes stay as they are."""
     if inst.s != 1 or inst.p[0] != 2:
         raise UnsupportedError("flip noise is defined for one binary attribute")
     if inst.true_attrs is None:
         raise ValueError("flip noise requires true attributes")
     if not 0.0 <= tau <= 0.5:
         raise ValueError("tau must be in [0, 0.5]")
-    rng = make_rng(seed)
+    rng = make_rng(seed, *key)
     flips = rng.random(inst.m) < tau
     zhat = np.where(flips, 1 - inst.true_attrs[:, 0], inst.true_attrs[:, 0])
     return replace(inst, noisy_attrs=zhat[:, None])
@@ -190,6 +190,7 @@ def estimate_q_by_utility_bins(inst: Instance, b: int, train: Instance) -> np.nd
     """
     if train.true_attrs is None:
         raise ValueError("the training instance must carry true attributes")
+    b = integer("bins", b)
     if b < 1:
         raise ValueError("need at least one bin")
     if b > train.m:

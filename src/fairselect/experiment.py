@@ -1,8 +1,8 @@
 """Seeded trial sweeps over alpha / lambda / tau / n grids.
 
 One experiment = a generator, one sweep axis, a set of algorithms, and a
-trial count. Every trial derives its own substreams from (seed, grid
-index, trial index), so results are byte-identical no matter how trials
+trial count. Every trial draws from streams under (seed, grid index, trial
+index) (see run_trial), so results are byte-identical no matter how trials
 are scheduled; the worker count only changes wall-clock time.
 
 Fractional outputs (the LP vertex and the multi-objective optimum) are
@@ -30,7 +30,6 @@ from .core import (InfeasibleError, Instance, check_keys, constraints_from_alpha
 from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
-from .seeding import seed_sequence
 
 SWEEP_KINDS = ("alpha_grid", "lambda_grid", "tau_grid", "n_grid")
 TARGET_EQUAL = "EqualRepresentation"
@@ -174,21 +173,19 @@ class ResultTable:
     # per_trial entries: (grid, algorithm, metric, trial index, value or None)
 
 
-def build_instance(spec: GeneratorSpec, tau: Optional[float], bins: Optional[int]) -> Instance:
-    """The instance drawn from substreams of ``spec.seed``.
+def build_instance(spec: GeneratorSpec, tau: Optional[float], bins: Optional[int],
+                   *key: int) -> Instance:
+    """The instance drawn from the streams (``spec.seed``, *key, i).
 
-    Disparate-error instances come from substream 0. Disparate-utility
-    instances are drawn from substream 1, have their observed labels
-    flipped with probability ``tau`` from substream 2, and get probability
-    rows from ``bins`` utility bins of a training draw from substream 0.
+    Disparate-error instances come from stream i = 0. Disparate-utility
+    instances are drawn from stream 1, have their observed labels flipped
+    with probability ``tau`` from stream 2, and get probability rows from
+    ``bins`` utility bins of a training draw from stream 0.
     """
-    def substream(key):
-        return replace(spec, seed=seed_sequence(spec.seed, key))
-
     if spec.kind == KIND_DISPARATE_ERROR:
-        return gen_disparate_error(substream(0))
-    train = gen_disparate_utility(substream(0))
-    inst = inject_flip_noise(gen_disparate_utility(substream(1)), tau, seed_sequence(spec.seed, 2))
+        return gen_disparate_error(spec, *key, 0)
+    train = gen_disparate_utility(spec, *key, 0)
+    inst = inject_flip_noise(gen_disparate_utility(spec, *key, 1), tau, spec.seed, *key, 2)
     q = estimate_q_by_utility_bins(inst, bins, train=train)
     return replace(inst, noise=(q,))
 
@@ -197,23 +194,24 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     """All algorithms on one freshly drawn instance; returns
     {algorithm: {metric: value or None}} with None marking an infeasible run.
     A draw with an empty true group has no metrics, so every algorithm's
-    run on it counts as infeasible."""
+    run on it counts as infeasible. Its streams, each built where it is drawn
+    from, are (cfg.seed, grid_idx, trial, k): k = 0|1|2 to draw, 3 to break an
+    imputation tie and (4, a_idx) for algorithm a_idx to round."""
     knobs = dict(zip(SWEEP_KINDS, (cfg.alpha, cfg.lambda_, cfg.tau, cfg.n)))  # grids hold floats
     alpha, lam, tau, n = {**knobs, cfg.sweep_kind: cfg.grid[grid_idx]}.values()
-    ss = seed_sequence(cfg.seed, grid_idx, trial)
-    inst = build_instance(replace(cfg.generator, m=cfg.m, n=int(n), seed=ss), tau, cfg.bins)
+    key = (grid_idx, trial)  # the config checked that its generator's m is cfg.m
+    inst = build_instance(replace(cfg.generator, n=int(n), seed=cfg.seed), tau, cfg.bins, *key)
     if np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0):
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
     t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
     cs = constraints_from_alpha(inst.n, t, alpha, delta=cfg.delta)
-    # streams (ss, 3) to impute and (ss, 4, a_idx) to round, built where drawn from
-    problem = selectors.Problem(inst, cs, t, seed=ss, imputed_key=(3,), lambda_=lam)
+    problem = selectors.Problem(inst, cs, t, seed=cfg.seed, imputed_key=(*key, 3), lambda_=lam)
     blind_utility = problem.blind_selection.total_utility
 
     out = {}
     for a_idx, alg in enumerate(cfg.algorithms):
         try:
-            sel = selectors.run_algorithm(alg, problem, (4, a_idx), rounding=selectors.DEPENDENT)
+            sel = selectors.run_algorithm(alg, problem, (*key, 4, a_idx), selectors.DEPENDENT)
         except InfeasibleError:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue

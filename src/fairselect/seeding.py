@@ -1,11 +1,12 @@
 """Seed derivation helpers.
 
 All randomness in the package flows through numpy Generators built here.
-Substreams are derived with SeedSequence spawn keys, so any (seed, key)
-pair maps to the same stream regardless of execution order or parallelism.
-A SeedSequence passed without a key is used as is, not copied. Callers
-build each stream where it is read, so a stream no step draws from costs
-nothing.
+Every random draw takes ``(seed, *key)``: ``seed`` is the root of a seed
+tree (an int or a SeedSequence) and ``key`` an integer path into it, turned
+into SeedSequence spawn keys. So any (seed, key) pair maps to the same
+stream regardless of execution order or parallelism, and a draw with no key
+reads the root itself. Callers build each stream where it is read, so a
+stream no step draws from costs nothing.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 def seed_sequence(seed, *key: int) -> np.random.SeedSequence:
     """Return the SeedSequence for `seed` refined by an integer key path."""
     if isinstance(seed, np.random.SeedSequence):
-        if not key:
-            return seed
         base_entropy, base_key = seed.entropy, tuple(seed.spawn_key)
     else:
         base_entropy, base_key = int(seed), ()

@@ -273,7 +273,7 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 @dataclass(eq=False)
 class Problem:
     """One selection problem. The imputed groups (ties drawn from the stream
-    (seed, *imputed_key): (seed, 0) in ``select``, (trial seed, 3) in a sweep)
+    (seed, *imputed_key): (seed, 0) in ``select``, (seed, gi, tr, 3) in a sweep)
     and the blind selection are computed on first use and then shared by every
     algorithm. Only Thrsh and MultObj read the fields after ``cs``."""
 

@@ -578,6 +578,11 @@ BAD_INPUT = {
     **{f"{NEW}[gen-bins-{name}]": (f"gen --kind disparate-utility --m 20 --n 4 --bins {bins} "
                                    "--out {out}", None, f"--bins must lie in [1, m=20], not {bins}")
        for name, bins in [("negative", -3), ("past-m", 50)]},
+    # checked before the draw, with the message experiment's output paths get
+    **{f"{NEW}[gen-out-{name}]": (
+        f"gen --kind disparate-utility --m 20 --n 4 --out {path}", None,
+        f"--out must name a file in an existing directory, not {path}")
+       for name, path in [("in-no-directory", "{out}/g.json"), ("is-a-directory", ".")]},
 }
 # the cases rejected inside the first trial, which may run: all the others are
 # rejected before the sweep starts
@@ -588,11 +593,16 @@ def _no_trial(*args):
     pytest.fail("a trial ran on bad input")
 
 
+def _no_draw(*args):
+    pytest.fail("an instance was drawn from bad input")
+
+
 def _exits_1_naming_it(tiny, tmp_path, capsys, monkeypatch, argv, content, message,
                        in_a_trial=False):
     path, out = tmp_path / "input.json", tmp_path / "out"
     if not in_a_trial:
         monkeypatch.setattr(experiment, "run_trial", _no_trial)  # rejected before the sweep starts
+    monkeypatch.setattr(cli, "build_instance", _no_draw)  # gen draws only from good input
     if callable(content):
         content = content(instance_to_dict(tiny))
     if isinstance(content, bytes):

@@ -243,6 +243,17 @@ def test_utility_bins_rejects_too_many_bins():
         estimate_q_by_utility_bins(inst, 11, train=inst)
 
 
+def test_utility_bins_read_the_bin_count_as_a_config_does():
+    # a config reads "bins": 3.0 as 3; a fraction or a boolean is no bin count
+    inst = gen_disparate_utility(utility_spec(10, seed=20))
+    want = estimate_q_by_utility_bins(inst, 3, train=inst)
+    for b in (3.0, np.int64(3)):
+        assert estimate_q_by_utility_bins(inst, b, train=inst).tobytes() == want.tobytes()
+    for b in (2.5, True):
+        with pytest.raises(ValueError, match=f"bins must be an integer, not {b!r}"):
+            estimate_q_by_utility_bins(inst, b, train=inst)
+
+
 def test_generator_spec_rejects_unknown_params():
     with pytest.raises(ValueError, match=r"disparate_error generator params: \['mixture_weight'\]"):
         error_spec(10, mixture_weight=(0.5, 0.5))

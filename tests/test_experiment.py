@@ -353,7 +353,41 @@ def test_a_trial_derives_the_imputation_stream_only_for_a_tie(monkeypatch, algor
     assert np.all(q[:, 0] != q[:, 1])
     keys = _record_seed_streams(monkeypatch)
     assert all(res["risk_difference"] is not None for res in run_trial(cfg, 0, 0).values())
-    assert (0, 0) in keys and (0, 0, 3) not in keys
+    assert (0, 0, 0) in keys and (0, 0, 3) not in keys
+
+
+@pytest.mark.parametrize("kind", [KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY])
+def test_a_trial_builds_one_spec_and_no_seed_object_for_its_own_key(monkeypatch, kind):
+    # each draw builds its stream from (cfg.seed, 1, 2, k) itself
+    cfg = small_config(generator=GeneratorSpec(kind=kind, m=60, n=12), algorithms=("Blind",))
+    specs, post_init = [], GeneratorSpec.__post_init__
+    monkeypatch.setattr(GeneratorSpec, "__post_init__",
+                        lambda spec: specs.append(spec) or post_init(spec))
+    keys = _record_seed_streams(monkeypatch)
+    run_trial(cfg, 1, 2)
+    assert len(specs) == 1
+    assert (1, 2, 0) in keys and (1, 2) not in keys
+
+
+def _fields(inst):
+    """Every field of an instance, each array as its dtype, shape and bytes."""
+    def bits(a):
+        return None if a is None else (a.dtype, a.shape, a.tobytes())
+    return (inst.n, inst.p, bits(inst.utilities), bits(inst.true_attrs), bits(inst.noisy_attrs),
+            None if inst.noise is None else [bits(q) for q in inst.noise])
+
+
+@given(st.sampled_from([KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY]), st.data())
+def test_a_key_path_draws_what_a_root_built_from_it_draws(kind, data):
+    m = data.draw(st.integers(1, 60), label="m")
+    spec = GeneratorSpec(kind=kind, m=m, n=data.draw(st.integers(1, m), label="n"),
+                         seed=data.draw(st.integers(0, 2**32), label="seed"))
+    tau = data.draw(st.floats(0.0, 0.5), label="tau")
+    bins = data.draw(st.integers(1, m), label="bins")
+    gi, tr = data.draw(st.integers(0, 50), label="gi"), data.draw(st.integers(0, 50), label="tr")
+    root = replace(spec, seed=seeding.seed_sequence(spec.seed, gi, tr))
+    assert (_fields(experiment.build_instance(spec, tau, bins, gi, tr))
+            == _fields(experiment.build_instance(root, tau, bins)))
 
 
 @st.composite

@@ -1,0 +1,82 @@
+"""The library's own preconditions: one row per check, with the call, what it
+raises (or returns) and the message it raises with."""
+
+import os
+import re
+
+import numpy as np
+import pytest
+
+from fairselect.core import ConstraintSet, Instance, constraints_from_alpha, violation_report
+from fairselect.datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
+                                estimate_q_by_utility_bins, gen_disparate_error,
+                                gen_disparate_utility, inject_flip_noise)
+from fairselect.experiment import ResultTable, write_results
+from fairselect.lp import BfsSolution, LinearProgram
+from fairselect.metrics import ndcg
+
+BARE = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None)  # no rows, no true attributes
+LABELLED = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None, true_attrs=[[0], [1]])
+BOUNDS = ConstraintSet(lower=([0.0, 0.0],), upper=([1.0, 1.0],), delta=0.0)
+
+
+def bounds(lower, upper, delta=0.0):
+    return lambda: ConstraintSet(lower=(lower,), upper=(upper,), delta=delta)
+
+
+# id: (call, the exception it raises or the value it returns, the exception's message)
+PRECONDITIONS = {
+    "noise-matrix-without-rows": (lambda: BARE.noise_matrix(0), ValueError,
+                                  "instance carries no noise information"),
+    "constraints-delta-one": (bounds([0.0], [1.0], delta=1.0), ValueError,
+                              "delta must be in [0, 1), got 1.0"),
+    "constraints-delta-negative": (bounds([0.0], [1.0], delta=-0.1), ValueError,
+                                   "delta must be in [0, 1), got -0.1"),
+    "constraints-bound-shapes": (bounds([0.0], [1.0, 1.0]), ValueError,
+                                 "bound shapes differ for attribute 0"),
+    "constraints-negative-bound": (bounds([-1.0, 0.0], [1.0, 1.0]), ValueError,
+                                   "negative bound for attribute 0"),
+    **{f"alpha-{alpha}": (lambda alpha=alpha: constraints_from_alpha(2, [0.5, 0.5], alpha),
+                          ValueError, f"alpha must be in [0, 1], got {alpha}")
+       for alpha in (-0.5, 1.5)},
+    "violation-report-attrs": (
+        lambda: violation_report([1.0, 0.0], LABELLED, BOUNDS, attrs="noisy"), ValueError,
+        "attrs must be 'true' or 'expected', got 'noisy'"),
+    "gen-error-given-a-utility-spec": (
+        lambda: gen_disparate_error(GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=4, n=2)),
+        ValueError, "spec kind is 'disparate_utility'"),
+    "gen-utility-given-an-error-spec": (
+        lambda: gen_disparate_utility(GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=4, n=2)),
+        ValueError, "spec kind is 'disparate_error'"),
+    "flip-noise-without-true-attributes": (lambda: inject_flip_noise(BARE, 0.1, 0), ValueError,
+                                           "flip noise requires true attributes"),
+    **{f"flip-noise-tau-{tau}": (lambda tau=tau: inject_flip_noise(LABELLED, tau, 0), ValueError,
+                                 "tau must be in [0, 0.5]") for tau in (-0.1, 0.6)},
+    "bins-train-without-true-attributes": (
+        lambda: estimate_q_by_utility_bins(LABELLED, 1, train=BARE), ValueError,
+        "the training instance must carry true attributes"),
+    "bins-zero": (lambda: estimate_q_by_utility_bins(LABELLED, 0, train=LABELLED), ValueError,
+                  "need at least one bin"),
+    "lp-objective-length": (
+        lambda: LinearProgram(objective=[1.0, 1.0], rows=np.ones((1, 3)), row_lower=[0.0],
+                              row_upper=[1.0]),
+        ValueError, "objective shape (2,) does not match rows shape (1, 3)"),
+    "bfs-infeasible-has-no-fractional-indices": (
+        lambda: BfsSolution(x=None).fractional_indices, frozenset(), None),
+    "write-results-format": (
+        lambda: write_results(ResultTable(rows=()), os.devnull, format="xml"), ValueError,
+        "unknown format 'xml'"),
+    # an ideal DCG of 0: only a selection of no gain matches it
+    "ndcg-ideal-zero": (lambda: ndcg([0.0, 0.0], [0.0, 0.0]), 1.0, None),
+    "ndcg-ideal-zero-ranked-gain": (lambda: ndcg([1.0], [0.0]), 0.0, None),
+}
+
+
+@pytest.mark.parametrize("call, outcome, message", PRECONDITIONS.values(),
+                         ids=PRECONDITIONS.keys())
+def test_a_precondition_raises_or_returns_as_stated(call, outcome, message):
+    if message is None:
+        assert call() == outcome
+        return
+    with pytest.raises(outcome, match=f"^{re.escape(message)}$"):
+        call()
