@@ -174,7 +174,7 @@ def cmd_select(args) -> int:
     payload = {
         "status": "ok",
         "algorithm": args.algorithm,
-        "indices": [int(i) + 1 for i in sel.indices],
+        "indices": (sel.indices + 1).tolist(),
         "utility": sel.total_utility,
         "cardinality": sel.cardinality,
     }

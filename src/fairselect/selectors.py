@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,12 +65,14 @@ def estimate_group_level_q(inst: Instance) -> np.ndarray:
         zhat = inst.noisy_attrs[:, 0]
     else:
         zhat = np.argmax(q, axis=1)
-    qbar = np.empty_like(q)
-    for v in np.unique(zhat):
-        members = zhat == v
-        qbar[members] = q[members].mean(axis=0)
-    qbar /= qbar.sum(axis=1, keepdims=True)
-    return qbar
+    # one row per label that occurs, normalised there and then gathered per item
+    sizes = np.bincount(zhat)
+    labels = np.flatnonzero(sizes)
+    means = np.empty((sizes.size, q.shape[1]))
+    for v in labels:
+        means[v] = q[zhat == v].mean(axis=0)
+    means[labels] /= means[labels].sum(axis=1, keepdims=True)
+    return means[zhat]
 
 
 def group_level_instance(inst: Instance) -> Instance:
@@ -80,17 +82,22 @@ def group_level_instance(inst: Instance) -> Instance:
 def impute_bayes(q: np.ndarray, seed=0, *key: int) -> np.ndarray:
     """Each item's imputed group: the argmax of its row of q. Exact ties are
     broken uniformly at random from the stream (seed, *key), which is built
-    only when some row has a tie."""
+    only when some row has a tie. One call draws every tie, with the values
+    that one draw per tied item, in item order, would give."""
     q = np.asarray(q, dtype=float)
-    row_max = q.max(axis=1)
-    is_max = q == row_max[:, None]
-    picks = np.argmax(is_max, axis=1)
-    tied = np.flatnonzero(is_max.sum(axis=1) > 1)
+    columns = q.T
+    row_max = reduce(np.maximum, columns)
+    is_max = [column == row_max for column in columns]
+    # the first winning group, found from the last column back
+    picks = np.zeros(q.shape[0], dtype=np.intp)
+    for g in range(len(is_max) - 1, 0, -1):
+        picks[is_max[g]] = g
+    winners = sum(is_max)
+    tied = np.flatnonzero(winners > 1)
     if tied.size:
-        rng = make_rng(seed, *key)
-        for i in tied:
-            winners = np.flatnonzero(is_max[i])
-            picks[i] = winners[rng.integers(winners.size)]
+        hits = q[tied] == row_max[tied, None]
+        kth = make_rng(seed, *key).integers(winners[tied])
+        picks[tied] = np.argmax(np.cumsum(hits, axis=1) > kth[:, None], axis=1)
     return picks
 
 
@@ -121,8 +128,11 @@ def _group_ranks(w: np.ndarray, groups: np.ndarray, p: int):
     ``order[j]``'s group come before it in that order."""
     order = np.argsort(-w, kind="stable")
     ordered_groups = groups[order]
-    in_group = np.cumsum(ordered_groups[:, None] == np.arange(p), axis=0)
-    return order, in_group[np.arange(order.size), ordered_groups] - 1
+    rank = np.empty(order.size, dtype=np.intp)
+    for g in range(p):
+        members = ordered_groups == g
+        rank[members] = np.arange(np.count_nonzero(members))
+    return order, rank
 
 
 def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:

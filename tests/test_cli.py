@@ -15,7 +15,7 @@ from fairselect import cli, experiment, selectors
 from fairselect.cli import _build_parser, main
 from fairselect.core import (InfeasibleError, Instance, constraints_from_alpha, instance_to_dict,
                              load_instance, save_instance)
-from fairselect.datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
+from fairselect.datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
 from fairselect.experiment import build_instance
 from fairselect.selectors import ALGORITHMS, fair_expec, fair_expec_grp
 from fairselect.seeding import seed_sequence
@@ -115,6 +115,18 @@ def test_gen_select_roundtrip(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["cardinality"] >= 10
+
+
+def test_select_prints_the_indices_as_one_int_per_item_did(tmp_path, capsys):
+    # n = 2000, so the indices are nearly all of stdout
+    path = tmp_path / "big.json"
+    spec = GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=2500, n=2000, seed=seed_sequence(2))
+    save_instance(build_instance(spec, 0.0, None), path)
+    code, out, _ = run_cli(capsys, "select", "--instance", str(path), "--algorithm", "Blind")
+    assert code == 0
+    indices = [int(i) + 1 for i in selectors.blind(load_instance(path)).indices]
+    assert len(indices) == 2000
+    assert f'"indices": {json.dumps(indices)}, "utility": '.encode() in out.encode()
 
 
 def test_gen_disparate_utility_has_noise(tmp_path, capsys):

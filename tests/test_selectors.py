@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairselect.core import Instance, InfeasibleError, UnsupportedError, make_constraints, constraints_from_alpha
 from fairselect.datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
@@ -15,6 +16,8 @@ from fairselect.selectors import (blind, ceil_round, dependent_round, denoised_b
 from fairselect.seeding import make_rng, seed_sequence
 
 from conftest import fact_one_constraints, fact_one_instance, random_instance, anchored_constraints
+from reference_impute import (reference_estimate_group_level_q, reference_group_ranks,
+                              reference_impute_bayes)
 from reference_mult_obj import mult_obj_objective, reference_mult_obj
 from reference_thrsh import reference_thrsh
 
@@ -153,6 +156,35 @@ def test_group_level_rejects_multi_attribute():
         estimate_group_level_q(inst)
 
 
+@st.composite
+def labelled_instances(draw):
+    """An instance of p <= 6 groups whose noisy-label classes have 0, 1, 8,
+    16 or at least 128 members, where numpy's sums change from one addition
+    at a time to blocks of 8 and then to pairs of halves. Without labels,
+    each row's argmax is its class."""
+    p = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 8, 16]) | st.integers(128, 260),
+                          min_size=p, max_size=p))
+    assume(sum(sizes) > 0)
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(np.arange(p), sizes))
+    q = rng.random((labels.size, p))
+    if draw(st.booleans()):
+        return Instance(n=1, p=(p,), utilities=np.ones(labels.size),
+                        noise=(q / q.sum(axis=1, keepdims=True),), noisy_attrs=labels[:, None])
+    q[np.arange(labels.size), labels] += 1.0
+    return Instance(n=1, p=(p,), utilities=np.ones(labels.size),
+                    noise=(q / q.sum(axis=1, keepdims=True),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_instances())
+def test_group_level_estimate_matches_the_per_item_reference(inst):
+    got, want = estimate_group_level_q(inst), reference_estimate_group_level_q(inst)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fair_expec_grp_identical_when_classes_singleton():
     # every item its own noisy-label class -> the estimate is q itself
     rng = np.random.default_rng(61)
@@ -253,6 +285,30 @@ def test_impute_picks_a_row_maximum():
     assert np.all(q[np.arange(50), out] == q.max(axis=1))
 
 
+@st.composite
+def tied_rows(draw):
+    """A q of up to 6 groups whose entries take at most four values, so
+    that many rows tie, with more than two winners once p > 2, and at most
+    one row of NaN."""
+    p, m = draw(st.integers(1, 6)), draw(st.integers(0, 60))
+    q = draw(arrays(float, (m, p), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    if m and draw(st.booleans()):
+        q[draw(st.integers(0, m - 1))] = np.nan
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=tied_rows(), seed=st.integers(0, 2**32 - 1), key=st.lists(st.integers(0, 9), max_size=3))
+@example(q=np.array([[0.25] * 4, [np.nan] * 4, [0.5, 0.5, 0.0, 0.5], [0.1, 0.9, 0.0, 0.0],
+                     [1.0, 1.0, 1.0, 1.0]]), seed=0, key=[3])
+def test_impute_draws_what_one_draw_per_tied_row_drew(q, seed, key):
+    # one integers() call over every tied row must give the per-row loop's
+    # draws; a numpy that draws otherwise changes every tie-broken output
+    got, want = impute_bayes(q, seed, *key), reference_impute_bayes(q, seed, *key)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # --- thrsh ------------------------------------------------------------
 
 def test_thrsh_tiny(tiny, tiny_constraints):
@@ -328,6 +384,16 @@ def test_thrsh_matches_the_greedy_reference(case):
     sel = thrsh(*case)
     assert sel.chosen.tobytes() == expected.chosen.tobytes()
     assert sel.total_utility == expected.total_utility
+
+
+@settings(max_examples=200, deadline=None)
+@given(thrsh_cases())
+def test_group_ranks_match_the_one_hot_reference(case):
+    inst, _, groups = case
+    got = selectors._group_ranks(inst.utilities, groups, inst.p[0])
+    want = reference_group_ranks(inst.utilities, groups, inst.p[0])
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_thrsh_rejects_multi_attribute():
