@@ -23,10 +23,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import selectors
-from .core import (InfeasibleError, Instance, Selection, UnsupportedError,
-                   constraints_from_alpha, load_instance, make_constraints, save_instance,
-                   target_vector, validate_instance, violation_report)
-from .datagen import KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec
+from .core import (InfeasibleError, Instance, Selection, constraints_from_alpha, load_instance,
+                   make_constraints, save_instance, target_vector, validate_instance,
+                   violation_report)
+from .datagen import KIND_DISPARATE_UTILITY, GeneratorSpec
 from .experiment import (DRAW_SETTINGS, build_instance, check_setting, load_config,
                          run_experiment, write_per_trial, write_results)
 from .metrics import compute_report
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic instance file")
-    gen.add_argument("--kind", choices=["disparate-error", "disparate-utility"], required=True)
+    gen.add_argument("--kind", choices=[k.replace("_", "-") for k in DRAW_SETTINGS], required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=_seed, default=0,
@@ -137,7 +137,7 @@ def _check_output(flag: str, path) -> None:
 
 def cmd_gen(args) -> int:
     _check_output("--out", args.out)
-    kind = KIND_DISPARATE_ERROR if args.kind == "disparate-error" else KIND_DISPARATE_UTILITY
+    kind = args.kind.replace("-", "_")
     n, tau, bins = (check_setting(f"--{key}", getattr(args, key), kind, args.m)
                     for key in ("n", "tau", "bins"))
     inst = build_instance(GeneratorSpec(kind=kind, m=args.m, n=n, seed=args.seed), tau, bins)
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         _print_json({"status": "infeasible", "detail": str(exc)})
         return EXIT_INFEASIBLE
-    except (ValueError, KeyError, OSError, UnsupportedError) as exc:
+    except (ValueError, OSError) as exc:  # a KeyError is a bug, so it keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -18,12 +18,16 @@ import numpy as np
 # on ingestion; rows further out are left untouched for validation to report.
 ROW_SUM_TOL = 1e-9
 
+# each setting's range and closing bracket, shared by a grid over it; n and bins lie in [1, m]
+RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1, "]"), "lambda": (0, np.inf, "]"),
+          "tau": (0, 0.5, "]"), "n": (1, "m", "]"), "bins": (1, "m", "]")}
+
 
 class InfeasibleError(Exception):
     """The constraint system admits no selection."""
 
 
-class UnsupportedError(Exception):
+class UnsupportedError(ValueError):
     """The operation does not support this instance shape."""
 
 
@@ -156,8 +160,7 @@ class ConstraintSet:
     def __post_init__(self):
         object.__setattr__(self, "lower", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.lower))
         object.__setattr__(self, "upper", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.upper))
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
+        in_range("delta", self.delta)
         for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             if lo.shape != hi.shape:
                 raise ValueError(f"bound shapes differ for attribute {k}")
@@ -192,8 +195,7 @@ def constraints_from_alpha(n: int, t, alpha: float, delta: float = 0.0) -> Const
     alpha=1 caps group l at exactly n*t_l.
     """
     t = probability_vector(t)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    in_range("alpha", alpha)
     upper = n * (1.0 - alpha) + n * alpha * t
     lower = np.zeros_like(upper)
     return make_constraints([lower], [upper], delta=delta, n=n)
@@ -399,6 +401,20 @@ def integer_array(name: str, value) -> np.ndarray:
 def real_array(name: str, value) -> np.ndarray:
     """A JSON list (nested or not) of numbers, as floats."""
     return _number_array(name, value, "numbers").astype(float, copy=False)
+
+
+def in_range(key: str, value, m: Optional[int] = None, name: Optional[str] = None):
+    """``value`` (a number, or a grid's list) if each entry lies in ``RANGES[key]`` (n and bins
+    need m), else a ValueError naming ``name`` (the key by default). Pure Python, for speed."""
+    low, high, close = RANGES[key]
+    name, shown = name or key, f"m={m}" if high == "m" else f"{high:g}"
+    value, high = (integer(name, value), m) if high == "m" else (value, high)
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if not -np.inf < v < np.inf:
+            raise ValueError(f"{name} must be finite, not {value}")
+        if not (low <= v < high if close == ")" else low <= v <= high):
+            raise ValueError(f"{name} must lie in [{low:g}, {shown}{close}, not {value}")
+    return value
 
 
 def real_values(name: str, value, shape=(), low=-np.inf, high=np.inf, close="]") -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, UnsupportedError, integer, real_values
+from .core import Instance, UnsupportedError, in_range, real_values
 from .seeding import make_rng
 
 KIND_DISPARATE_ERROR = "disparate_error"
@@ -84,8 +84,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _DEFAULTS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"n must lie in [1, m={self.m}], not {self.n}")
+        in_range("n", self.n, self.m)
         unknown = sorted(set(self.params) - set(_DEFAULTS[self.kind]))
         if unknown:
             raise ValueError(f"unknown {self.kind} generator params: {unknown}")
@@ -172,8 +171,7 @@ def inject_flip_noise(inst: Instance, tau: float, seed, *key: int) -> Instance:
         raise UnsupportedError("flip noise is defined for one binary attribute")
     if inst.true_attrs is None:
         raise ValueError("flip noise requires true attributes")
-    if not 0.0 <= tau <= 0.5:
-        raise ValueError("tau must be in [0, 0.5]")
+    in_range("tau", tau)
     rng = make_rng(seed, *key)
     flips = rng.random(inst.m) < tau
     zhat = np.where(flips, 1 - inst.true_attrs[:, 0], inst.true_attrs[:, 0])
@@ -190,11 +188,7 @@ def estimate_q_by_utility_bins(inst: Instance, b: int, train: Instance) -> np.nd
     """
     if train.true_attrs is None:
         raise ValueError("the training instance must carry true attributes")
-    b = integer("bins", b)
-    if b < 1:
-        raise ValueError("need at least one bin")
-    if b > train.m:
-        raise ValueError(f"cannot split {train.m} items into {b} bins")
+    b = in_range("bins", b, train.m)
     p = train.p[0]
     order = np.argsort(train.utilities, kind="stable")
     base = train.m // b

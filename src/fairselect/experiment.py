@@ -24,9 +24,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import selectors
-from .core import (InfeasibleError, Instance, check_keys, constraints_from_alpha, integer,
-                   json_list, json_object, load_json_file, real_values, target_vector,
-                   violation_report)
+from .core import (RANGES, InfeasibleError, Instance, check_keys, constraints_from_alpha,
+                   in_range, integer, json_list, json_object, load_json_file, real_values,
+                   target_vector, violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -37,11 +37,8 @@ TARGET_PROPORTIONAL = "Proportional"
 METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_violation")
 REQUIRED_CONFIG_KEYS = frozenset({"generator", "sweep", "algorithms", "trials", "n", "m",
                                   "target", "delta", "seed"})
-CONFIG_KEYS = REQUIRED_CONFIG_KEYS | {"alpha", "lambda", "tau", "bins"}
+CONFIG_KEYS = REQUIRED_CONFIG_KEYS.union(RANGES)  # the settings past delta and n are optional
 FIELDS = {"lambda": "lambda_"}  # the config keys whose field has another name
-# each setting's range, shared by a grid over it; n and bins are integers in [1, m]
-RANGES = {"delta": (0, 1, ")"), "alpha": (0, 1), "lambda": (0, np.inf), "tau": (0, 0.5),
-          "n": (1, "m"), "bins": (1, "m")}
 # the draw settings each generator kind reads, with their defaults; the other defaults
 DRAW_SETTINGS = {KIND_DISPARATE_ERROR: {}, KIND_DISPARATE_UTILITY: {"tau": 0.0, "bins": 20}}
 DEFAULTS = {"alpha": 1.0, "lambda": 0.0}
@@ -62,14 +59,15 @@ def check_setting(name: str, value, kind: Optional[str] = None, m: Optional[int]
             raise ValueError(f"the {kind} generator reads no {name}")
         return None
     value = {**DEFAULTS, **reads}.get(key) if default else value  # delta and n have none
-    if RANGES[key][1] != "m":
-        values = real_values(name, value, (len(value),) if grid else (), *RANGES[key])
-        return tuple(values.tolist()) if grid else values.item()
-    values = [integer(name, v) for v in (value if grid else [value])]
-    for v in values:
-        if not 1 <= v <= m:
-            raise ValueError(f"{name}{' values' * grid} must lie in [1, m={m}], not {v!r}"
-                             + " (its default)" * default)
+    if RANGES[key][1] != "m":  # its type, shape and finiteness, then its range
+        values = real_values(name, value, (len(value),) if grid else ()).tolist()
+        in_range(key, value, name=name)
+        return tuple(values) if grid else values
+    try:  # an integer first, so a grid's entry is named as the grid
+        values = [in_range(key, integer(name, v), m, name + " values" * grid)
+                  for v in (value if grid else [value])]
+    except ValueError as exc:  # only bins' default can miss a small m
+        raise ValueError(f"{exc}{' (its default)' * default}") from None
     return tuple(map(float, values)) if grid else values[0]
 
 

@@ -47,7 +47,7 @@ Implementation notes:
   is optimal for the true costs to within the shifts.
 * Basis systems are re-solved densely every iteration; row counts are tiny.
 
-Tolerances are defined once below and used everywhere.
+The solver's tolerances are defined below; LinearProgram and ConstraintSet allow L > U by 1e-12.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError,
-                   probability_vector, top_n)
+                   in_range, probability_vector, top_n)
 from .lp import FRAC_TOL, BfsSolution, SolveStatus, build_denoised_lp, solve_bfs
 from .seeding import make_rng
 
@@ -188,8 +188,7 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray) -> np.
     step inside it sets the fractional pieces: at most one per group.
     """
     t = probability_vector(target)
-    if not 0.0 <= lambda_ < np.inf:
-        raise ValueError("lambda must be finite and nonnegative")
+    in_range("lambda", lambda_)
     w = inst.utilities
     m, n, p = inst.m, inst.n, len(t)
     groups = _check_imputed(imputed, m, p)

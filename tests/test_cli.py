@@ -803,6 +803,15 @@ def test_stdout_is_strict_json(tiny_path, capsys, monkeypatch):
     assert "JSON" in err
 
 
+def test_a_key_error_in_a_verb_is_a_bug_and_not_bad_input(tiny_path, monkeypatch):
+    # every lookup on a key from the input is checked first, so main lets a KeyError through
+    def lookup(args):
+        return {}["x"]
+    monkeypatch.setattr(cli, "cmd_metrics", lookup)
+    with pytest.raises(KeyError):
+        main(["metrics", "--instance", tiny_path, "--indices", "1,2"])
+
+
 @pytest.mark.parametrize("verb, flags, code, message", [
     ("metrics", ["--indices", "-1,2"], 1, "indices out of range (they are 1-based)"),
     ("select", ["--algorithm", "FairExpec", "--lower", "-1,0", "--upper", "2,2"], 0, ""),
@@ -824,6 +833,14 @@ def test_select_choices_are_the_registry():
     select = verbs.choices["select"]
     choices = next(a for a in select._actions if a.dest == "algorithm").choices
     assert list(choices) == list(ALGORITHMS)
+
+
+def test_gen_kind_choices_are_the_kinds_build_instance_draws():
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in verbs.choices["gen"]._actions if a.dest == "kind")
+    assert kind.choices == ["disparate-error", "disparate-utility"]
+    assert [c.replace("-", "_") for c in kind.choices] == list(experiment.DRAW_SETTINGS)
 
 
 # --- the parser, built once per process -----------------------------------------

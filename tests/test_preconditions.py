@@ -1,19 +1,23 @@
 """The library's own preconditions: one row per check, with the call, what it
 raises (or returns) and the message it raises with."""
 
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fairselect.core import ConstraintSet, Instance, constraints_from_alpha, violation_report
+from fairselect.core import (RANGES, ConstraintSet, Instance, constraints_from_alpha,
+                             violation_report)
 from fairselect.datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                                 estimate_q_by_utility_bins, gen_disparate_error,
                                 gen_disparate_utility, inject_flip_noise)
-from fairselect.experiment import ResultTable, write_results
+from fairselect.experiment import ResultTable, check_setting, write_results
 from fairselect.lp import BfsSolution, LinearProgram
 from fairselect.metrics import ndcg
+from fairselect.selectors import mult_obj
 
 BARE = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None)  # no rows, no true attributes
 LABELLED = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None, true_attrs=[[0], [1]])
@@ -29,15 +33,15 @@ PRECONDITIONS = {
     "noise-matrix-without-rows": (lambda: BARE.noise_matrix(0), ValueError,
                                   "instance carries no noise information"),
     "constraints-delta-one": (bounds([0.0], [1.0], delta=1.0), ValueError,
-                              "delta must be in [0, 1), got 1.0"),
+                              "delta must lie in [0, 1), not 1.0"),
     "constraints-delta-negative": (bounds([0.0], [1.0], delta=-0.1), ValueError,
-                                   "delta must be in [0, 1), got -0.1"),
+                                   "delta must lie in [0, 1), not -0.1"),
     "constraints-bound-shapes": (bounds([0.0], [1.0, 1.0]), ValueError,
                                  "bound shapes differ for attribute 0"),
     "constraints-negative-bound": (bounds([-1.0, 0.0], [1.0, 1.0]), ValueError,
                                    "negative bound for attribute 0"),
     **{f"alpha-{alpha}": (lambda alpha=alpha: constraints_from_alpha(2, [0.5, 0.5], alpha),
-                          ValueError, f"alpha must be in [0, 1], got {alpha}")
+                          ValueError, f"alpha must lie in [0, 1], not {alpha}")
        for alpha in (-0.5, 1.5)},
     "violation-report-attrs": (
         lambda: violation_report([1.0, 0.0], LABELLED, BOUNDS, attrs="noisy"), ValueError,
@@ -51,12 +55,12 @@ PRECONDITIONS = {
     "flip-noise-without-true-attributes": (lambda: inject_flip_noise(BARE, 0.1, 0), ValueError,
                                            "flip noise requires true attributes"),
     **{f"flip-noise-tau-{tau}": (lambda tau=tau: inject_flip_noise(LABELLED, tau, 0), ValueError,
-                                 "tau must be in [0, 0.5]") for tau in (-0.1, 0.6)},
+                                 f"tau must lie in [0, 0.5], not {tau}") for tau in (-0.1, 0.6)},
     "bins-train-without-true-attributes": (
         lambda: estimate_q_by_utility_bins(LABELLED, 1, train=BARE), ValueError,
         "the training instance must carry true attributes"),
     "bins-zero": (lambda: estimate_q_by_utility_bins(LABELLED, 0, train=LABELLED), ValueError,
-                  "need at least one bin"),
+                  "bins must lie in [1, m=2], not 0"),
     "lp-objective-length": (
         lambda: LinearProgram(objective=[1.0, 1.0], rows=np.ones((1, 3)), row_lower=[0.0],
                               row_upper=[1.0]),
@@ -80,3 +84,54 @@ def test_a_precondition_raises_or_returns_as_stated(call, outcome, message):
         return
     with pytest.raises(outcome, match=f"^{re.escape(message)}$"):
         call()
+
+
+# --- each setting's range: the library call that reads it agrees with check_setting ---
+
+def _edges(key: str, m: int) -> list:
+    """Each end of ``key``'s range, the nearest values on either side of each end, NaN
+    and ±inf; the ends of n and bins are 1 and m."""
+    low, high, _ = RANGES[key]
+    if high == "m":
+        ends = [low - 1, low, low + 1, m - 1, m, m + 1]
+    else:
+        ends = [v for end in (low, high) for v in (math.nextafter(end, -math.inf), end,
+                                                   math.nextafter(end, math.inf))]
+    return [*ends, math.nan, math.inf, -math.inf]
+
+
+def _library_call(key: str, value, m: int):
+    """The library entry point that checks setting ``key``, given ``value``."""
+    train = Instance(n=1, p=(2,), utilities=np.arange(m, dtype=float), noise=None,
+                     true_attrs=np.zeros((m, 1), dtype=int))
+    return {
+        "delta": lambda: ConstraintSet(lower=([0.0],), upper=([1.0],), delta=value),
+        "alpha": lambda: constraints_from_alpha(2, [0.5, 0.5], value),
+        "lambda": lambda: mult_obj(LABELLED, (0.5, 0.5), value, np.array([0, 1])),
+        "tau": lambda: inject_flip_noise(LABELLED, value, 0),
+        "n": lambda: GeneratorSpec(kind=KIND_DISPARATE_ERROR, m=m, n=value),
+        "bins": lambda: estimate_q_by_utility_bins(train, value, train=train),
+    }[key]
+
+
+def _rejection(call):
+    """The message of the ValueError ``call`` raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("key", RANGES)
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 60), data=st.data())
+def test_the_library_and_check_setting_agree_on_each_setting(key, m, data):
+    value = data.draw(st.sampled_from(_edges(key, m)), label="value")
+    expected = _rejection(lambda: check_setting(key, value, KIND_DISPARATE_UTILITY, m))
+    got = _rejection(_library_call(key, value, m))
+    if key == "lambda" and expected is None and value > 1e300:
+        # past the bound that keeps LABELLED's KL penalty finite: mult_obj's own check
+        assert got == f"lambda={value:g} is too large: the KL penalty overflows"
+    else:
+        assert got == expected

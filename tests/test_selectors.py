@@ -446,8 +446,8 @@ def test_mult_obj_keeps_cardinality():
 
 @pytest.mark.parametrize("target, lambda_, message", [
     ((0.6, 0.6), 1.0, "target must be a probability vector"),
-    ((0.5, 0.5), float("nan"), "lambda must be finite and nonnegative"),
-    ((0.5, 0.5), -1.0, "lambda must be finite and nonnegative"),
+    ((0.5, 0.5), float("nan"), "lambda must be finite, not nan"),
+    ((0.5, 0.5), -1.0, r"lambda must lie in \[0, inf\], not -1.0"),
     # finite, but the KL penalty overflows; named as the flag and the config key name it
     ((0.5, 0.5), 1e308, r"lambda=1e\+308 is too large"),
     # NaN compares false both ways, so only a vector shown to be a distribution passes
