@@ -71,6 +71,15 @@ def _cell_rates(par: dict) -> list:
     return [p00, p01, p10, 1.0 - p00 - p01 - p10]
 
 
+def _draw_cells(rng: np.random.Generator, rates: list, m: int) -> np.ndarray:
+    """m cells drawn with probabilities ``rates``, as rng.choice(len(rates),
+    size=m, p=rates) draws them once its checks of p pass; GeneratorSpec has
+    checked the rates."""
+    cdf = np.cumsum(rates)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(m), side="right")
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Which generator to run and with what parameters."""
@@ -114,12 +123,13 @@ def truncated_normal(rng: np.random.Generator, mean, std, size: int) -> np.ndarr
     """
     mean = np.broadcast_to(np.asarray(mean, dtype=float), (size,))
     std = np.broadcast_to(np.asarray(std, dtype=float), (size,))
-    out = np.where(std > 0, np.nan, np.clip(mean, 0.0, 1.0))
-    pending = std > 0
-    while np.any(pending):
-        draw = rng.normal(mean[pending], std[pending])
+    out = np.clip(mean, 0.0, 1.0)
+    pending = np.flatnonzero(std > 0)  # ascending, so each round draws in item order
+    while pending.size:
+        # rng.normal(loc, scale) is loc + scale * z, one standard normal z per entry
+        draw = mean[pending] + std[pending] * rng.standard_normal(pending.size)
         out[pending] = draw
-        pending = pending & ((out < 0.0) | (out > 1.0))
+        pending = pending[(draw < 0.0) | (draw > 1.0)]
     return out
 
 
@@ -155,7 +165,7 @@ def gen_disparate_utility(spec: GeneratorSpec, *key: int) -> Instance:
     par = spec.merged_params()
     rng = make_rng(spec.seed, *key)
     m = spec.m
-    cell = rng.choice(4, size=m, p=_cell_rates(par))
+    cell = _draw_cells(rng, _cell_rates(par), m)
     z = (cell >= 2).astype(int)          # 0 = minority group
     a2 = rng.normal(0.0, 1.0, m)
     means = np.asarray(par["utility_means"], dtype=float).reshape(4)[cell]

@@ -253,13 +253,22 @@ def dependent_round(x: np.ndarray, n: int, seed, utilities: np.ndarray, *key: in
 
     Systematic sampling over a random permutation: lay the entries out as
     consecutive intervals, then sample the unit grid {u, u+1, ..., u+n-1}.
-    Each item's inclusion probability is exactly x_i, and a binary input
-    is returned unchanged. The draws come from the stream (seed, *key).
+    Each item's inclusion probability is exactly x_i. The draws come from
+    the stream (seed, *key), which a binary input never builds: its
+    intervals end on whole numbers, so every grid point hits each 1-item
+    once, whatever the permutation and u, and the input is returned as is.
     """
     x = np.asarray(x, dtype=float)
+    one = x == 1.0
+    binary = one | (x == 0.0)
+    valid = binary | ((x > 0.0) & (x < 1.0))  # False for NaN and ±inf
+    if not valid.all():
+        raise ValueError(f"entries must lie in [0, 1], not {x[~valid][0]}")
     total = float(x.sum())
-    if abs(total - n) > 1e-6:
+    if not abs(total - n) <= 1e-6:
         raise ValueError(f"entries sum to {total}, expected n={n}")
+    if binary.all():
+        return Selection.from_mask(one, utilities)
     rng = make_rng(seed, *key)
     perm = rng.permutation(len(x))
     cum = np.cumsum(x[perm])

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairselect.core import Instance, UnsupportedError, validate_instance
 from fairselect.datagen import (GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY,
-                                estimate_q_by_utility_bins, gen_disparate_error,
-                                gen_disparate_utility, inject_flip_noise, truncated_normal)
+                                _cell_rates, _draw_cells, estimate_q_by_utility_bins,
+                                gen_disparate_error, gen_disparate_utility, inject_flip_noise,
+                                truncated_normal)
 from fairselect.metrics import risk_difference
 from fairselect.selectors import blind, impute_bayes
 from fairselect.seeding import make_rng, seed_sequence
 
 from reference_bins import reference_estimate_q_by_utility_bins
+from reference_draws import reference_cells, reference_truncated_normal
 
 
 def error_spec(m, seed=0, **params):
@@ -84,6 +87,38 @@ def test_truncated_normal_support_and_zero_std():
     draws = truncated_normal(rng, 0.05, 0.05, 20000)
     assert np.all((draws >= 0) & (draws <= 1))
     assert truncated_normal(make_rng(1), 0.6, 0.0, 5)[0] == 0.6
+
+
+def _unit_values(m):
+    """m values in [0, 1], zeros mixed in."""
+    return arrays(float, m, elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+
+
+@given(st.integers(0, 2**128), st.data())
+def test_truncated_normal_matches_the_full_length_loop(seed, data):
+    m = data.draw(st.integers(1, 600), label="m")
+    mean, std = data.draw(_unit_values(m), label="mean"), data.draw(_unit_values(m), label="std")
+    rng, ref = make_rng(seed), make_rng(seed)
+    got, want = truncated_normal(rng, mean, std, m), reference_truncated_normal(ref, mean, std, m)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@given(st.integers(0, 2**128), st.integers(1, 600), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
+def test_cell_draw_matches_choice(seed, m, minority, no_experience, joint_share):
+    # joint_rate anywhere in its feasible range; the spec rejects what rounding breaks
+    lo, hi = max(0.0, minority + no_experience - 1.0), min(minority, no_experience)
+    rates = {"minority_rate": minority, "no_experience_rate": no_experience,
+             "joint_rate": lo + joint_share * (hi - lo)}
+    try:
+        spec = utility_spec(m, **rates)
+    except ValueError:
+        assume(False)
+    p = _cell_rates(spec.merged_params())
+    rng, ref = make_rng(seed), make_rng(seed)
+    assert _draw_cells(rng, p, m).tobytes() == reference_cells(ref, p, m).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # --- disparate utilities -----------------------------------------------

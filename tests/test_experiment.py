@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fairselect import experiment, seeding
+from fairselect import experiment, seeding, selectors
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY
 from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, load_config,
                                    render_csv, run_experiment, run_trial, write_per_trial,
@@ -339,9 +339,20 @@ def test_a_trial_derives_a_rounding_stream_only_for_an_algorithm_that_rounds(mon
     cfg = small_config(algorithms=("Blind", "Thrsh"))
     assert run_trial(cfg, 0, 0)["Thrsh"]["risk_difference"] is not None
     assert keys and not any(key[2:3] == (4,) for key in keys)
-    keys.clear()
-    run_trial(small_config(algorithms=("Blind", "FairExpec", "Thrsh", "MultObj")), 0, 0)
-    assert [key for key in keys if key[2:3] == (4,)] == [(0, 0, 4, 1), (0, 0, 4, 3)]
+    # a rounding draws only for a fractional x: at gi = 0 (alpha = 0) FairExpec's
+    # vertex is binary, and MultObj's x is binary at lambda = 0 alone
+    rounded, dependent_round = [], selectors.dependent_round
+    monkeypatch.setattr(selectors, "dependent_round", lambda x, n, seed, w, *key: (
+        rounded.append((key, bool(np.any((x > 0.0) & (x < 1.0)))))
+        or dependent_round(x, n, seed, w, *key)))
+    for lam, drawn in ((0.0, []), (100.0, [(0, 0, 4, 3)])):
+        keys.clear()
+        rounded.clear()
+        run_trial(small_config(algorithms=("Blind", "FairExpec", "Thrsh", "MultObj"), lambda_=lam),
+                  0, 0)
+        assert [key for key in keys if key[2:3] == (4,)] == drawn
+        assert [key for key, fractional in rounded if fractional] == drawn
+        assert [key for key, _ in rounded] == [(0, 0, 4, 1), (0, 0, 4, 3)]
 
 
 @pytest.mark.parametrize("algorithms", [("Blind", "FairExpec"), ("Thrsh",)])

@@ -5,6 +5,7 @@ with keyword arguments, so renaming or deleting one of them breaks it.
 These tests load its modules by path and fail first.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from fairselect.datagen import KIND_DISPARATE_ERROR, GeneratorSpec
-from fairselect.experiment import ExperimentConfig, run_trial
+from fairselect.experiment import ExperimentConfig, render_csv, run_experiment, run_trial
 from fairselect.selectors import ALGORITHMS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,3 +90,19 @@ def test_sweep_configs_build(perfbench, workload):
     _, bench_workloads = perfbench
     cfgs = bench_workloads.sweep_configs(workload, 1)
     assert cfgs and all(isinstance(cfg, ExperimentConfig) for cfg in cfgs)
+
+
+# The CSV digest run.py reports for each sweep at --seed 1. A change that keeps
+# every bit of the sweeps' output keeps these.
+SWEEP_DIGESTS = {
+    "sweep-de": "bd321981f63b535e120227e8f7064125a7aea720e8237960a2a4672858c86ddd",
+    "sweep-baselines": "fb4dc6c1cc346819e241c1340762c1f11f065a69126c03b8f2d4efcf926ee592",
+}
+
+
+@pytest.mark.parametrize("workload", SWEEP_DIGESTS)
+def test_each_sweep_keeps_its_seed_1_digest(perfbench, workload):
+    _, bench_workloads = perfbench
+    text = "".join(render_csv(run_experiment(cfg))
+                   for cfg in bench_workloads.sweep_configs(workload, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[workload]

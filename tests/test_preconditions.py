@@ -17,7 +17,7 @@ from fairselect.datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, Ge
 from fairselect.experiment import ResultTable, check_setting, write_results
 from fairselect.lp import BfsSolution, LinearProgram
 from fairselect.metrics import ndcg
-from fairselect.selectors import mult_obj
+from fairselect.selectors import dependent_round, mult_obj
 
 BARE = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None)  # no rows, no true attributes
 LABELLED = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None, true_attrs=[[0], [1]])
@@ -61,6 +61,16 @@ PRECONDITIONS = {
         "the training instance must carry true attributes"),
     "bins-zero": (lambda: estimate_q_by_utility_bins(LABELLED, 0, train=LABELLED), ValueError,
                   "bins must lie in [1, m=2], not 0"),
+    **{f"dependent-round-entry-{bad}": (
+        lambda bad=bad: dependent_round(np.array([bad, 1.0, 0.0]), 1, 0, np.ones(3)), ValueError,
+        f"entries must lie in [0, 1], not {bad}") for bad in (math.nan, math.inf, -math.inf)},
+    # sums to n, so only the range check stops it from being rounded
+    "dependent-round-entries-outside-the-unit-interval": (
+        lambda: dependent_round(np.array([1.5, -0.5, 1, 1, 1, 1, 0, 0, 0, 0]), 5, 0, np.ones(10)),
+        ValueError, "entries must lie in [0, 1], not 1.5"),
+    "dependent-round-n-nan": (
+        lambda: dependent_round(np.array([0.5, 0.5]), math.nan, 0, np.ones(2)), ValueError,
+        "entries sum to 1.0, expected n=nan"),
     "lp-objective-length": (
         lambda: LinearProgram(objective=[1.0, 1.0], rows=np.ones((1, 3)), row_lower=[0.0],
                               row_upper=[1.0]),

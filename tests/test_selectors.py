@@ -625,6 +625,19 @@ def test_dependent_round_binary_identity():
     assert list(sel.chosen) == [1, 1, 0, 0]
 
 
+def test_dependent_round_builds_no_stream_for_a_binary_input(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a binary input drew from a stream")
+
+    monkeypatch.setattr(selectors, "make_rng", no_stream)
+    x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+    sel = dependent_round(x, 3, 0, np.arange(5.0), 4, 2)
+    assert sel.chosen.tolist() == [False, True, True, False, True]
+    assert sel.total_utility == 7.0
+    with pytest.raises(AssertionError, match="drew from a stream"):
+        dependent_round(np.array([0.5, 0.5, 1.0]), 2, 0, np.ones(3))
+
+
 def test_dependent_round_exact_cardinality_and_marginals():
     x = np.array([0.5, 0.5, 0.5, 0.5])
     hits = np.zeros(4)
