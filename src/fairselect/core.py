@@ -9,6 +9,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,7 +68,8 @@ class Instance:
                 q = np.array(q, order="C")
                 if sums is not None:
                     off = (sums != 1.0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)
-                    q[off] /= sums[off, None]
+                    if off.any():
+                        q[off] /= sums[off, None]
                 rows.append(_readonly(q))
             object.__setattr__(self, "noise", tuple(rows))
         for name in ("true_attrs", "noisy_attrs"):
@@ -106,10 +108,11 @@ def validate_instance(inst: Instance) -> tuple:
     for k, pk in enumerate(inst.p):
         if pk < 1:
             bad.append(f"attribute {k} has p={pk} < 1")
-    if not np.all(np.isfinite(inst.utilities)):
+    low, high = _span(inst.utilities)
+    if not (-np.inf < low and high < np.inf):
         idx = int(np.argmin(np.isfinite(inst.utilities)))
         bad.append(f"non-finite utility at item {idx}")
-    elif np.any(inst.utilities < 0):
+    elif low < 0:
         idx = int(np.argmax(inst.utilities < 0))
         bad.append(f"negative utility at item {idx}")
     else:
@@ -125,16 +128,19 @@ def validate_instance(inst: Instance) -> tuple:
                 if q.shape != (inst.m, inst.p[k]):
                     bad.append(f"noise block {k} shape {q.shape} != ({inst.m}, {inst.p[k]})")
                     continue
-                if not np.all(np.isfinite(q)):
+                low, high = _span(q)
+                if not (-np.inf < low and high < np.inf):
                     i = int(np.argmin(np.isfinite(q).all(axis=1)))
                     bad.append(f"non-finite noise entry (item {i}, attribute {k})")
                     continue
                 sums = q.sum(axis=1)
-                off = np.abs(sums - 1.0) > ROW_SUM_TOL
-                if np.any(off):
-                    i = int(np.argmax(off))
-                    bad.append(f"noise row sums to {sums[i]:.12g} (item {i}, attribute {k})")
-                if np.any(q < -ROW_SUM_TOL) or np.any(q > 1 + ROW_SUM_TOL):
+                gap_low, gap_high = _span(sums - 1.0)
+                if not (-ROW_SUM_TOL <= gap_low and gap_high <= ROW_SUM_TOL):  # NaN too
+                    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+                    if np.any(off):
+                        i = int(np.argmax(off))
+                        bad.append(f"noise row sums to {sums[i]:.12g} (item {i}, attribute {k})")
+                if low < -ROW_SUM_TOL or high > 1 + ROW_SUM_TOL:
                     bad.append(f"noise entries outside [0,1] in attribute {k}")
     for name in ("true_attrs", "noisy_attrs"):
         col = getattr(inst, name)
@@ -144,9 +150,16 @@ def validate_instance(inst: Instance) -> tuple:
             bad.append(f"{name} shape {col.shape} != ({inst.m}, {inst.s})")
             continue
         for k, pk in enumerate(inst.p):
-            if np.any((col[:, k] < 0) | (col[:, k] >= pk)):
+            if inst.m and (col[:, k].min() < 0 or col[:, k].max() >= pk):
                 bad.append(f"{name} column {k} outside [0, {pk})")
     return tuple(bad)
+
+
+def _span(a: np.ndarray) -> tuple:
+    """(min, max) of float array ``a``: NaN if it holds one, (inf, -inf) if it is empty.
+    Two reductions are cheaper than an elementwise mask; the index of a bad entry
+    is looked up only once one is known to exist."""
+    return a.min(initial=np.inf), a.max(initial=-np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,29 +174,36 @@ class ConstraintSet:
         object.__setattr__(self, "lower", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.lower))
         object.__setattr__(self, "upper", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.upper))
         in_range("delta", self.delta)
+        # a few entries per attribute: Python floats are cheaper than numpy's per-call cost
         for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             if lo.shape != hi.shape:
                 raise ValueError(f"bound shapes differ for attribute {k}")
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            lo, hi = lo.ravel().tolist(), hi.ravel().tolist()
+            if not all(-np.inf < v < np.inf for v in lo + hi):
                 raise ValueError(f"non-finite bound for attribute {k}")
-            if np.any(lo > hi + 1e-12):
+            if any(a > b + 1e-12 for a, b in zip(lo, hi)):
                 raise ValueError(f"lower bound exceeds upper bound for attribute {k}")
-            if np.any(lo < 0) or np.any(hi < 0):
+            if min(lo + hi, default=0.0) < 0:
                 raise ValueError(f"negative bound for attribute {k}")
 
 
 def make_constraints(lower, upper, delta: float, n: int) -> ConstraintSet:
-    """Build a ConstraintSet, clamping all bounds into [0, n]."""
-    lower = [np.clip(np.asarray(a, dtype=float), 0.0, float(n)) for a in lower]
-    upper = [np.clip(np.asarray(a, dtype=float), 0.0, float(n)) for a in upper]
-    return ConstraintSet(lower=tuple(lower), upper=tuple(upper), delta=delta)
+    """Build a ConstraintSet, clamping all bounds into [0, n] as ``np.clip``
+    does: a NaN stays, for the set to reject, and so does the sign of a zero."""
+    high = float(n)
+
+    def clamped(a):
+        a = np.asarray(a, dtype=float)
+        return np.reshape([min(max(v, 0.0), high) for v in a.ravel().tolist()], a.shape)
+    return ConstraintSet(lower=tuple(map(clamped, lower)), upper=tuple(map(clamped, upper)),
+                         delta=delta)
 
 
 def probability_vector(t) -> np.ndarray:
     """``t`` as a 1-D array of nonnegative shares summing to 1 (within 1e-9);
     raises ValueError otherwise, also for a NaN, which fails every comparison."""
     t = np.asarray(t, dtype=float)
-    if not (t.ndim == 1 and abs(t.sum() - 1.0) <= 1e-9 and np.all(t >= 0)):
+    if not (t.ndim == 1 and abs(t.sum() - 1.0) <= 1e-9 and min(t.tolist()) >= 0):
         raise ValueError("target must be a probability vector")
     return t
 
@@ -194,11 +214,11 @@ def constraints_from_alpha(n: int, t, alpha: float, delta: float = 0.0) -> Const
     alpha=0 leaves the selection unconstrained (U_l = n for every group);
     alpha=1 caps group l at exactly n*t_l.
     """
-    t = probability_vector(t)
+    t = probability_vector(t).tolist()
     in_range("alpha", alpha)
-    upper = n * (1.0 - alpha) + n * alpha * t
-    lower = np.zeros_like(upper)
-    return make_constraints([lower], [upper], delta=delta, n=n)
+    fixed, share = n * (1.0 - alpha), n * alpha
+    upper = [fixed + share * v for v in t]
+    return make_constraints([[0.0] * len(t)], [upper], delta=delta, n=n)
 
 
 def target_vector(inst: Instance, proportional: bool) -> np.ndarray:
@@ -283,24 +303,32 @@ def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") 
     the expected counts sum_i q_il * x_i. Either way the bounds checked are
     the raw [L, U] (no delta slack).
     """
-    vec = np.asarray(x, dtype=float)
+    mask = isinstance(x, np.ndarray) and x.dtype == bool  # a Selection's: its sum is its count
+    vec = x if mask else np.asarray(x, dtype=float)
     if attrs not in ("true", "expected"):
         raise ValueError(f"attrs must be 'true' or 'expected', got {attrs!r}")
     if attrs == "true" and inst.true_attrs is None:
         raise ValueError("true-attribute mode requires true_attrs")
-    sel = vec > 0.5
+    total = float(np.count_nonzero(vec)) if mask else float(vec.sum())
+    if attrs == "true":
+        sel = vec if mask else vec > 0.5
+    else:
+        vec = vec.astype(float, copy=False)
     fairness = []
     worst = 0.0
     for k in range(inst.s):
         if attrs == "true":
-            counts = np.bincount(inst.true_attrs[sel, k], minlength=inst.p[k]).astype(float)
+            counts = np.bincount(inst.true_attrs[sel, k], minlength=inst.p[k])
         else:
             counts = inst.noise[k].T @ vec
-        viol = np.maximum(0.0, np.maximum(cs.lower[k] - counts, counts - cs.upper[k]))
-        viol[viol < 1e-12] = 0.0
-        fairness.append(viol)
-        worst = max(worst, float(viol.max(initial=0.0)))
-    excess = max(0.0, float(vec.sum()) - inst.n)
+        # p entries, so Python floats; max(·, 0.0) keeps a NaN, as np.maximum does
+        viol = [max(max(lo - c, c - hi), 0.0) for lo, hi, c in
+                zip(cs.lower[k].tolist(), cs.upper[k].tolist(), counts.tolist(), strict=True)]
+        viol = [0.0 if v < 1e-12 else v for v in viol]
+        fairness.append(np.array(viol, dtype=float))
+        if not any(map(math.isnan, viol)):  # else ndarray.max is NaN, which max() passes over
+            worst = max(worst, max(viol, default=0.0))
+    excess = max(0.0, total - inst.n)
     if excess < 1e-12:
         excess = 0.0
     return ViolationReport(fairness=tuple(fairness), cardinality_excess=excess, max_violation=worst)
@@ -434,8 +462,11 @@ def instance_from_dict(data: dict) -> Instance:
     check_keys("instance", data, INSTANCE_KEYS, REQUIRED_KEYS)
     w = real_array("w", json_list("w", data["w"]))
     p, q = integer_array("p", json_list("p", data["p"])), data.get("q")
+    if p.ndim != 1:
+        raise ValueError("p must be a flat list of integers, one per attribute")
     if q is not None:
-        q = tuple(real_array(f"q[{k}]", qk).T for k, qk in enumerate(json_list("q", q)))
+        q = tuple(real_array(f"q[{k}]", json_list(f"q[{k}]", qk)).T
+                  for k, qk in enumerate(json_list("q", q)))
     z, zhat = (None if data.get(key) is None else integer_array(key, json_list(key, data[key])).T
                for key in ("z", "zhat"))
     return Instance(n=integer("n", data["n"]), p=p, utilities=w, noise=q, true_attrs=z,

@@ -59,6 +59,8 @@ def check_setting(name: str, value, kind: Optional[str] = None, m: Optional[int]
             raise ValueError(f"the {kind} generator reads no {name}")
         return None
     value = {**DEFAULTS, **reads}.get(key) if default else value  # delta and n have none
+    if RANGES[key][1] != "m" and not grid and type(value) is float:  # every select flag
+        return in_range(key, value, name=name)  # which names a NaN or an inf as real_values does
     if RANGES[key][1] != "m":  # its type, shape and finiteness, then its range
         values = real_values(name, value, (len(value),) if grid else ()).tolist()
         in_range(key, value, name=name)

@@ -45,7 +45,12 @@ Implementation notes:
   COST_SHIFT * (1 + |c_j|) * (1 + j/m): the start stays dual feasible, tied
   columns still meet the ratio test in index order, and the vertex found
   is optimal for the true costs to within the shifts.
-* Basis systems are re-solved densely every iteration; row counts are tiny.
+* Basis systems are re-solved densely every iteration but the first; row
+  counts are tiny. The first starts at the all-slack basis B = I, where x_B is
+  the right-hand side, row r of the tableau is row r of A and the reduced
+  costs are c, exactly as the solves would give them when every term is
+  finite (LU of I is I, and every other term is a signed zero, where
+  0 * inf would be NaN). LinearProgram therefore rejects a non-finite entry.
 
 The solver's tolerances are defined below; LinearProgram and ConstraintSet allow L > U by 1e-12.
 """
@@ -87,7 +92,18 @@ class LinearProgram:
         if self.rows.ndim != 2 or self.objective.shape != (self.rows.shape[1],):
             raise ValueError(f"objective shape {self.objective.shape} does not match "
                              f"rows shape {self.rows.shape}")
-        if np.any(self.row_lower > self.row_upper + 1e-12):
+        if self.row_lower.shape != (self.num_rows,) or self.row_upper.shape != (self.num_rows,):
+            raise ValueError(f"row bound shapes {self.row_lower.shape} and {self.row_upper.shape} "
+                             f"do not match rows shape {self.rows.shape}")
+        for name in ("objective", "rows"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        # k entries each, so Python floats
+        lower, upper = self.row_lower.tolist(), self.row_upper.tolist()
+        for name, bound in (("row_lower", lower), ("row_upper", upper)):
+            if not all(-np.inf < v < np.inf for v in bound):
+                raise ValueError(f"{name} must be finite")
+        if any(lo > hi + 1e-12 for lo, hi in zip(lower, upper)):
             raise ValueError("row lower bound exceeds row upper bound")
 
     @property
@@ -192,20 +208,25 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
     at_upper = c > 0  # nonbasic columns at their upper bound; False for basic ones
     shift = COST_SHIFT * (1.0 + np.abs(lp.objective)) * (1.0 + np.arange(m) / m)
     c[:m] += np.where(at_upper[:m], shift, -shift)
+    B = None  # the all-slack start, B = I: each solve below returns its right-hand side
     for _ in range(20000 + 50 * (m + k)):
-        B = A[:, basis]
-        x_B = np.linalg.solve(B, lp.row_upper - A @ (ub * at_upper))
+        x_B = lp.row_upper - A @ (ub * at_upper)
+        if B is not None:
+            x_B = np.linalg.solve(B, x_B)
         below, above = -x_B, x_B - ub[basis]
         violation = np.maximum(below, above)
         r = int(np.argmax(violation))
         if violation[r] <= FEAS_TOL:
             break
         to_upper = above[r] > below[r]  # x_B[r] leaves at its upper bound, else at 0
-        e_r = np.zeros(k)
-        e_r[r] = 1.0
-        alpha = np.linalg.solve(B.T, e_r) @ A  # row r of the tableau
-        d = np.linalg.solve(B.T, c[basis]) @ A
-        np.subtract(c, d, out=d)  # reduced costs
+        if B is None:  # the slack costs are 0, so the duals are too
+            alpha, d = A[r], c  # row r of the tableau; the reduced costs
+        else:
+            e_r = np.zeros(k)
+            e_r[r] = 1.0
+            alpha = np.linalg.solve(B.T, e_r) @ A  # row r of the tableau
+            d = np.linalg.solve(B.T, c[basis]) @ A
+            np.subtract(c, d, out=d)  # reduced costs
         # x_B[r] moves by -alpha_j per unit increase of column j; a column
         # may enter if moving it off its bound pushes x_B[r] towards its box
         eligible = np.where(at_upper != to_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL)
@@ -228,6 +249,7 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
         at_upper[basis[r]] = to_upper
         at_upper[cand[q]] = False
         basis[r] = cand[q]
+        B = A[:, basis]
     else:  # pragma: no cover
         raise RuntimeError("simplex iteration limit exceeded")
 

@@ -401,6 +401,10 @@ BAD_INPUT = {
          "q[0] must hold numbers only"),
         ("q-ragged", tiny_with(q=[[[0.9, 0.95, 0.8, 0.1], [0.1, 0.05, 0.2]]]), "q[0] is ragged"),
         ("z-ragged", tiny_with(z=[[0, 0, 0, 1], [0]]), "z is ragged"),
+        # one level too deep, one too shallow: the field is named, not numpy's conversion
+        ("p-nested", tiny_with(p=[[2]]), "p must be a flat list of integers, one per attribute"),
+        ("q-flat", tiny_with(q=[0.9, 0.95, 0.8, 0.1]),
+         "malformed instance file {input}: q[0] must be a list, not float"),
         # integers past int64: a float would wrap in the cast with a numpy warning, an int is
         # uint64
         ("p-huge", tiny_with(p=[1e19]), "p " + INTEGERS_PAST_INT64),

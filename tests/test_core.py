@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from fairselect.core import (Instance, Selection, constraints_from_alpha,
                              violation_report)
 
 from conftest import fact_one_constraints, fact_one_instance
+from reference_bookkeeping import (reference_constraints_from_alpha, reference_make_constraints,
+                                   reference_validate_instance, reference_violation_report)
 
 
 def test_validate_tiny_ok(tiny):
@@ -272,3 +275,179 @@ def test_instance_file_roundtrip_is_exact(tmp_path_factory, inst):
 def test_package_exports_resolve():
     import fairselect
     assert [name for name in fairselect.__all__ if not hasattr(fairselect, name)] == []
+
+
+# --- bookkeeping on p-sized values: the same bits as the numpy reference ---
+
+# zeros of both signs, NaN, the infinities, the snap and slack tolerances and the
+# smallest subnormal on either side of 0
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-12, -1e-12, 5e-13, 5e-324,
+                  -5e-324, 1.0]
+
+
+def _reals(low: float, high: float, *ends: float):
+    """Floats in [low, high], the special values, and each of ``ends`` with its
+    nearest neighbours."""
+    near = [v for end in ends for v in (math.nextafter(end, -math.inf), end,
+                                        math.nextafter(end, math.inf))]
+    return st.one_of(st.sampled_from(SPECIAL_FLOATS + near), st.floats(low, high))
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and message of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _bound_bits(cs):
+    """A constraint set's bounds and delta as bytes, or the exception raised instead."""
+    if isinstance(cs, tuple):
+        return cs
+    return ([(a.shape, a.tobytes(), a.flags.writeable) for a in cs.lower],
+            [(a.shape, a.tobytes(), a.flags.writeable) for a in cs.upper],
+            np.float64(cs.delta).tobytes())
+
+
+DELTAS = _reals(0.0, 1.0, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-1, 40), delta=DELTAS, data=st.data())
+def test_make_constraints_matches_the_clip_reference(n, delta, data):
+    values = _reals(-5.0, 50.0, 0.0, float(n))
+    s = data.draw(st.integers(1, 3), label="s")
+    p = data.draw(st.lists(st.integers(0, 9), min_size=s, max_size=s), label="p")
+    lower = [data.draw(st.lists(values, min_size=pk, max_size=pk)) for pk in p]
+    upper = []
+    for pk in p:
+        size = max(pk - data.draw(st.sampled_from([0] * 5 + [1])), 0)  # now and then one short
+        upper.append(data.draw(st.lists(values, min_size=size, max_size=size)))
+    as_arrays = data.draw(st.booleans(), label="as arrays")
+    if as_arrays:
+        lower, upper = ([np.array(a, dtype=float) for a in bounds] for bounds in (lower, upper))
+    got = _outcome(lambda: make_constraints(lower, upper, delta=delta, n=n))
+    want = _outcome(lambda: reference_make_constraints(lower, upper, delta=delta, n=n))
+    assert _bound_bits(got) == _bound_bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 500), alpha=_reals(0.0, 1.0, 0.0, 1.0), delta=DELTAS, data=st.data())
+def test_constraints_from_alpha_matches_the_numpy_reference(n, alpha, delta, data):
+    p = data.draw(st.integers(1, 9), label="p")
+    shares = data.draw(st.lists(_reals(0.0, 1.0, 0.0), min_size=p, max_size=p), label="shares")
+    total = sum(shares)
+    if data.draw(st.booleans(), label="normalised") and math.isfinite(total) and total > 0:
+        shares = [v / total for v in shares]
+    got = _outcome(lambda: constraints_from_alpha(n, shares, alpha, delta=delta))
+    want = _outcome(lambda: reference_constraints_from_alpha(n, shares, alpha, delta=delta))
+    assert _bound_bits(got) == _bound_bits(want)
+
+
+@st.composite
+def instances_and_masks(draw):
+    """(inst, cs, x): an instance with m in 0..25, s in 1..2 and p in 1..9 per
+    attribute, bounds in [0, n], and x a bool mask, a 0/1 int array, a 0/1 or
+    fractional float vector (NaN now and then) or a list of floats. One noise
+    entry is NaN now and then."""
+    m = draw(st.integers(0, 25), label="m")
+    s = draw(st.integers(1, 2), label="s")
+    p = draw(st.lists(st.integers(1, 9), min_size=s, max_size=s), label="p")
+    n = draw(st.integers(0, max(m, 1)), label="n")
+    unit = st.floats(0.0, 1.0)
+    noise = tuple(np.array(draw(st.lists(st.lists(unit, min_size=pk, max_size=pk),
+                                         min_size=m, max_size=m)), dtype=float).reshape(m, pk)
+                  for pk in p)
+    if m and draw(st.booleans()):  # one NaN entry: that group's count, and its violation, is NaN
+        noise[0][draw(st.integers(0, m - 1)), draw(st.integers(0, p[0] - 1))] = math.nan
+    true_attrs = np.column_stack([draw(arrays(np.int64, m, elements=st.integers(0, pk - 1)))
+                                  for pk in p]) if m else np.zeros((0, s), dtype=int)
+    inst = Instance(n=n, p=p, utilities=np.ones(m), noise=noise, true_attrs=true_attrs)
+    bound = _reals(0.0, float(n), 0.0, float(n))
+    lower = [draw(st.lists(bound, min_size=pk, max_size=pk)) for pk in p]
+    upper = [draw(st.lists(bound, min_size=pk, max_size=pk)) for pk in p]
+    lower = [[lo if math.isfinite(lo) else 0.0 for lo in row] for row in lower]
+    upper = [[max(hi, lo) if math.isfinite(hi) else float(n) for lo, hi in zip(los, his)]
+             for los, his in zip(lower, upper)]
+    cs = make_constraints(lower, upper, delta=0.0, n=n)
+    kind = draw(st.sampled_from(["bool", "int", "float", "fractional", "list"]), label="x")
+    mask = draw(arrays(bool, m))
+    if kind == "bool":
+        x = mask
+    elif kind == "int":
+        x = mask.astype(int)
+    elif kind == "float":
+        x = mask.astype(float)
+    else:
+        x = draw(st.lists(st.one_of(unit, st.sampled_from([math.nan, -0.0, 0.5])),
+                          min_size=m, max_size=m))
+        x = np.array(x, dtype=float) if kind == "fractional" else x
+    return inst, cs, x
+
+
+def _report_bits(report):
+    if isinstance(report, tuple):
+        return report
+    return ([(v.dtype, v.shape, v.tobytes()) for v in report.fairness],
+            np.float64(report.cardinality_excess).tobytes(),
+            np.float64(report.max_violation).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=instances_and_masks(), attrs=st.sampled_from(["true", "expected", "noisy"]))
+def test_violation_report_matches_the_float_mask_reference(drawn, attrs):
+    inst, cs, x = drawn
+    got = _outcome(lambda: violation_report(x, inst, cs, attrs=attrs))
+    want = _outcome(lambda: reference_violation_report(x, inst, cs, attrs=attrs))
+    assert _report_bits(got) == _report_bits(want)
+
+
+@st.composite
+def checkable_instances(draw):
+    """Instances with each of validate_instance's faults now and then: m = 0,
+    n out of range, p < 1, a non-finite or negative utility, a non-finite,
+    off-sum or out-of-range noise entry, a wrong block count or shape, and
+    attribute values outside [0, p)."""
+    m = draw(st.integers(0, 8), label="m")
+    s = draw(st.integers(0, 3), label="s")
+    p = draw(st.lists(st.integers(-1, 4), min_size=s, max_size=s), label="p")
+    n = draw(st.integers(-1, 10), label="n")
+    entry = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -1e-8, 1 + 1e-8, -0.0, 2.0, 0.5]))
+    utilities = draw(st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -1.0, -0.0, 1e308])), min_size=m, max_size=m))
+    noise = None
+    if draw(st.booleans()):
+        blocks = s + draw(st.sampled_from([0] * 5 + [-1, 1]))
+        noise = []
+        for k in range(max(blocks, 0)):
+            width = max(p[k] if k < s else 2, 0) + draw(st.sampled_from([0] * 5 + [1]))
+            rows = draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=width, max_size=width),
+                                 min_size=m, max_size=m))
+            q = np.array(rows, dtype=float).reshape(m, width)
+            if q.size and draw(st.booleans()):
+                q = q / q.sum(axis=1, keepdims=True)
+            if q.size and draw(st.booleans()):
+                q[draw(st.integers(0, m - 1)), draw(st.integers(0, width - 1))] = draw(entry)
+            noise.append(q)
+    attrs = [None]
+    if s:
+        attrs.append(arrays(np.int64, (m, s), elements=st.integers(-1, 4)))
+        attrs.append(arrays(np.int64, (m, s + 1), elements=st.integers(0, 3)))
+    true_attrs = draw(st.sampled_from(attrs))
+    true_attrs = true_attrs if true_attrs is None else draw(true_attrs)
+    return Instance(n=n, p=p, utilities=utilities, noise=noise, true_attrs=true_attrs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(inst=checkable_instances())
+def test_validate_instance_matches_the_mask_reference(inst):
+    assert validate_instance(inst) == reference_validate_instance(inst)
+
+
+def test_validate_instance_reports_an_empty_instance_without_raising():
+    inst = Instance(n=1, p=(2,), utilities=[], noise=(np.zeros((0, 2)),),
+                    true_attrs=np.zeros((0, 1), dtype=int))
+    assert validate_instance(inst) == ("m must be positive",
+                                       "selection size n=1 exceeds item count m=0")

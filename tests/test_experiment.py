@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fairselect import experiment, seeding, selectors
 from fairselect.datagen import GeneratorSpec, KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY
@@ -14,6 +15,7 @@ from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, loa
                                    write_results)
 
 from conftest import mean_of
+from reference_bookkeeping import reference_real_setting
 
 
 def small_config(**overrides):
@@ -434,3 +436,31 @@ def test_a_cell_reduction_gives_each_row_its_own_bits(rows):
         expected.append((float(np.mean(values)), sem))
     got = experiment._mean_sem(rows)
     assert [(_bits(m), _bits(s)) for m, s in got] == [(_bits(m), _bits(s)) for m, s in expected]
+
+
+# each real setting's ends with their nearest neighbours, zeros of both signs,
+# NaN and the infinities; an int, a bool, a string and a numpy float take the
+# general path, and must give what it gives
+REAL_KEYS = [key for key, (_, high, _) in experiment.RANGES.items() if high != "m"]
+SETTING_VALUES = st.one_of(
+    st.sampled_from([v for key in REAL_KEYS for end in experiment.RANGES[key][:2]
+                     for v in (math.nextafter(end, -math.inf), float(end),
+                               math.nextafter(end, math.inf))]
+                    + [-0.0, math.nan, 1e308, 0, 1, True, "0.5", np.float64(0.5), np.float64(-0.0)]),
+    st.floats())
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(REAL_KEYS), flag=st.booleans(), value=SETTING_VALUES)
+def test_a_real_setting_is_checked_as_the_array_path_checked_it(key, flag, value):
+    name = f"--{key}" if flag else key
+
+    def outcome(call):
+        try:
+            got = call()
+        except ValueError as exc:
+            return str(exc)
+        return type(got), np.float64(got).tobytes()
+
+    got = outcome(lambda: experiment.check_setting(name, value, KIND_DISPARATE_UTILITY))
+    assert got == outcome(lambda: reference_real_setting(key, name, value))

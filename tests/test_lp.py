@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
+from fairselect import lp as lp_module
 from fairselect.core import Instance, make_constraints
 from fairselect.lp import LinearProgram, SolveStatus, _ratio_order, build_denoised_lp, solve_bfs
 
@@ -323,3 +324,44 @@ def test_ratio_order_matches_the_full_sort(size, seed, ratios, weights, where, b
         assert len(head) == len(reach) > q
         assert head[q] == order[q]
         assert sorted(head[:q]) == sorted(order[:q])
+
+
+def _counted_solve(lp):
+    """solve_bfs(lp), with the number of np.linalg.solve calls it made and the
+    number of ratio tests it ran, one per pivot on a feasible program."""
+    counts = {"solves": 0, "pivots": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counted("solves", np.linalg.solve))
+        patch.setattr(lp_module, "_ratio_order", counted("pivots", lp_module._ratio_order))
+        sol = solve_bfs(lp)
+    return sol, counts["solves"], counts["pivots"]
+
+
+def test_a_solve_optimal_at_its_start_makes_no_linear_solve():
+    # every objective entry is negative, so the start is x = 0, which meets the row
+    lp = LinearProgram(objective=[-1.0, -2.0], rows=[[1.0, 1.0]], row_lower=[0.0],
+                       row_upper=[1.0])
+    sol, solves, pivots = _counted_solve(lp)
+    assert (sol.x.tolist(), solves, pivots) == ([0.0, 0.0], 0, 0)
+
+
+def test_the_first_pivot_makes_no_linear_solve(tiny, tiny_constraints):
+    sol, solves, pivots = _counted_solve(build_denoised_lp(tiny, tiny_constraints))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert pivots >= 1
+    assert solves == 3 * pivots - 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(denoised_lps())
+def test_a_solve_of_i_pivots_makes_3i_minus_2_linear_solves(case):
+    sol, solves, pivots = _counted_solve(case[1])
+    if sol.status is SolveStatus.OPTIMAL:
+        assert solves == max(0, 3 * pivots - 2)

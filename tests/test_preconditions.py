@@ -24,6 +24,17 @@ LABELLED = Instance(n=1, p=(2,), utilities=[1.0, 2.0], noise=None, true_attrs=[[
 BOUNDS = ConstraintSet(lower=([0.0, 0.0],), upper=([1.0, 1.0],), delta=0.0)
 
 
+# max x_0 + x_1 s.t. 0 <= x_0 + x_1 <= 1
+LP_FIELDS = {"objective": [1.0, 1.0], "rows": [[1.0, 1.0]], "row_lower": [0.0], "row_upper": [1.0]}
+
+
+def _with(field, bad):
+    """``field`` (a list, or a list of one row) with its last entry replaced by ``bad``."""
+    if isinstance(field[0], list):
+        return [field[0][:-1] + [bad]]
+    return field[:-1] + [bad]
+
+
 def bounds(lower, upper, delta=0.0):
     return lambda: ConstraintSet(lower=(lower,), upper=(upper,), delta=delta)
 
@@ -75,6 +86,17 @@ PRECONDITIONS = {
         lambda: LinearProgram(objective=[1.0, 1.0], rows=np.ones((1, 3)), row_lower=[0.0],
                               row_upper=[1.0]),
         ValueError, "objective shape (2,) does not match rows shape (1, 3)"),
+    **{f"lp-row-bound-shape-{name}": (
+        lambda given=given: LinearProgram(**{**LP_FIELDS, **given}), ValueError,
+        f"row bound shapes {shapes} do not match rows shape (1, 2)")
+       for name, given, shapes in [
+           ("scalar", {"row_lower": 0.0}, "() and (1,)"),
+           ("long", {"row_upper": [1.0, 1.0]}, "(1,) and (2,)")]},
+    # a non-finite entry ends the simplex in an IndexError, or in a wrong vertex
+    **{f"lp-non-finite-{name}-{bad}": (
+        lambda name=name, bad=bad: LinearProgram(**{**LP_FIELDS, name: _with(LP_FIELDS[name], bad)}),
+        ValueError, f"{name} must be finite")
+       for name in LP_FIELDS for bad in (math.nan, math.inf, -math.inf)},
     "bfs-infeasible-has-no-fractional-indices": (
         lambda: BfsSolution(x=None).fractional_indices, frozenset(), None),
     "write-results-format": (
