@@ -32,8 +32,19 @@ class UnsupportedError(ValueError):
     """The operation does not support this instance shape."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _stored(a, dtype, m: Optional[int] = None) -> Optional[np.ndarray]:
+    """What a frozen type keeps of array ``a``: a private, read-only, C-ordered copy (None stays
+    None). Given m, each row of an (m, p) ``a`` whose sum, in a's own layout (which fixes the
+    order of the additions), is within ROW_SUM_TOL of 1 is divided by it."""
+    if a is None:
+        return None
+    given = np.asarray(a, dtype=dtype)
+    a = np.array(given, order="C")
+    if a.ndim == 2 and len(a) == m:
+        sums = given.sum(axis=1)
+        off = (sums != 1.0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)
+        if off.any():
+            a[off] /= sums[off, None]
     a.setflags(write=False)
     return a
 
@@ -58,24 +69,11 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(int(v) for v in self.p))
-        object.__setattr__(self, "utilities", _readonly(np.asarray(self.utilities, dtype=float)))
+        object.__setattr__(self, "utilities", _stored(self.utilities, float))
         if self.noise is not None:
-            rows = []
-            for q in self.noise:
-                q = np.asarray(q, dtype=float)
-                # summed before the copy: the input's layout fixes the order of the additions
-                sums = q.sum(axis=1) if q.ndim == 2 and q.shape[0] == self.m else None
-                q = np.array(q, order="C")
-                if sums is not None:
-                    off = (sums != 1.0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)
-                    if off.any():
-                        q[off] /= sums[off, None]
-                rows.append(_readonly(q))
-            object.__setattr__(self, "noise", tuple(rows))
+            object.__setattr__(self, "noise", tuple(_stored(q, float, self.m) for q in self.noise))
         for name in ("true_attrs", "noisy_attrs"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _readonly(np.asarray(val, dtype=int)))
+            object.__setattr__(self, name, _stored(getattr(self, name), int))
 
     @property
     def m(self) -> int:
@@ -99,10 +97,10 @@ def validate_instance(inst: Instance) -> tuple:
     bad = []
     if inst.m < 1:
         bad.append("m must be positive")
-    if inst.n < 1:
-        bad.append("n must be positive")
-    if inst.n > inst.m:
-        bad.append(f"selection size n={inst.n} exceeds item count m={inst.m}")
+    try:
+        in_range("n", inst.n, inst.m)
+    except ValueError as exc:
+        bad.append(str(exc))
     if inst.s < 1:
         bad.append("s must be at least 1")
     for k, pk in enumerate(inst.p):
@@ -171,8 +169,8 @@ class ConstraintSet:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.lower))
-        object.__setattr__(self, "upper", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.upper))
+        object.__setattr__(self, "lower", tuple(_stored(a, float) for a in self.lower))
+        object.__setattr__(self, "upper", tuple(_stored(a, float) for a in self.upper))
         in_range("delta", self.delta)
         # a few entries per attribute: Python floats are cheaper than numpy's per-call cost
         for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
@@ -266,11 +264,11 @@ class Selection:
     total_utility: float
 
     def __post_init__(self):
-        object.__setattr__(self, "chosen", _readonly(np.asarray(self.chosen, dtype=bool)))
+        object.__setattr__(self, "chosen", _stored(self.chosen, bool))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, utilities: np.ndarray) -> "Selection":
-        mask = np.array(mask, dtype=bool)  # a copy: the Selection freezes its mask
+        mask = np.asarray(mask, dtype=bool)
         return cls(chosen=mask, total_utility=float(np.dot(mask, np.asarray(utilities, dtype=float))))
 
     @property
@@ -386,11 +384,8 @@ def json_list(name: str, value) -> list:
 
 
 def integer(name: str, value) -> int:
-    """A JSON or numpy number that must be an integer (3.0 reads as 3).
-
-    Raises ValueError naming ``name`` for anything else, such as 1.9,
-    which ``int`` would truncate to 1.
-    """
+    """A JSON or numpy number that must be an integer (3.0 reads as 3); raises ValueError
+    naming ``name`` for anything else, such as 1.9, which ``int`` would truncate to 1."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
@@ -426,36 +421,49 @@ def integer_array(name: str, value) -> np.ndarray:
     return a.astype(int, copy=False)
 
 
-def real_array(name: str, value) -> np.ndarray:
-    """A JSON list (nested or not) of numbers, as floats."""
-    return _number_array(name, value, "numbers").astype(float, copy=False)
+def real_array(name: str, value, shape: Optional[tuple] = None) -> np.ndarray:
+    """A JSON list (nested or not) of numbers, as floats, of ``shape`` if one is given."""
+    a = _number_array(name, value, "numbers").astype(float, copy=False)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
+    return a
+
+
+def _real(v) -> Optional[float]:
+    """``v`` as a float if numpy reads it as one real number: no bool, no int it cannot hold."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return float(v) if -2**63 <= v < 2**64 else None
+    numpy = isinstance(v, (np.generic, np.ndarray)) and v.ndim == 0 and v.dtype.kind in "iuf"
+    return float(v) if isinstance(v, float) or numpy else None
 
 
 def in_range(key: str, value, m: Optional[int] = None, name: Optional[str] = None):
-    """``value`` (a number, or a grid's list) if each entry lies in ``RANGES[key]`` (n and bins
-    need m), else a ValueError naming ``name`` (the key by default). Pure Python, for speed."""
-    low, high, close = RANGES[key]
-    name, shown = name or key, f"m={m}" if high == "m" else f"{high:g}"
-    value, high = (integer(name, value), m) if high == "m" else (value, high)
-    for v in value if isinstance(value, (list, tuple)) else [value]:
-        if not -np.inf < v < np.inf:
-            raise ValueError(f"{name} must be finite, not {value}")
-        if not (low <= v < high if close == ")" else low <= v <= high):
-            raise ValueError(f"{name} must lie in [{low:g}, {shown}{close}, not {value}")
-    return value
+    """``value`` in ``RANGES[key]`` (n and bins need m) as a float, an int for n and bins, or if
+    ``name`` ends in ``_grid`` as a tuple of floats from a list or tuple. Else a ValueError naming
+    ``name`` (the key by default). Pure Python, for speed."""
+    (low, high, close), name = RANGES[key], name or key
+    values = value if (grid := name.endswith("_grid")) else [value]
+    if high == "m":  # entry by entry, and a grid's range names its values
+        ints = [within(name + " values" * grid, i := integer(name, v), [i], low, m, close,
+                       f"m={m}") for v in values]
+        return tuple(map(float, ints)) if grid else ints[0]
+    reals = [_real(v) for v in values]
+    if None in reals:  # named as an instance file's list is: ragged, misshapen or not numbers
+        real_array(name, value, (len(value),) if grid else ())
+        raise ValueError(f"{name} must hold numbers only")  # an np.bool_ among numbers
+    within(name, value, reals, low, high, close)
+    return tuple(reals) if grid else reals[0]
 
 
-def real_values(name: str, value, shape=(), low=-np.inf, high=np.inf, close="]") -> np.ndarray:
-    """``value`` as a float array of ``shape``, each entry finite and in [low,
-    high], or in [low, high) if ``close`` is ")"; raises ValueError naming ``name``."""
-    a = real_array(name, value)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
-    if not np.all(np.isfinite(a)):
+def within(name: str, value, entries, low, high, close: str = "]", shown: Optional[str] = None):
+    """``value`` if each of its ``entries`` is finite and lies in [low, high], or in [low, high)
+    if ``close`` is ")"; else a ValueError naming ``name`` that shows high as ``shown``."""
+    if not all(-math.inf < v < math.inf for v in entries):
         raise ValueError(f"{name} must be finite, not {value}")
-    if not np.all((a >= low) & ((a < high) if close == ")" else (a <= high))):
-        raise ValueError(f"{name} must lie in [{low:g}, {high:g}{close}, not {value}")
-    return a
+    if not all(low <= v < high if close == ")" else low <= v <= high for v in entries):
+        high = f"{high:g}" if shown is None else shown
+        raise ValueError(f"{name} must lie in [{low:g}, {high}{close}, not {value}")
+    return value
 
 
 def instance_from_dict(data: dict) -> Instance:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, UnsupportedError, in_range, real_values
+from .core import Instance, UnsupportedError, in_range, real_array, within
 from .seeding import make_rng
 
 KIND_DISPARATE_ERROR = "disparate_error"
@@ -99,7 +99,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown {self.kind} generator params: {unknown}")
         # only the params given are checked: the defaults pass every check
         for key, value in self.params.items():
-            real_values(key, value, np.shape(_DEFAULTS[self.kind][key]), *_RANGES.get(key, ()))
+            a = real_array(key, value, np.shape(_DEFAULTS[self.kind][key]))
+            within(key, value, a.ravel().tolist(), *_RANGES.get(key, (-np.inf, np.inf)))
         weights = self.params.get("mixture_weights")
         if weights is not None and not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError(f"mixture_weights must sum to 1, not {weights}")

@@ -25,8 +25,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import selectors
 from .core import (RANGES, InfeasibleError, Instance, check_keys, constraints_from_alpha,
-                   in_range, integer, json_list, json_object, load_json_file, real_values,
-                   target_vector, violation_report)
+                   in_range, integer, json_list, json_object, load_json_file, target_vector,
+                   violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -48,29 +48,20 @@ GENERATOR_KEYS = frozenset({"kind", "params"})
 
 
 def check_setting(name: str, value, kind: Optional[str] = None, m: Optional[int] = None):
-    """Config key or flag ``name`` (``tau``, ``tau_grid``, ``--tau``) for a ``kind``
-    generator of m items, or of no kind (``select``): a float (an int for n and bins) or a
-    grid's tuple of floats; None gives the default if the kind reads the setting. Raises
-    ValueError naming ``name`` if the kind reads no such setting or a value is out of range."""
-    key, grid = name.lstrip("-").removesuffix("_grid"), name.endswith("_grid")
-    reads, default = DRAW_SETTINGS.get(kind, {}), value is None
+    """Config key or flag ``name`` (``tau``, ``tau_grid``, ``--tau``) for a ``kind`` generator
+    of m items, or of no kind (``select``), as ``in_range`` returns it; None gives the default if
+    the kind reads the setting. Raises ValueError naming ``name`` if the kind reads no such
+    setting or ``in_range`` rejects the value."""
+    key, reads = name.lstrip("-").removesuffix("_grid"), DRAW_SETTINGS.get(kind, {})
     if key not in reads and any(key in other for other in DRAW_SETTINGS.values()):
-        if not default:
+        if value is not None:
             raise ValueError(f"the {kind} generator reads no {name}")
         return None
-    value = {**DEFAULTS, **reads}.get(key) if default else value  # delta and n have none
-    if RANGES[key][1] != "m" and not grid and type(value) is float:  # every select flag
-        return in_range(key, value, name=name)  # which names a NaN or an inf as real_values does
-    if RANGES[key][1] != "m":  # its type, shape and finiteness, then its range
-        values = real_values(name, value, (len(value),) if grid else ()).tolist()
-        in_range(key, value, name=name)
-        return tuple(values) if grid else values
-    try:  # an integer first, so a grid's entry is named as the grid
-        values = [in_range(key, integer(name, v), m, name + " values" * grid)
-                  for v in (value if grid else [value])]
+    defaults = {} if value is not None else {**DEFAULTS, **reads}  # delta and n have none
+    try:
+        return in_range(key, defaults.get(key, value), m, name)
     except ValueError as exc:  # only bins' default can miss a small m
-        raise ValueError(f"{exc}{' (its default)' * default}") from None
-    return tuple(map(float, values)) if grid else values[0]
+        raise ValueError(f"{exc}{' (its default)' * (key in defaults)}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,10 +5,12 @@ Each function here is the numpy version the library used to run:
 ``reference_make_constraints`` clamps with ``np.clip``, ``ReferenceConstraintSet``
 checks its bounds with elementwise masks, ``reference_validate_instance``
 masks every array, ``reference_violation_report`` copies its mask to floats,
-and ``reference_real_setting`` is ``check_setting``'s branch for one real
-setting. ``tests/test_core.py`` and ``tests/test_experiment.py`` check with
-hypothesis that the library gives the same bits and the same messages. This
-is a test fixture, not a production path.
+and ``reference_check_setting`` checks a setting's value on the three paths
+``check_setting`` had before ``core.in_range`` became its one path: a Python
+float's shortcut, the array path of ``reference_real_values`` for every other
+real value, and n's and bins' integer check. ``tests/test_core.py`` and
+``tests/test_experiment.py`` check with hypothesis that the library gives the
+same bits and the same messages. This is a test fixture, not a production path.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairselect.core import (ROW_SUM_TOL, Instance, ViolationReport, _readonly, in_range,
-                             real_values)
+from fairselect.core import (RANGES, ROW_SUM_TOL, Instance, ViolationReport, _stored, in_range,
+                             integer, real_array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +30,8 @@ class ReferenceConstraintSet:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.lower))
-        object.__setattr__(self, "upper", tuple(_readonly(np.asarray(a, dtype=float)) for a in self.upper))
+        object.__setattr__(self, "lower", tuple(_stored(a, float) for a in self.lower))
+        object.__setattr__(self, "upper", tuple(_stored(a, float) for a in self.upper))
         in_range("delta", self.delta)
         for k, (lo, hi) in enumerate(zip(self.lower, self.upper)):
             if lo.shape != hi.shape:
@@ -70,10 +72,8 @@ def reference_validate_instance(inst: Instance) -> tuple:
     bad = []
     if inst.m < 1:
         bad.append("m must be positive")
-    if inst.n < 1:
-        bad.append("n must be positive")
-    if inst.n > inst.m:
-        bad.append(f"selection size n={inst.n} exceeds item count m={inst.m}")
+    if not 1 <= inst.n <= inst.m:
+        bad.append(f"n must lie in [1, m={inst.m}], not {inst.n}")
     if inst.s < 1:
         bad.append("s must be at least 1")
     for k, pk in enumerate(inst.p):
@@ -146,8 +146,43 @@ def reference_violation_report(x, inst: Instance, cs, attrs: str = "true") -> Vi
     return ViolationReport(fairness=tuple(fairness), cardinality_excess=excess, max_violation=worst)
 
 
-def reference_real_setting(key: str, name: str, value):
-    """``check_setting``'s branch for one real setting such as ``--alpha``."""
-    values = real_values(name, value, ()).tolist()
-    in_range(key, value, name=name)
-    return values
+def reference_in_range(key: str, value, m=None, name=None):
+    """``core.in_range`` as it was: it checked a number or a list's entries, took n and
+    bins through ``integer``, and left every other type to its caller."""
+    low, high, close = RANGES[key]
+    name, shown = name or key, f"m={m}" if high == "m" else f"{high:g}"
+    value, high = (integer(name, value), m) if high == "m" else (value, high)
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        if not -np.inf < v < np.inf:
+            raise ValueError(f"{name} must be finite, not {value}")
+        if not (low <= v < high if close == ")" else low <= v <= high):
+            raise ValueError(f"{name} must lie in [{low:g}, {shown}{close}, not {value}")
+    return value
+
+
+def reference_real_values(name: str, value, shape=(), low=-np.inf, high=np.inf,
+                          close="]") -> np.ndarray:
+    """``value`` as a float array of ``shape``, each entry finite and in [low, high], or in
+    [low, high) if ``close`` is ")"; raises ValueError naming ``name``."""
+    a = real_array(name, value)
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, not {value}")
+    if not np.all((a >= low) & ((a < high) if close == ")" else (a <= high))):
+        raise ValueError(f"{name} must lie in [{low:g}, {high:g}{close}, not {value}")
+    return a
+
+
+def reference_check_setting(name: str, value, m=None):
+    """``check_setting``'s three paths for a given value of the setting or grid ``name``."""
+    key, grid = name.lstrip("-").removesuffix("_grid"), name.endswith("_grid")
+    if RANGES[key][1] != "m" and not grid and type(value) is float:
+        return reference_in_range(key, value, name=name)
+    if RANGES[key][1] != "m":
+        values = reference_real_values(name, value, (len(value),) if grid else ()).tolist()
+        reference_in_range(key, value, name=name)
+        return tuple(values) if grid else values
+    values = [reference_in_range(key, integer(name, v), m, name + " values" * grid)
+              for v in (value if grid else [value])]
+    return tuple(map(float, values)) if grid else values[0]

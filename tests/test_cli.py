@@ -429,7 +429,7 @@ BAD_INPUT = {
         "the metrics report covers single-attribute instances"),
     **{f"{NEW}[instance-{name}]": (argv, content, message) for name, argv, content, message in [
         ("no-items", BLIND, {"n": 1, "p": [2], "w": []}, "m must be positive"),
-        ("n-zero", BLIND, tiny_with(n=0), "n must be positive"),
+        ("n-zero", BLIND, tiny_with(n=0), "n must lie in [1, m=4], not 0"),
         ("no-attributes", BLIND, tiny_with(p=[]), "s must be at least 1"),
         ("p-zero", BLIND, tiny_with(p=[0]), "attribute 0 has p=0 < 1"),
         ("q-two-blocks", BLIND, lambda data: {**data, "q": data["q"] * 2},

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fairselect.core import (Instance, Selection, constraints_from_alpha,
+from fairselect.core import (ConstraintSet, Instance, Selection, constraints_from_alpha,
                              instance_from_dict, instance_to_dict, load_instance,
                              make_constraints, save_instance, smallest, top_n, validate_instance,
                              violation_report)
@@ -30,8 +30,7 @@ def test_validate_bad_row_sum():
 def test_validate_n_exceeds_m():
     inst = Instance(n=5, p=(2,), utilities=np.ones(4),
                     noise=(np.full((4, 2), 0.5),))
-    violations = validate_instance(inst)
-    assert any("exceeds item count" in v for v in violations)
+    assert validate_instance(inst) == ("n must lie in [1, m=4], not 5",)
 
 
 def test_validate_negative_utility():
@@ -81,6 +80,52 @@ def test_rows_renormalized_as_summed_in_the_input_layout(p, order):
 def test_instance_immutable(tiny):
     with pytest.raises(ValueError):
         tiny.utilities[0] = 99.0
+
+
+def _stored_arrays(obj):
+    """Every array a frozen Instance, ConstraintSet or Selection keeps."""
+    if isinstance(obj, Instance):
+        return [obj.utilities, *obj.noise, obj.true_attrs, obj.noisy_attrs]
+    if isinstance(obj, Selection):
+        return [obj.chosen]
+    return [*obj.lower, *obj.upper]
+
+
+# each builds a frozen type from the arrays it is given: as they are, or as views of them
+BUILDS = {
+    "instance": lambda a: Instance(n=1, p=(2,), utilities=a["w"], noise=(a["q"],),
+                                   true_attrs=a["z"], noisy_attrs=a["zhat"]),
+    "constraints": lambda a: ConstraintSet(lower=(a["lo"],), upper=(a["hi"],), delta=0.0),
+    "selection": lambda a: Selection(chosen=a["mask"], total_utility=1.0),
+    "from-mask": lambda a: Selection.from_mask(a["mask"], a["w"]),
+}
+
+
+def _caller_arrays():
+    return {"w": np.array([1.0, 2.0]), "q": np.array([[0.5, 0.5], [0.25, 0.75]]),
+            "z": np.array([[0], [1]]), "zhat": np.array([[1], [1]]), "lo": np.zeros(2),
+            "hi": np.ones(2), "mask": np.array([True, False])}
+
+
+@pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+@pytest.mark.parametrize("view", [False, True], ids=["arrays", "views"])
+def test_a_frozen_type_keeps_its_own_copy_of_each_array(build, view):
+    given = _caller_arrays()
+    obj = build({key: a[:] if view else a for key, a in given.items()})
+    kept = [(a.tobytes(), a.flags.writeable, a.flags.c_contiguous) for a in _stored_arrays(obj)]
+    assert all(not writeable and contiguous for _, writeable, contiguous in kept)
+    assert all(a.flags.writeable for a in given.values())  # the caller's keep their flags
+    for a in given.values():  # written through the base of each view that was passed
+        a[...] = 7 if a.dtype.kind in "iuf" else False
+    assert [(a.tobytes(), a.flags.writeable, a.flags.c_contiguous)
+            for a in _stored_arrays(obj)] == kept
+
+
+def test_a_constraint_set_keeps_the_bound_it_checked():
+    lo = np.zeros(2)
+    cs = ConstraintSet(lower=(lo[:],), upper=(np.ones(2),), delta=0.0)
+    lo[0] = -5.0
+    assert cs.lower[0].tolist() == [0.0, 0.0]
 
 
 def test_constraints_from_alpha_endpoints():
@@ -449,5 +494,4 @@ def test_validate_instance_matches_the_mask_reference(inst):
 def test_validate_instance_reports_an_empty_instance_without_raising():
     inst = Instance(n=1, p=(2,), utilities=[], noise=(np.zeros((0, 2)),),
                     true_attrs=np.zeros((0, 1), dtype=int))
-    assert validate_instance(inst) == ("m must be positive",
-                                       "selection size n=1 exceeds item count m=0")
+    assert validate_instance(inst) == ("m must be positive", "n must lie in [1, m=0], not 1")

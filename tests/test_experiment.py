@@ -15,7 +15,7 @@ from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, loa
                                    write_results)
 
 from conftest import mean_of
-from reference_bookkeeping import reference_real_setting
+from reference_bookkeeping import reference_check_setting
 
 
 def small_config(**overrides):
@@ -438,29 +438,50 @@ def test_a_cell_reduction_gives_each_row_its_own_bits(rows):
     assert [(_bits(m), _bits(s)) for m, s in got] == [(_bits(m), _bits(s)) for m, s in expected]
 
 
-# each real setting's ends with their nearest neighbours, zeros of both signs,
-# NaN and the infinities; an int, a bool, a string and a numpy float take the
-# general path, and must give what it gives
-REAL_KEYS = [key for key, (_, high, _) in experiment.RANGES.items() if high != "m"]
+# each setting's range ends (m's for n and bins) with their float neighbours, zeros of both
+# signs, NaN and the infinities; the ints at numpy's limits; a bool, a numpy bool, a string and
+# nested lists, which hold no number; numpy scalars and 0-d arrays. A grid is a list or tuple
+# of them, or of None.
+M = 50
 SETTING_VALUES = st.one_of(
-    st.sampled_from([v for key in REAL_KEYS for end in experiment.RANGES[key][:2]
+    st.sampled_from([v for low, high, _ in experiment.RANGES.values()
+                     for end in (low, M if high == "m" else high)
                      for v in (math.nextafter(end, -math.inf), float(end),
                                math.nextafter(end, math.inf))]
-                    + [-0.0, math.nan, 1e308, 0, 1, True, "0.5", np.float64(0.5), np.float64(-0.0)]),
+                    + [0.0, -0.0, math.nan, math.inf, -math.inf, 0, 1, M, 2**63, 2**64,
+                       -2**63 - 1, True, np.bool_(True), "0.5", [0.5], [[0.5]], [0.5, [0.5]],
+                       np.float64(0.5), np.float64(-0.0), np.float32(0.25), np.int64(3),
+                       np.uint64(2**63), np.array(0.5), np.array(3), np.array(True)]),
     st.floats())
+GRIDS = st.lists(SETTING_VALUES | st.none(), max_size=4).flatmap(
+    lambda grid: st.sampled_from([grid, tuple(grid)]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(key=st.sampled_from(REAL_KEYS), flag=st.booleans(), value=SETTING_VALUES)
-def test_a_real_setting_is_checked_as_the_array_path_checked_it(key, flag, value):
-    name = f"--{key}" if flag else key
+def _as_python_bool(value):
+    """``value`` with each numpy bool read as Python's True or False: the array path took
+    a numpy bool among numbers for 1.0, and the one path rejects it as it rejects a bool."""
+    def read(v):
+        return bool(v) if isinstance(v, (np.bool_, np.ndarray)) and v.dtype == bool else v
+    return type(value)(map(read, value)) if isinstance(value, (list, tuple)) else read(value)
+
+
+@settings(max_examples=600, deadline=None)
+@given(key=st.sampled_from(list(experiment.RANGES)), form=st.sampled_from(["flag", "key", "grid"]),
+       data=st.data())
+def test_a_real_setting_is_checked_as_the_array_path_checked_it(key, form, data):
+    """Every setting, n and bins included, and every grid: the one path gives each value
+    the type and bits, or the message, that the three paths before it gave."""
+    name = {"flag": f"--{key}", "key": key, "grid": f"{key}_grid"}[form]
+    value = data.draw(GRIDS if form == "grid" else SETTING_VALUES, label="value")
 
     def outcome(call):
         try:
             got = call()
         except ValueError as exc:
             return str(exc)
-        return type(got), np.float64(got).tobytes()
+        return type(got), list(map(type, got)) if form == "grid" else [], np.float64(got).tobytes()
 
-    got = outcome(lambda: experiment.check_setting(name, value, KIND_DISPARATE_UTILITY))
-    assert got == outcome(lambda: reference_real_setting(key, name, value))
+    got = outcome(lambda: experiment.check_setting(name, value, KIND_DISPARATE_UTILITY, M))
+    if experiment.RANGES[key][1] != "m":
+        value = _as_python_bool(value)
+    assert got == outcome(lambda: reference_check_setting(name, value, M))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairselect.core import (RANGES, ConstraintSet, Instance, constraints_from_alpha,
-                             violation_report)
+                             validate_instance, violation_report)
 from fairselect.datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                                 estimate_q_by_utility_bins, gen_disparate_error,
                                 gen_disparate_utility, inject_flip_noise)
@@ -54,6 +54,16 @@ PRECONDITIONS = {
     **{f"alpha-{alpha}": (lambda alpha=alpha: constraints_from_alpha(2, [0.5, 0.5], alpha),
                           ValueError, f"alpha must lie in [0, 1], not {alpha}")
        for alpha in (-0.5, 1.5)},
+    # a setting that is not a number is named, not compared with its range
+    **{f"{key}-{bad!r}": (call, ValueError, f"{key} must hold numbers only")
+       for bad in ("0.1", None) for key, call in [
+           ("delta", bounds([0.0], [1.0], delta=bad)),
+           ("alpha", lambda bad=bad: constraints_from_alpha(2, [0.5, 0.5], bad)),
+           ("lambda", lambda bad=bad: mult_obj(LABELLED, (0.5, 0.5), bad, np.array([0, 1]))),
+           ("tau", lambda bad=bad: inject_flip_noise(LABELLED, bad, 0))]},
+    "validate-instance-n-fraction": (
+        lambda: validate_instance(Instance(n=1.5, p=(2,), utilities=[1.0, 2.0], noise=None)),
+        ("n must be an integer, not 1.5",), None),
     "violation-report-attrs": (
         lambda: violation_report([1.0, 0.0], LABELLED, BOUNDS, attrs="noisy"), ValueError,
         "attrs must be 'true' or 'expected', got 'noisy'"),
