@@ -1,9 +1,12 @@
 """Seeded trial sweeps over alpha / lambda / tau / n grids.
 
 One experiment = a generator, one sweep axis, a set of algorithms, and a
-trial count. Every trial draws from streams under (seed, grid index, trial
-index) (see run_trial), so results are byte-identical no matter how trials
-are scheduled; the worker count only changes wall-clock time.
+trial count. Each trial draws once, from streams under (seed, trial index),
+and runs every grid point on that draw (see TrialDraw and run_trial): the
+grid points of a trial differ only in the setting swept, and the labels a
+smaller tau flips stay flipped at a larger one. A trial is the unit of work,
+and its results do not depend on where or when it runs, so the output is
+byte-identical whatever the worker count, which changes only wall-clock time.
 
 Fractional outputs (the LP vertex and the multi-objective optimum) are
 rounded to exactly-n subsets with marginal-preserving dependent rounding
@@ -17,6 +20,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 from typing import Optional
 
@@ -24,9 +28,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import selectors
-from .core import (RANGES, InfeasibleError, Instance, check_keys, constraints_from_alpha,
-                   in_range, integer, json_list, json_object, load_json_file, target_vector,
-                   violation_report)
+from .core import (RANGES, InfeasibleError, Instance, Selection, check_keys,
+                   constraints_from_alpha, in_range, integer, json_list, json_object,
+                   load_json_file, target_vector, violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
                       estimate_q_by_utility_bins, gen_disparate_error,
                       gen_disparate_utility, inject_flip_noise)
@@ -43,7 +47,7 @@ FIELDS = {"lambda": "lambda_"}  # the config keys whose field has another name
 DRAW_SETTINGS = {KIND_DISPARATE_ERROR: {}, KIND_DISPARATE_UTILITY: {"tau": 0.0, "bins": 20}}
 DEFAULTS = {"alpha": 1.0, "lambda": 0.0}
 # a generator section names only what to draw: every trial draws at the
-# config's own m and n, from the config's seed (see run_trial)
+# config's own m and n, from the config's seed (see TrialDraw)
 GENERATOR_KEYS = frozenset({"kind", "params"})
 
 
@@ -111,7 +115,7 @@ class ExperimentConfig:
             raise ValueError(f"algorithms repeats {repeated}")
         if self.target not in (TARGET_EQUAL, TARGET_PROPORTIONAL):
             raise ValueError(f"target must be {TARGET_EQUAL} or {TARGET_PROPORTIONAL}")
-        # every trial draws at the config's own m, n and seed (see run_trial)
+        # every trial draws at the config's own m, n and seed (see TrialDraw)
         if (gen.m, gen.n) != (self.m, self.n):
             raise ValueError(f"the generator's m={gen.m}, n={gen.n} differ from the "
                              f"config's m={self.m}, n={self.n}")
@@ -173,36 +177,131 @@ def build_instance(spec: GeneratorSpec, tau: Optional[float], bins: Optional[int
     with probability ``tau`` from stream 2, and get probability rows from
     ``bins`` utility bins of a training draw from stream 0.
     """
+    return _observe(_draw(spec, bins, *key), tau, spec.n, spec.seed, *key)
+
+
+def _draw(spec: GeneratorSpec, bins: Optional[int], *key: int) -> tuple:
+    """What build_instance draws that tau does not change: (the disparate-error
+    instance, None), or (the disparate-utility instance with no observed labels,
+    its probability rows), which read its utilities and no label."""
     if spec.kind == KIND_DISPARATE_ERROR:
-        return gen_disparate_error(spec, *key, 0)
+        return gen_disparate_error(spec, *key, 0), None
     train = gen_disparate_utility(spec, *key, 0)
-    inst = inject_flip_noise(gen_disparate_utility(spec, *key, 1), tau, spec.seed, *key, 2)
-    q = estimate_q_by_utility_bins(inst, bins, train=train)
-    return replace(inst, noise=(q,))
+    inst = gen_disparate_utility(spec, *key, 1)
+    return inst, estimate_q_by_utility_bins(inst, bins, train=train)
 
 
-def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
-    """All algorithms on one freshly drawn instance; returns
-    {algorithm: {metric: value or None}} with None marking an infeasible run.
-    A draw with an empty true group has no metrics, so every algorithm's
-    run on it counts as infeasible. Its streams, each built where it is drawn
-    from, are (cfg.seed, grid_idx, trial, k): k = 0|1|2 to draw, 3 to break an
-    imputation tie and (4, a_idx) for algorithm a_idx to round."""
+def _observe(drawn: tuple, tau: Optional[float], n: int, seed, *key: int) -> Instance:
+    """``_draw``'s instance with n items to select and, if it has no probability
+    rows yet, its labels flipped at ``tau`` from the stream (seed, *key, 2) and
+    its rows attached."""
+    inst, q = drawn
+    if q is not None:
+        return replace(inject_flip_noise(inst, tau, seed, *key, 2), noise=(q,), n=n)
+    return inst if inst.n == n else replace(inst, n=n)
+
+
+class TrialDraw:
+    """What one trial draws, made once and read by each of its grid points.
+
+    The draw comes from the streams (cfg.seed, trial, 0|1|2), at the config's
+    n: α, λ and n change no number drawn, and τ only which labels are
+    flipped. Each part is made on first use and then kept, so a grid point
+    run alone makes only what it reads:
+
+    - the instance per (τ, n), its labels flipped from the stream
+      (cfg.seed, trial, 2), whose uniforms are the same at every τ, so the
+      flipped items at a smaller τ are among those at a larger one;
+    - the imputed groups, which read q alone, their ties broken from the
+      stream (cfg.seed, trial, 3);
+    - the blind selection per n, and the group-level instance per (τ, n).
+    """
+
+    def __init__(self, cfg: ExperimentConfig, trial: int):
+        self.cfg, self.trial = cfg, trial
+        self._made = {}
+
+    def _once(self, key: tuple, make):
+        if key not in self._made:
+            self._made[key] = make()
+        return self._made[key]
+
+    @cached_property
+    def _drawn(self) -> tuple:
+        spec = replace(self.cfg.generator, seed=self.cfg.seed)  # at the config's m and n
+        return _draw(spec, self.cfg.bins, self.trial)
+
+    @cached_property
+    def empty_group(self) -> bool:
+        """Whether a true group has no member, which leaves no metric defined."""
+        inst = self._drawn[0]
+        return bool(np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0))
+
+    def instance(self, tau: Optional[float], n: int) -> Instance:
+        return self._once(("instance", tau, n), lambda: _observe(
+            self._drawn, tau, n, self.cfg.seed, self.trial))
+
+    def imputed(self, inst: Instance) -> np.ndarray:
+        """The imputed groups of ``inst``, any of this draw's instances: they
+        all carry the same q."""
+        return self._once(("imputed",), lambda: selectors.impute_bayes(
+            inst.noise_matrix(0), self.cfg.seed, self.trial, 3))
+
+    def blind(self, inst: Instance) -> Selection:
+        """The blind selection of ``inst``, one of this draw's instances."""
+        return self._once(("blind", inst.n), lambda: selectors.blind(inst))
+
+    def group_level(self, tau: Optional[float], n: int) -> Instance:
+        return self._once(("group_level", tau, n),
+                          lambda: selectors.group_level_instance(self.instance(tau, n)))
+
+
+@dataclass(eq=False)
+class _GridPoint(selectors.Problem):
+    """One grid point's Problem, which takes what the trial's grid points
+    share from the trial's draw, the imputation's tie-break stream included."""
+
+    draw: Optional[TrialDraw] = None
+    tau: Optional[float] = None
+
+    imputed = property(lambda pb: pb.draw.imputed(pb.inst))
+    blind_selection = property(lambda pb: pb.draw.blind(pb.inst))
+    group_level = property(lambda pb: pb.draw.group_level(pb.tau, pb.inst.n))
+
+
+def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
+              draw: Optional[TrialDraw] = None) -> dict:
+    """All algorithms at grid point ``grid_idx`` on trial ``trial``'s draw;
+    returns {algorithm: {metric: value or None}} with None marking an
+    infeasible run. A draw with an empty true group has no metrics, so every
+    algorithm's run on it counts as infeasible.
+
+    ``draw`` is the trial's TrialDraw, which run_experiment shares among the
+    trial's grid points; without one the trial draws for itself, and makes
+    only what this grid point reads. Either way the row is the same. Its
+    streams, each built where it is drawn from, are (cfg.seed, trial, k):
+    k = 0|1|2 to draw and 3 to break an imputation tie (see TrialDraw), and
+    (cfg.seed, grid_idx, trial, 4, a_idx) for algorithm a_idx to round."""
+    if draw is None:
+        draw = TrialDraw(cfg, trial)
+    elif draw.cfg is not cfg or draw.trial != trial:
+        raise ValueError(f"the draw belongs to another config or trial, not trial {trial} "
+                         "of this config")
     knobs = dict(zip(SWEEP_KINDS, (cfg.alpha, cfg.lambda_, cfg.tau, cfg.n)))  # grids hold floats
     alpha, lam, tau, n = {**knobs, cfg.sweep_kind: cfg.grid[grid_idx]}.values()
-    key = (grid_idx, trial)  # the config checked that its generator's m is cfg.m
-    inst = build_instance(replace(cfg.generator, n=int(n), seed=cfg.seed), tau, cfg.bins, *key)
-    if np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0):
+    if draw.empty_group:
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
+    inst = draw.instance(tau, int(n))
     t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
     cs = constraints_from_alpha(inst.n, t, alpha, delta=cfg.delta)
-    problem = selectors.Problem(inst, cs, t, seed=cfg.seed, imputed_key=(*key, 3), lambda_=lam)
+    problem = _GridPoint(inst, cs, t, seed=cfg.seed, lambda_=lam, draw=draw, tau=tau)
     blind_utility = problem.blind_selection.total_utility
 
     out = {}
     for a_idx, alg in enumerate(cfg.algorithms):
         try:
-            sel = selectors.run_algorithm(alg, problem, (*key, 4, a_idx), selectors.DEPENDENT)
+            sel = selectors.run_algorithm(alg, problem, (grid_idx, trial, 4, a_idx),
+                                          selectors.DEPENDENT)
         except InfeasibleError:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue
@@ -217,25 +316,31 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int) -> dict:
     return out
 
 
+def _run_grid(cfg: ExperimentConfig, trial: int) -> list:
+    """run_trial's row at every grid point, in grid order, on one draw of ``trial``."""
+    draw = TrialDraw(cfg, trial)
+    return [run_trial(cfg, gi, trial, draw) for gi in range(len(cfg.grid))]
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
-    """Full sweep. Output ordering is fixed by (grid index, algorithm,
-    metric) regardless of scheduling; infeasible trials are excluded from
-    means and counted in an extra ``excluded_trials`` row. ``workers`` must
-    be positive."""
+    """Full sweep, a trial at a time: each trial draws once and runs every
+    grid point on that draw. Output ordering is fixed by (grid index,
+    algorithm, metric) regardless of scheduling; infeasible trials are
+    excluded from means and counted in an extra ``excluded_trials`` row.
+    ``workers`` must be positive."""
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, not {workers!r}")
-    tasks = [(gi, tr) for gi in range(len(cfg.grid)) for tr in range(cfg.trials)]
-    workers = min(workers, len(tasks))  # a pool forks all its workers up front
+    workers = min(workers, cfg.trials)  # a pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, repeat(cfg), *zip(*tasks),
-                                    chunksize=max(1, len(tasks) // (4 * workers))))
+            results = list(pool.map(_run_grid, repeat(cfg), range(cfg.trials),
+                                    chunksize=max(1, cfg.trials // (4 * workers))))
     else:
-        results = [run_trial(cfg, gi, tr) for gi, tr in tasks]
+        results = [_run_grid(cfg, tr) for tr in range(cfg.trials)]
 
     rows, per_trial = [], []
     for gi, grid_value in enumerate(cfg.grid):
-        point = results[gi * cfg.trials:(gi + 1) * cfg.trials]  # the tasks are grid-major
+        point = [grid[gi] for grid in results]  # one row per trial
         for alg in cfg.algorithms:
             runs = [res[alg] for res in point]
             per_trial += [(grid_value, alg, name, tr, vals[name])

@@ -291,9 +291,10 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 @dataclass(eq=False)
 class Problem:
     """One selection problem. The imputed groups (ties drawn from the stream
-    (seed, *imputed_key): (seed, 0) in ``select``, (seed, gi, tr, 3) in a sweep)
-    and the blind selection are computed on first use and then shared by every
-    algorithm. Only Thrsh and MultObj read the fields after ``cs``."""
+    (seed, *imputed_key): (seed, 0) in ``select``, (seed, tr, 3) in a sweep),
+    the blind selection and the group-level instance are computed on first use
+    and then shared by every algorithm. Only Thrsh and MultObj read the fields
+    after ``cs``."""
 
     inst: Instance
     cs: ConstraintSet
@@ -310,6 +311,10 @@ class Problem:
     def blind_selection(self) -> Selection:
         return blind(self.inst)
 
+    @cached_property
+    def group_level(self) -> Instance:
+        return group_level_instance(self.inst)
+
 
 @dataclass(frozen=True, eq=False)
 class Algorithm:
@@ -325,8 +330,7 @@ class Algorithm:
 ALGORITHMS = {
     "Blind": Algorithm(lambda pb: pb.blind_selection),
     "FairExpec": Algorithm(lambda pb: denoised_bfs(pb.inst, pb.cs).x, CEIL),
-    "FairExpecGrp": Algorithm(
-        lambda pb: denoised_bfs(group_level_instance(pb.inst), pb.cs).x, CEIL),
+    "FairExpecGrp": Algorithm(lambda pb: denoised_bfs(pb.group_level, pb.cs).x, CEIL),
     "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed)),
     "MultObj": Algorithm(lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed),
                          DEPENDENT),

@@ -174,9 +174,11 @@ def test_a_worker_count_below_one_is_rejected_by_name(workers, message):
         run_experiment(small_config(trials=1), workers=workers)
 
 
-@pytest.mark.parametrize("grid, trials, started", [((0.0, 1.0), 2, [4]), ((1.0,), 1, [])])
+@pytest.mark.parametrize("grid, trials, started",
+                         [((0.0, 1.0), 2, [2]), ((1.0,), 1, []), ((0.0, 1.0), 1, [])])
 def test_the_pool_is_capped_at_the_task_count(monkeypatch, grid, trials, started):
-    # a pool forks all its workers up front: record the size instead of starting one
+    # a task is a trial, at every grid point, and a pool forks all its workers up
+    # front: record the size instead of starting one
     sizes = []
 
     class FakePool:
@@ -265,6 +267,105 @@ def test_n_sweep():
                        algorithms=("Blind",), trials=2)
     table = run_experiment(cfg)
     assert mean_of(table, 6.0, "Blind", "utility_ratio") == pytest.approx(1.0)
+
+
+# --- one draw per trial ----------------------------------------------------
+
+ALL_FIVE = ("Blind", "FairExpec", "FairExpecGrp", "Thrsh", "MultObj")
+SELECTION_METRICS = ("risk_difference", "selection_lift", "utility_ratio")
+
+
+def tau_config(**overrides):
+    """A small disparate-utility tau sweep on which Thrsh is often feasible."""
+    base = dict(generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=200, n=20),
+                sweep_kind="tau_grid", grid=(0.0, 0.3, 0.5), algorithms=ALL_FIVE,
+                trials=4, n=20, m=200, target="Proportional", delta=0.05, seed=5,
+                alpha=0.5, lambda_=100.0)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def per_trial(table, alg, metrics=experiment.METRIC_NAMES) -> dict:
+    """grid value -> alg's per-trial values of ``metrics``, in trial order."""
+    out = {}
+    for grid, name, metric, _, value in table.per_trial:
+        if name == alg and metric in metrics:
+            out.setdefault(grid, []).append(value)
+    return out
+
+
+def test_an_alpha_sweep_runs_every_grid_point_on_the_trials_one_draw():
+    # Blind reads no bound, so its selection is the same at every alpha; its
+    # max_violation is measured against each alpha's own bounds
+    table = run_experiment(small_config(grid=(0.0, 0.5, 1.0), trials=5))
+    values = per_trial(table, "Blind", SELECTION_METRICS)
+    assert values[0.0] == values[0.5] == values[1.0]
+    assert None not in values[0.0]
+
+
+def test_a_tau_sweep_moves_only_the_noisy_labels():
+    # Blind and Thrsh read no noisy label: every tau gives them the same row
+    table = run_experiment(tau_config())
+    for alg in ("Blind", "Thrsh"):
+        values = per_trial(table, alg)
+        assert values[0.0] == values[0.3] == values[0.5], alg
+    assert any(v is not None for v in per_trial(table, "Thrsh")[0.0])
+
+
+def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
+    cfg = tau_config(trials=20)
+    at_03 = only_at_05 = 0
+    for trial in range(cfg.trials):
+        draw = experiment.TrialDraw(cfg, trial)
+        insts = {tau: draw.instance(tau, cfg.n) for tau in cfg.grid}
+        flips = {tau: inst.noisy_attrs[:, 0] != inst.true_attrs[:, 0]
+                 for tau, inst in insts.items()}
+        assert not flips[0.0].any()
+        assert not np.any(flips[0.3] & ~flips[0.5])
+        at_03 += np.count_nonzero(flips[0.3])
+        only_at_05 += np.count_nonzero(flips[0.5] & ~flips[0.3])
+    assert at_03 > 0 and only_at_05 > 0
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(grid=(0.0, 0.5, 1.0), algorithms=ALL_FIVE, trials=3, lambda_=100.0),
+    tau_config(trials=3),
+    small_config(sweep_kind="n_grid", grid=(6.0, 12.0), algorithms=ALL_FIVE, trials=3,
+                 lambda_=100.0),
+    tau_config(sweep_kind="n_grid", grid=(10.0, 20.0), tau=0.3, trials=3),
+], ids=["alpha", "tau", "n-error", "n-utility"])
+def test_a_grid_point_run_alone_gives_the_row_its_sweep_reports(cfg):
+    table = run_experiment(cfg)
+    shared = {(grid, alg, metric, trial): value
+              for grid, alg, metric, trial, value in table.per_trial}
+    for gi, grid in enumerate(cfg.grid):
+        for trial in range(cfg.trials):
+            alone = run_trial(cfg, gi, trial)
+            assert alone == {alg: {metric: shared[grid, alg, metric, trial]
+                                   for metric in experiment.METRIC_NAMES}
+                             for alg in cfg.algorithms}, (gi, trial)
+
+
+def test_a_trial_rejects_the_draw_of_another_trial():
+    cfg = small_config()
+    with pytest.raises(ValueError, match="another config or trial"):
+        run_trial(cfg, 0, 1, experiment.TrialDraw(cfg, 0))
+    with pytest.raises(ValueError, match="another config or trial"):
+        run_trial(cfg, 0, 0, experiment.TrialDraw(small_config(), 0))
+
+
+def test_an_overflowing_lambda_stops_the_sweep_in_its_first_trial(monkeypatch):
+    # the overflow bound needs the drawn utilities, so the first trial to reach
+    # the large lambda rejects it, before any other trial runs
+    calls, run = [], experiment.run_trial
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *args: calls.append(args[1:3]) or run(*args))
+    cfg = small_config(sweep_kind="lambda_grid", grid=(0.0, 1e308), algorithms=("MultObj",),
+                       trials=40)
+    with pytest.raises(ValueError, match=r"lambda=1e\+308 is too large"):
+        run_experiment(cfg)
+    assert calls == [(0, 0), (1, 0)]
+    assert len(calls) <= len(cfg.grid)
 
 
 # --- results serialization -------------------------------------------------
@@ -361,17 +462,17 @@ def test_a_trial_derives_a_rounding_stream_only_for_an_algorithm_that_rounds(mon
 def test_a_trial_derives_the_imputation_stream_only_for_a_tie(monkeypatch, algorithms):
     # the disparate-error rows of q are continuous draws, so no row has a tie
     cfg = small_config(algorithms=algorithms)
-    ss = seeding.seed_sequence(cfg.seed, 0, 0)  # run_trial's seed for (0, 0)
+    ss = seeding.seed_sequence(cfg.seed, 0)  # the root of trial 0's draws
     q = experiment.build_instance(replace(cfg.generator, seed=ss), None, None).noise_matrix(0)
     assert np.all(q[:, 0] != q[:, 1])
     keys = _record_seed_streams(monkeypatch)
-    assert all(res["risk_difference"] is not None for res in run_trial(cfg, 0, 0).values())
-    assert (0, 0, 0) in keys and (0, 0, 3) not in keys
+    assert all(res["risk_difference"] is not None for res in run_trial(cfg, 1, 0).values())
+    assert (0, 0) in keys and (0, 3) not in keys
 
 
 @pytest.mark.parametrize("kind", [KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY])
 def test_a_trial_builds_one_spec_and_no_seed_object_for_its_own_key(monkeypatch, kind):
-    # each draw builds its stream from (cfg.seed, 1, 2, k) itself
+    # each draw of trial 2, at any grid point, builds its stream from (cfg.seed, 2, k) itself
     cfg = small_config(generator=GeneratorSpec(kind=kind, m=60, n=12), algorithms=("Blind",))
     specs, post_init = [], GeneratorSpec.__post_init__
     monkeypatch.setattr(GeneratorSpec, "__post_init__",
@@ -379,7 +480,7 @@ def test_a_trial_builds_one_spec_and_no_seed_object_for_its_own_key(monkeypatch,
     keys = _record_seed_streams(monkeypatch)
     run_trial(cfg, 1, 2)
     assert len(specs) == 1
-    assert (1, 2, 0) in keys and (1, 2) not in keys
+    assert (2, 0) in keys and (2,) not in keys and not any(key[:1] == (1,) for key in keys)
 
 
 def _fields(inst):

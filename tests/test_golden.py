@@ -1,9 +1,11 @@
 """Byte-identity pins: results CSVs of small sweeps and ``select`` output.
 
-The golden files under tests/golden/ were last written when MultObj
-changed from Frank-Wolfe to its exact optimum, which changed only MultObj's
-rows; any other change to them is a change of behaviour. Regenerate with
-``PYTHONPATH=src python tests/test_golden.py`` only when that is intended.
+The sweep files under tests/golden/ were last written when every grid
+point of a trial came to share the trial's one draw, which changed each
+sweep's draws; ``select_tiny.jsonl`` when MultObj changed from Frank-Wolfe
+to its exact optimum. Any other change to them is a change of behaviour.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when
+that is intended.
 """
 
 import contextlib

@@ -95,8 +95,8 @@ def test_sweep_configs_build(perfbench, workload):
 # The CSV digest run.py reports for each sweep at --seed 1. A change that keeps
 # every bit of the sweeps' output keeps these.
 SWEEP_DIGESTS = {
-    "sweep-de": "bd321981f63b535e120227e8f7064125a7aea720e8237960a2a4672858c86ddd",
-    "sweep-baselines": "fb4dc6c1cc346819e241c1340762c1f11f065a69126c03b8f2d4efcf926ee592",
+    "sweep-de": "7378d94b08172108e880b6793ad6b16aa4ca1fb8eca0aeebb3d586b0c4339320",
+    "sweep-baselines": "db9d6827a09f5010108b6fe168ee3d32b3e925ef1cd61e5e48a558ef2cff1e10",
 }
 
 
