@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-# Probability rows whose sum is within this tolerance of 1 are renormalized
-# on ingestion; rows further out are left untouched for validation to report.
+# An instance file's probability rows whose sum is within this tolerance of 1
+# are renormalized on load (see instance_from_dict); rows further out are left
+# untouched for validation to report. Validation accepts a row within it.
 ROW_SUM_TOL = 1e-9
 
 # each setting's range and closing bracket, shared by a grid over it; n and bins lie in [1, m]
@@ -32,19 +33,12 @@ class UnsupportedError(ValueError):
     """The operation does not support this instance shape."""
 
 
-def _stored(a, dtype, m: Optional[int] = None) -> Optional[np.ndarray]:
+def _stored(a, dtype) -> Optional[np.ndarray]:
     """What a frozen type keeps of array ``a``: a private, read-only, C-ordered copy (None stays
-    None). Given m, each row of an (m, p) ``a`` whose sum, in a's own layout (which fixes the
-    order of the additions), is within ROW_SUM_TOL of 1 is divided by it."""
+    None)."""
     if a is None:
         return None
-    given = np.asarray(a, dtype=dtype)
-    a = np.array(given, order="C")
-    if a.ndim == 2 and len(a) == m:
-        sums = given.sum(axis=1)
-        off = (sums != 1.0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)
-        if off.any():
-            a[off] /= sums[off, None]
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 
@@ -71,7 +65,7 @@ class Instance:
         object.__setattr__(self, "p", tuple(int(v) for v in self.p))
         object.__setattr__(self, "utilities", _stored(self.utilities, float))
         if self.noise is not None:
-            object.__setattr__(self, "noise", tuple(_stored(q, float, self.m) for q in self.noise))
+            object.__setattr__(self, "noise", tuple(_stored(q, float) for q in self.noise))
         for name in ("true_attrs", "noisy_attrs"):
             object.__setattr__(self, name, _stored(getattr(self, name), int))
 
@@ -292,6 +286,9 @@ class ViolationReport:
     cardinality_excess: float
     max_violation: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "fairness", tuple(_stored(a, float) for a in self.fairness))
+
 
 def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") -> ViolationReport:
     """Measure how far the 0/1 or fractional vector ``x`` (for a Selection,
@@ -323,7 +320,7 @@ def violation_report(x, inst: Instance, cs: ConstraintSet, attrs: str = "true") 
         viol = [max(max(lo - c, c - hi), 0.0) for lo, hi, c in
                 zip(cs.lower[k].tolist(), cs.upper[k].tolist(), counts.tolist(), strict=True)]
         viol = [0.0 if v < 1e-12 else v for v in viol]
-        fairness.append(np.array(viol, dtype=float))
+        fairness.append(viol)
         if not any(map(math.isnan, viol)):  # else ndarray.max is NaN, which max() passes over
             worst = max(worst, max(viol, default=0.0))
     excess = max(0.0, total - inst.n)
@@ -466,6 +463,17 @@ def within(name: str, value, entries, low, high, close: str = "]", shown: Option
     return value
 
 
+def _renormalized(q: np.ndarray) -> np.ndarray:
+    """``q``, a file's (m, p) probability rows, with each row whose sum, in q's own layout (which
+    fixes the order of the additions), is within ROW_SUM_TOL of 1 divided by it, in place."""
+    if q.ndim == 2:  # else validate_instance reports the shape
+        sums = q.sum(axis=1)
+        off = (sums != 1.0) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)
+        if off.any():
+            q[off] /= sums[off, None]
+    return q
+
+
 def instance_from_dict(data: dict) -> Instance:
     check_keys("instance", data, INSTANCE_KEYS, REQUIRED_KEYS)
     w = real_array("w", json_list("w", data["w"]))
@@ -473,7 +481,7 @@ def instance_from_dict(data: dict) -> Instance:
     if p.ndim != 1:
         raise ValueError("p must be a flat list of integers, one per attribute")
     if q is not None:
-        q = tuple(real_array(f"q[{k}]", json_list(f"q[{k}]", qk)).T
+        q = tuple(_renormalized(real_array(f"q[{k}]", json_list(f"q[{k}]", qk)).T)
                   for k, qk in enumerate(json_list("q", q)))
     z, zhat = (None if data.get(key) is None else integer_array(key, json_list(key, data[key])).T
                for key in ("z", "zhat"))

@@ -80,7 +80,7 @@ class ExperimentConfig:
     target: str
     delta: float
     seed: int
-    # None stands for the default (see check_setting)
+    # None stands for the default (see check_setting); the swept setting stays None
     alpha: Optional[float] = None
     lambda_: Optional[float] = None
     tau: Optional[float] = None
@@ -93,7 +93,9 @@ class ExperimentConfig:
         gen, kind = self.generator, self.generator.kind
         for key in RANGES:
             name = FIELDS.get(key, key)
-            object.__setattr__(self, name, check_setting(key, getattr(self, name), kind, self.m))
+            value = getattr(self, name)
+            if value is not None or key == "n" or self.sweep_kind != f"{key}_grid":  # n is required
+                object.__setattr__(self, name, check_setting(key, value, kind, self.m))
         if self.sweep_kind not in SWEEP_KINDS:
             raise ValueError(f"sweep must be one of {SWEEP_KINDS}")
         if not self.grid:
@@ -177,27 +179,26 @@ def build_instance(spec: GeneratorSpec, tau: Optional[float], bins: Optional[int
     with probability ``tau`` from stream 2, and get probability rows from
     ``bins`` utility bins of a training draw from stream 0.
     """
-    return _observe(_draw(spec, bins, *key), tau, spec.n, spec.seed, *key)
+    return _observe(spec, _draw(spec, bins, *key), tau, spec.n, *key)
 
 
-def _draw(spec: GeneratorSpec, bins: Optional[int], *key: int) -> tuple:
-    """What build_instance draws that tau does not change: (the disparate-error
-    instance, None), or (the disparate-utility instance with no observed labels,
-    its probability rows), which read its utilities and no label."""
+def _draw(spec: GeneratorSpec, bins: Optional[int], *key: int) -> Instance:
+    """What build_instance draws that tau and n do not change: the disparate-error
+    instance, or the disparate-utility instance with no observed labels and its
+    probability rows, which read its utilities and no label."""
     if spec.kind == KIND_DISPARATE_ERROR:
-        return gen_disparate_error(spec, *key, 0), None
+        return gen_disparate_error(spec, *key, 0)
     train = gen_disparate_utility(spec, *key, 0)
     inst = gen_disparate_utility(spec, *key, 1)
-    return inst, estimate_q_by_utility_bins(inst, bins, train=train)
+    return replace(inst, noise=(estimate_q_by_utility_bins(inst, bins, train=train),))
 
 
-def _observe(drawn: tuple, tau: Optional[float], n: int, seed, *key: int) -> Instance:
-    """``_draw``'s instance with n items to select and, if it has no probability
-    rows yet, its labels flipped at ``tau`` from the stream (seed, *key, 2) and
-    its rows attached."""
-    inst, q = drawn
-    if q is not None:
-        return replace(inject_flip_noise(inst, tau, seed, *key, 2), noise=(q,), n=n)
+def _observe(spec: GeneratorSpec, inst: Instance, tau: Optional[float], n: int,
+             *key: int) -> Instance:
+    """``_draw``'s instance with n items to select and, for a disparate-utility spec,
+    its labels flipped at ``tau`` from the stream (spec.seed, *key, 2)."""
+    if spec.kind == KIND_DISPARATE_UTILITY:
+        inst = inject_flip_noise(inst, tau, spec.seed, *key, 2)
     return inst if inst.n == n else replace(inst, n=n)
 
 
@@ -227,19 +228,22 @@ class TrialDraw:
         return self._made[key]
 
     @cached_property
-    def _drawn(self) -> tuple:
-        spec = replace(self.cfg.generator, seed=self.cfg.seed)  # at the config's m and n
-        return _draw(spec, self.cfg.bins, self.trial)
+    def _spec(self) -> GeneratorSpec:
+        return replace(self.cfg.generator, seed=self.cfg.seed)  # at the config's m and n
+
+    @cached_property
+    def _drawn(self) -> Instance:
+        return _draw(self._spec, self.cfg.bins, self.trial)
 
     @cached_property
     def empty_group(self) -> bool:
         """Whether a true group has no member, which leaves no metric defined."""
-        inst = self._drawn[0]
+        inst = self._drawn
         return bool(np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0))
 
     def instance(self, tau: Optional[float], n: int) -> Instance:
         return self._once(("instance", tau, n), lambda: _observe(
-            self._drawn, tau, n, self.cfg.seed, self.trial))
+            self._spec, self._drawn, tau, n, self.trial))
 
     def imputed(self, inst: Instance) -> np.ndarray:
         """The imputed groups of ``inst``, any of this draw's instances: they

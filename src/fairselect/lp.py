@@ -58,12 +58,12 @@ The solver's tolerances are defined below; LinearProgram and ConstraintSet allow
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, smallest
+from .core import ConstraintSet, Instance, _stored, smallest
 
 FEAS_TOL = 1e-8    # row and box feasibility
 OPT_TOL = 1e-9     # x entries this close to 0 or 1 are snapped to the bound
@@ -85,13 +85,20 @@ class LinearProgram:
     rows: np.ndarray        # (num_rows, num_vars)
     row_lower: np.ndarray   # (num_rows,)
     row_upper: np.ndarray   # (num_rows,)
+    # [rows | I], one slack column per row; rows is a view of it
+    augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("objective", "rows", "row_lower", "row_upper"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.rows.ndim != 2 or self.objective.shape != (self.rows.shape[1],):
+        for name in ("objective", "row_lower", "row_upper"):
+            object.__setattr__(self, name, _stored(getattr(self, name), float))
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.ndim != 2 or self.objective.shape != (rows.shape[1],):
             raise ValueError(f"objective shape {self.objective.shape} does not match "
-                             f"rows shape {self.rows.shape}")
+                             f"rows shape {rows.shape}")
+        augmented = np.hstack([rows, np.eye(len(rows))])
+        augmented.setflags(write=False)
+        object.__setattr__(self, "augmented", augmented)
+        object.__setattr__(self, "rows", augmented[:, :rows.shape[1]])
         if self.row_lower.shape != (self.num_rows,) or self.row_upper.shape != (self.num_rows,):
             raise ValueError(f"row bound shapes {self.row_lower.shape} and {self.row_upper.shape} "
                              f"do not match rows shape {self.rows.shape}")
@@ -120,6 +127,9 @@ class BfsSolution:
     """Vertex solution x, or None when the program is infeasible."""
 
     x: Optional[np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", _stored(self.x, float))
 
     @property
     def status(self) -> SolveStatus:
@@ -198,8 +208,7 @@ def solve_bfs(lp: LinearProgram) -> BfsSolution:
     variable is boxed).
     """
     m, k = lp.num_vars, lp.num_rows
-    # columns: [structural | slack]; every lower bound is 0
-    A = np.hstack([lp.rows, np.eye(k)])
+    A = lp.augmented  # columns: [structural | slack]; every lower bound is 0
     c = np.concatenate([lp.objective, np.zeros(k)])
     ub = np.ones(m + k)
     ub[m:] = lp.row_upper - lp.row_lower

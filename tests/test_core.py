@@ -1,15 +1,17 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fairselect.core import (ConstraintSet, Instance, Selection, constraints_from_alpha,
-                             instance_from_dict, instance_to_dict, load_instance,
-                             make_constraints, save_instance, smallest, top_n, validate_instance,
-                             violation_report)
+from fairselect.core import (ROW_SUM_TOL, ConstraintSet, Instance, Selection, ViolationReport,
+                             _renormalized, constraints_from_alpha, instance_from_dict,
+                             instance_to_dict, load_instance, make_constraints, save_instance,
+                             smallest, top_n, validate_instance, violation_report)
+from fairselect.lp import BfsSolution, LinearProgram
 
 from conftest import fact_one_constraints, fact_one_instance
 from reference_bookkeeping import (reference_constraints_from_alpha, reference_make_constraints,
@@ -55,26 +57,45 @@ def test_validate_non_finite_noise(bad):
     assert violations == ("non-finite noise entry (item 2, attribute 0)",)
 
 
+def _file_data(q, **fields):
+    """An instance file's data holding the (m, p) rows ``q`` and m unit utilities."""
+    return {"n": 1, "p": [q.shape[1]], "w": [1.0] * len(q), "q": [q.T.tolist()], **fields}
+
+
 def test_rows_renormalized_on_ingestion():
     q = np.array([[0.5, 0.5 + 5e-10], [0.3, 0.7]])
-    inst = Instance(n=1, p=(2,), utilities=[1.0, 1.0], noise=(q,))
+    inst = instance_from_dict(_file_data(q))
     assert np.all(np.abs(inst.noise[0].sum(axis=1) - 1.0) < 1e-15)
 
 
 @pytest.mark.parametrize("p", [2, 9])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_rows_renormalized_as_summed_in_the_input_layout(p, order):
-    # a by-column file gives an F-order q; from p = 8 on, numpy adds up its
-    # rows in another order than a C-order copy's, and the bits can differ
+    # a file gives an F-order q, one list per group value; from p = 8 on, numpy adds up
+    # its rows in another order than a C-order copy's, and the bits can differ
     rng = np.random.default_rng(p)
     q = rng.dirichlet(np.ones(p), 500)
     q[::2] *= 1.0 + 4e-10  # inside the tolerance, so these rows are divided
     q = np.asarray(q, order=order)
     sums = q.sum(axis=1)
-    expected = q / np.where(np.abs(sums - 1.0) <= 1e-9, sums, 1.0)[:, None]
-    stored = Instance(n=1, p=(p,), utilities=np.ones(500), noise=(q,)).noise[0]
-    assert stored.tobytes() == np.ascontiguousarray(expected).tobytes()
-    assert stored.flags.c_contiguous and q.flags.writeable
+    expected = np.ascontiguousarray(q / np.where(np.abs(sums - 1.0) <= 1e-9, sums, 1.0)[:, None])
+    assert np.ascontiguousarray(_renormalized(q.copy(order="K"))).tobytes() == expected.tobytes()
+    if order == "F":  # the layout a file is read in
+        stored = instance_from_dict(_file_data(q)).noise[0]
+        assert stored.tobytes() == expected.tobytes() and stored.flags.c_contiguous
+
+
+def test_an_instance_keeps_its_rows_as_given():
+    # rows off 1 by up to ROW_SUM_TOL were divided again on each construction, and a
+    # divided row can still miss 1 by an ulp, so each rebuild moved q's last bits
+    rng = np.random.default_rng(5)
+    q = rng.dirichlet(np.ones(3), 300)
+    q *= 1.0 + rng.uniform(-0.5, 0.5, (300, 1)) * ROW_SUM_TOL
+    inst = Instance(n=1, p=(3,), utilities=np.ones(300), noise=(q,),
+                    true_attrs=np.zeros((300, 1), dtype=int))
+    rebuilt = [inst, replace(inst, n=2), replace(inst, noisy_attrs=np.ones((300, 1), dtype=int))]
+    assert validate_instance(inst) == ()
+    assert all(other.noise[0].tobytes() == q.tobytes() for other in rebuilt)
 
 
 def test_instance_immutable(tiny):
@@ -83,11 +104,18 @@ def test_instance_immutable(tiny):
 
 
 def _stored_arrays(obj):
-    """Every array a frozen Instance, ConstraintSet or Selection keeps."""
+    """Every array a frozen type keeps; a LinearProgram's rows are a view of its augmented."""
     if isinstance(obj, Instance):
         return [obj.utilities, *obj.noise, obj.true_attrs, obj.noisy_attrs]
     if isinstance(obj, Selection):
         return [obj.chosen]
+    if isinstance(obj, LinearProgram):
+        assert obj.rows.base is obj.augmented
+        return [obj.objective, obj.augmented, obj.row_lower, obj.row_upper]
+    if isinstance(obj, BfsSolution):
+        return [obj.x]
+    if isinstance(obj, ViolationReport):
+        return [*obj.fairness]
     return [*obj.lower, *obj.upper]
 
 
@@ -98,6 +126,11 @@ BUILDS = {
     "constraints": lambda a: ConstraintSet(lower=(a["lo"],), upper=(a["hi"],), delta=0.0),
     "selection": lambda a: Selection(chosen=a["mask"], total_utility=1.0),
     "from-mask": lambda a: Selection.from_mask(a["mask"], a["w"]),
+    "linear-program": lambda a: LinearProgram(objective=a["w"], rows=a["q"], row_lower=a["lo"],
+                                              row_upper=a["hi"]),
+    "bfs-solution": lambda a: BfsSolution(x=a["w"]),
+    "violation-report": lambda a: ViolationReport(fairness=(a["lo"], a["hi"]),
+                                                  cardinality_excess=0.0, max_violation=0.0),
 }
 
 

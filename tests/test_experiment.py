@@ -53,8 +53,8 @@ def test_config_file_reads_the_documented_schema(tmp_path):
 
 def test_config_file_optional_keys_default_to_the_fields():
     # only the disparate-utility kind reads tau and bins
-    cfg = ExperimentConfig.from_dict(small_config_dict())
-    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (1.0, 0.0, None, None)
+    cfg = ExperimentConfig.from_dict(small_config_dict())  # the swept alpha stays None
+    assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (None, 0.0, None, None)
     utility = {**small_config_dict(), "generator": {"kind": KIND_DISPARATE_UTILITY},
                "sweep": {"n_grid": [6, 12.0]}}
     cfg = ExperimentConfig.from_dict(utility)
@@ -64,6 +64,34 @@ def test_config_file_optional_keys_default_to_the_fields():
     assert (cfg.alpha, cfg.lambda_, cfg.tau, cfg.bins) == (0.5, 3.0, 0.25, 4)
     assert type(cfg.lambda_) is float and type(cfg.bins) is int
     assert cfg.grid == (6.0, 12.0) and all(type(g) is float for g in cfg.grid)
+
+
+@pytest.mark.parametrize("sweep_kind, grid", [
+    ("alpha_grid", (0.0, 1.0)), ("lambda_grid", (0.0, 2.0)), ("tau_grid", (0.0, 0.2)),
+    ("n_grid", (6, 12))])
+def test_a_config_of_each_sweep_kind_can_be_replaced(sweep_kind, grid):
+    # the swept setting's field stays None, so the copy does not both fix and sweep it
+    cfg = small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=60, n=12),
+                       sweep_kind=sweep_kind, grid=grid)
+    again = replace(cfg, trials=2)
+    knobs = {"alpha_grid": cfg.alpha, "lambda_grid": cfg.lambda_, "tau_grid": cfg.tau}
+    assert knobs.get(sweep_kind) is None and again.trials == 2
+    names = ("grid", "alpha", "lambda_", "tau", "bins", "n")
+    assert [getattr(again, name) for name in names] == [getattr(cfg, name) for name in names]
+
+
+def test_a_disparate_utility_trial_builds_one_instance_per_draw_and_tau(monkeypatch):
+    # the training and the scored draw, the scored one's rows attached once, and one
+    # flip of its labels per tau: 3 + 3 instances at 3 taus
+    cfg = small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=60, n=12),
+                       sweep_kind="tau_grid", grid=(0.0, 0.1, 0.2),
+                       algorithms=("Blind", "Thrsh", "MultObj"), trials=1)
+    built, post_init = [], experiment.Instance.__post_init__
+    monkeypatch.setattr(experiment.Instance, "__post_init__",
+                        lambda inst: built.append(inst) or post_init(inst))
+    table = run_experiment(cfg)
+    assert all(row.mean is not None for row in table.rows)
+    assert len(built) == 6
 
 
 def test_config_validation():
