@@ -28,7 +28,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import selectors
-from .core import (RANGES, InfeasibleError, Instance, Selection, check_keys,
+from .core import (RANGES, InfeasibleError, Instance, check_keys,
                    constraints_from_alpha, in_range, integer, json_list, json_object,
                    load_json_file, target_vector, violation_report)
 from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpec,
@@ -36,6 +36,7 @@ from .datagen import (KIND_DISPARATE_ERROR, KIND_DISPARATE_UTILITY, GeneratorSpe
                       gen_disparate_utility, inject_flip_noise)
 
 SWEEP_KINDS = ("alpha_grid", "lambda_grid", "tau_grid", "n_grid")
+SETTINGS = tuple(kind.removesuffix("_grid") for kind in SWEEP_KINDS)  # what a grid point sets
 TARGET_EQUAL = "EqualRepresentation"
 TARGET_PROPORTIONAL = "Proportional"
 METRIC_NAMES = ("risk_difference", "selection_lift", "utility_ratio", "max_violation")
@@ -215,7 +216,12 @@ class TrialDraw:
       flipped items at a smaller τ are among those at a larger one;
     - the imputed groups, which read q alone, their ties broken from the
       stream (cfg.seed, trial, 3);
-    - the blind selection per n, and the group-level instance per (τ, n).
+    - the group-level instance per (τ, n);
+    - each algorithm's step output per value of the settings it reads
+      (``selectors.ALGORITHMS[name].reads``), the blind selection per n
+      among them, so a grid point whose swept setting does not reach the
+      step reuses it, and only the rounding and the metrics run per grid
+      point.
     """
 
     def __init__(self, cfg: ExperimentConfig, trial: int):
@@ -251,13 +257,24 @@ class TrialDraw:
         return self._once(("imputed",), lambda: selectors.impute_bayes(
             inst.noise_matrix(0), self.cfg.seed, self.trial, 3))
 
-    def blind(self, inst: Instance) -> Selection:
-        """The blind selection of ``inst``, one of this draw's instances."""
-        return self._once(("blind", inst.n), lambda: selectors.blind(inst))
-
     def group_level(self, tau: Optional[float], n: int) -> Instance:
         return self._once(("group_level", tau, n),
                           lambda: selectors.group_level_instance(self.instance(tau, n)))
+
+    def solved(self, name: str, pb: "_GridPoint"):
+        """Algorithm ``name``'s step output on grid point ``pb``, or None if the
+        step is infeasible, made once per value of the settings the step reads.
+        None is kept in place of the InfeasibleError, so every grid point that
+        shares the step reports it; a ValueError is not kept."""
+        algo = selectors.ALGORITHMS[name]
+        # a frozenset's order is fixed within a process, and so within a draw
+        key = ("solved", name, *map(pb.settings.__getitem__, algo.reads))
+        if key not in self._made:
+            try:
+                self._made[key] = algo.solve(pb)
+            except InfeasibleError:
+                self._made[key] = None
+        return self._made[key]
 
 
 @dataclass(eq=False)
@@ -266,11 +283,10 @@ class _GridPoint(selectors.Problem):
     share from the trial's draw, the imputation's tie-break stream included."""
 
     draw: Optional[TrialDraw] = None
-    tau: Optional[float] = None
+    settings: dict = field(default_factory=dict)  # {setting: its value here}, see SETTINGS
 
     imputed = property(lambda pb: pb.draw.imputed(pb.inst))
-    blind_selection = property(lambda pb: pb.draw.blind(pb.inst))
-    group_level = property(lambda pb: pb.draw.group_level(pb.tau, pb.inst.n))
+    group_level = property(lambda pb: pb.draw.group_level(pb.settings["tau"], pb.inst.n))
 
 
 def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
@@ -282,33 +298,37 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
 
     ``draw`` is the trial's TrialDraw, which run_experiment shares among the
     trial's grid points; without one the trial draws for itself, and makes
-    only what this grid point reads. Either way the row is the same. Its
-    streams, each built where it is drawn from, are (cfg.seed, trial, k):
-    k = 0|1|2 to draw and 3 to break an imputation tie (see TrialDraw), and
-    (cfg.seed, grid_idx, trial, 4, a_idx) for algorithm a_idx to round."""
+    only what this grid point reads. Either way the row is the same: each
+    algorithm's step is looked up in the draw (TrialDraw.solved), and only
+    its rounding and the metrics run here, per grid point. Its streams, each
+    built where it is drawn from, are (cfg.seed, trial, k): k = 0|1|2 to draw
+    and 3 to break an imputation tie (see TrialDraw), and (cfg.seed, grid_idx,
+    trial, 4, a_idx) for algorithm a_idx to round."""
     if draw is None:
         draw = TrialDraw(cfg, trial)
     elif draw.cfg is not cfg or draw.trial != trial:
         raise ValueError(f"the draw belongs to another config or trial, not trial {trial} "
                          "of this config")
-    knobs = dict(zip(SWEEP_KINDS, (cfg.alpha, cfg.lambda_, cfg.tau, cfg.n)))  # grids hold floats
-    alpha, lam, tau, n = {**knobs, cfg.sweep_kind: cfg.grid[grid_idx]}.values()
+    settings = {key: getattr(cfg, FIELDS.get(key, key)) for key in SETTINGS}
+    settings[cfg.sweep_kind.removesuffix("_grid")] = cfg.grid[grid_idx]
+    settings["n"] = int(settings["n"])  # grids hold floats
     if draw.empty_group:
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
-    inst = draw.instance(tau, int(n))
+    inst = draw.instance(settings["tau"], settings["n"])
     t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
-    cs = constraints_from_alpha(inst.n, t, alpha, delta=cfg.delta)
-    problem = _GridPoint(inst, cs, t, seed=cfg.seed, lambda_=lam, draw=draw, tau=tau)
-    blind_utility = problem.blind_selection.total_utility
+    cs = constraints_from_alpha(inst.n, t, settings["alpha"], delta=cfg.delta)
+    problem = _GridPoint(inst, cs, t, seed=cfg.seed, lambda_=settings["lambda"], draw=draw,
+                         settings=settings)
+    blind_utility = draw.solved("Blind", problem).total_utility
 
     out = {}
     for a_idx, alg in enumerate(cfg.algorithms):
-        try:
-            sel = selectors.run_algorithm(alg, problem, (grid_idx, trial, 4, a_idx),
-                                          selectors.DEPENDENT)
-        except InfeasibleError:
+        solved = draw.solved(alg, problem)
+        if solved is None:
             out[alg] = dict.fromkeys(METRIC_NAMES)
             continue
+        sel = selectors.round_output(alg, solved, problem, (grid_idx, trial, 4, a_idx),
+                                     selectors.DEPENDENT)
         report = metrics_mod.compute_report(inst, sel, t, blind_utility)
         viol = violation_report(sel.chosen, inst, cs, attrs="true")
         out[alg] = {

@@ -79,7 +79,11 @@ class SolveStatus(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """max objective'x, s.t. row_lower <= rows @ x <= row_upper, 0 <= x <= 1."""
+    """max objective'x, s.t. row_lower <= rows @ x <= row_upper, 0 <= x <= 1.
+
+    ``rows`` is given as one 2-D array or as a tuple of them, row blocks
+    stacked in order; either way it is copied once, into ``augmented``.
+    """
 
     objective: np.ndarray   # (num_vars,)
     rows: np.ndarray        # (num_rows, num_vars)
@@ -91,14 +95,19 @@ class LinearProgram:
     def __post_init__(self):
         for name in ("objective", "row_lower", "row_upper"):
             object.__setattr__(self, name, _stored(getattr(self, name), float))
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or self.objective.shape != (rows.shape[1],):
+        blocks = [np.asarray(b, dtype=float)
+                  for b in (self.rows if isinstance(self.rows, tuple) else (self.rows,))]
+        shapes = [b.shape for b in blocks]
+        if not blocks or any(len(s) != 2 or self.objective.shape != s[1:] for s in shapes):
             raise ValueError(f"objective shape {self.objective.shape} does not match "
-                             f"rows shape {rows.shape}")
-        augmented = np.hstack([rows, np.eye(len(rows))])
+                             f"rows shape {' + '.join(map(str, shapes))}")
+        m, k = self.objective.size, sum(s[0] for s in shapes)
+        augmented = np.empty((k, m + k))
+        np.concatenate(blocks, out=augmented[:, :m])
+        augmented[:, m:] = np.eye(k)
         augmented.setflags(write=False)
         object.__setattr__(self, "augmented", augmented)
-        object.__setattr__(self, "rows", augmented[:, :rows.shape[1]])
+        object.__setattr__(self, "rows", augmented[:, :m])
         if self.row_lower.shape != (self.num_rows,) or self.row_upper.shape != (self.num_rows,):
             raise ValueError(f"row bound shapes {self.row_lower.shape} and {self.row_upper.shape} "
                              f"do not match rows shape {self.rows.shape}")
@@ -150,7 +159,7 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
     both q and x are nonnegative, and clamping them would change nothing.
     """
     slack = cs.delta * inst.n
-    blocks, lowers, uppers = [], [], []
+    blocks, lowers, uppers = [], [], []  # the blocks are copied once, by LinearProgram
     for k in range(inst.s):
         blocks.append(inst.noise[k].T)
         lowers.append(cs.lower[k] - slack)
@@ -160,7 +169,7 @@ def build_denoised_lp(inst: Instance, cs: ConstraintSet) -> LinearProgram:
     uppers.append(np.array([float(inst.n)]))
     return LinearProgram(
         objective=inst.utilities,
-        rows=np.vstack(blocks),
+        rows=tuple(blocks),
         row_lower=np.concatenate(lowers),
         row_upper=np.concatenate(uppers),
     )

@@ -3,8 +3,10 @@
 All algorithms are pure given (instance, constraints, seed); stochastic
 steps (argmax tie-breaking, rounding) draw from substreams derived with
 seeding.make_rng, so runs are reproducible and order-independent.
-``ALGORITHMS`` maps each algorithm's name to its solve step, and
-``run_algorithm`` runs one by name for ``fairselect select`` and sweeps.
+``ALGORITHMS`` maps each algorithm's name to its solve step and the sweep
+settings the step reads; ``round_output`` rounds a step's output, and
+``run_algorithm`` runs both for ``fairselect select``. A sweep runs the same
+two halves, with the step kept per value of the settings it reads.
 """
 
 from __future__ import annotations
@@ -291,9 +293,9 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 @dataclass(eq=False)
 class Problem:
     """One selection problem. The imputed groups (ties drawn from the stream
-    (seed, *imputed_key): (seed, 0) in ``select``, (seed, tr, 3) in a sweep),
-    the blind selection and the group-level instance are computed on first use
-    and then shared by every algorithm. Only Thrsh and MultObj read the fields
+    (seed, *imputed_key): (seed, 0) in ``select``, (seed, tr, 3) in a sweep)
+    and the group-level instance are computed on first use and then shared by
+    every algorithm. Only Thrsh and MultObj read the fields
     after ``cs``."""
 
     inst: Instance
@@ -308,10 +310,6 @@ class Problem:
         return impute_bayes(self.inst.noise_matrix(0), self.seed, *self.imputed_key)
 
     @cached_property
-    def blind_selection(self) -> Selection:
-        return blind(self.inst)
-
-    @cached_property
     def group_level(self) -> Instance:
         return group_level_instance(self.inst)
 
@@ -319,39 +317,50 @@ class Problem:
 @dataclass(frozen=True, eq=False)
 class Algorithm:
     """``solve`` maps a Problem to a Selection or, if the algorithm has a
-    ``rounding`` rule, to a fractional vector."""
+    ``rounding`` rule, to a fractional vector. ``reads`` names the sweep
+    settings (``experiment.SWEEP_KINDS`` without ``_grid``) that reach the
+    step: its output is the same at any two grid points of one draw that
+    agree on them, so a sweep solves it once per value of them."""
 
     solve: Callable
+    reads: frozenset
     rounding: Optional[str] = None
 
 
 # The steps are lambdas so that each library function is looked up when the
 # step runs; rebinding one (as perfbench/bench_trace.py does) then takes effect.
+# τ reaches only FairExpecGrp, through the noisy labels of its group-level rows.
 ALGORITHMS = {
-    "Blind": Algorithm(lambda pb: pb.blind_selection),
-    "FairExpec": Algorithm(lambda pb: denoised_bfs(pb.inst, pb.cs).x, CEIL),
-    "FairExpecGrp": Algorithm(lambda pb: denoised_bfs(pb.group_level, pb.cs).x, CEIL),
-    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed)),
+    "Blind": Algorithm(lambda pb: blind(pb.inst), frozenset({"n"})),
+    "FairExpec": Algorithm(lambda pb: denoised_bfs(pb.inst, pb.cs).x,
+                           frozenset({"n", "alpha"}), CEIL),
+    "FairExpecGrp": Algorithm(lambda pb: denoised_bfs(pb.group_level, pb.cs).x,
+                              frozenset({"n", "alpha", "tau"}), CEIL),
+    "Thrsh": Algorithm(lambda pb: thrsh(pb.inst, pb.cs, pb.imputed), frozenset({"n", "alpha"})),
     "MultObj": Algorithm(lambda pb: mult_obj(pb.inst, pb.target, pb.lambda_, pb.imputed),
-                         DEPENDENT),
+                         frozenset({"n", "lambda"}), DEPENDENT),
 }
 
 
-def run_algorithm(name: str, pb: Problem, round_key: tuple = (),
-                  rounding: Optional[str] = None) -> Selection:
-    """Run algorithm ``name`` on ``pb``; raises InfeasibleError like it.
-
-    A fractional solution is rounded with ``rounding`` (CEIL, or DEPENDENT
-    drawing from the stream (``pb.seed``, *``round_key``)); None keeps the
-    algorithm's own rule.
-    """
+def round_output(name: str, out, pb: Problem, round_key: tuple = (),
+                 rounding: Optional[str] = None) -> Selection:
+    """The selection that algorithm ``name``'s step output ``out`` on ``pb``
+    gives: ``out`` itself, or a fractional ``out`` rounded with ``rounding``
+    (CEIL, or DEPENDENT drawing from the stream (``pb.seed``, *``round_key``));
+    None keeps the algorithm's own rule."""
     algo = ALGORITHMS[name]
-    out = algo.solve(pb)
     if algo.rounding is None:
         return out
     if (rounding or algo.rounding) == CEIL:
         return ceil_round(out, pb.inst.utilities)
     return dependent_round(out, pb.inst.n, pb.seed, pb.inst.utilities, *round_key)
+
+
+def run_algorithm(name: str, pb: Problem, round_key: tuple = (),
+                  rounding: Optional[str] = None) -> Selection:
+    """Run algorithm ``name`` on ``pb``, its step and then ``round_output``; raises
+    InfeasibleError like the step."""
+    return round_output(name, ALGORITHMS[name].solve(pb), pb, round_key, rounding)
 
 
 def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:

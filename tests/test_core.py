@@ -128,6 +128,8 @@ BUILDS = {
     "from-mask": lambda a: Selection.from_mask(a["mask"], a["w"]),
     "linear-program": lambda a: LinearProgram(objective=a["w"], rows=a["q"], row_lower=a["lo"],
                                               row_upper=a["hi"]),
+    "linear-program-blocks": lambda a: LinearProgram(
+        objective=a["w"], rows=(a["q"][:1], a["q"][1:]), row_lower=a["lo"], row_upper=a["hi"]),
     "bfs-solution": lambda a: BfsSolution(x=a["w"]),
     "violation-report": lambda a: ViolationReport(fairness=(a["lo"], a["hi"]),
                                                   cardinality_excess=0.0, max_violation=0.0),

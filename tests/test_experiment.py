@@ -361,7 +361,12 @@ def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
     small_config(sweep_kind="n_grid", grid=(6.0, 12.0), algorithms=ALL_FIVE, trials=3,
                  lambda_=100.0),
     tau_config(sweep_kind="n_grid", grid=(10.0, 20.0), tau=0.3, trials=3),
-], ids=["alpha", "tau", "n-error", "n-utility"])
+    # Thrsh, FairExpec and FairExpecGrp solve once for every lambda
+    tau_config(sweep_kind="lambda_grid", grid=(0.0, 10.0, 100.0), lambda_=None, tau=0.3,
+               trials=3),
+    # MultObj solves once for every alpha
+    tau_config(sweep_kind="alpha_grid", grid=(0.0, 0.5, 1.0), alpha=None, tau=0.3, trials=3),
+], ids=["alpha", "tau", "n-error", "n-utility", "lambda-shared", "alpha-utility-shared"])
 def test_a_grid_point_run_alone_gives_the_row_its_sweep_reports(cfg):
     table = run_experiment(cfg)
     shared = {(grid, alg, metric, trial): value
@@ -394,6 +399,99 @@ def test_an_overflowing_lambda_stops_the_sweep_in_its_first_trial(monkeypatch):
         run_experiment(cfg)
     assert calls == [(0, 0), (1, 0)]
     assert len(calls) <= len(cfg.grid)
+
+
+# --- each step solved once per value of the settings it reads -------------------
+
+READS = {"Blind": {"n"}, "FairExpec": {"n", "alpha"}, "FairExpecGrp": {"n", "alpha", "tau"},
+         "Thrsh": {"n", "alpha"}, "MultObj": {"n", "lambda"}}
+AXES = {"alpha": (0.0, 1.0), "lambda": (0.0, 100.0), "tau": (0.0, 0.5), "n": (10.0, 20.0)}
+
+
+def test_each_algorithm_names_the_settings_its_step_reads():
+    assert {name: set(algo.reads) for name, algo in selectors.ALGORITHMS.items()} == READS
+    assert set(AXES) == set(experiment.SETTINGS)
+
+
+def _record_steps(monkeypatch, name) -> list:
+    """Each output of ``name``'s step from now on, as bytes, or None if it was infeasible."""
+    outputs, algo = [], selectors.ALGORITHMS[name]
+
+    def solve(pb):
+        try:
+            out = algo.solve(pb)
+        except selectors.InfeasibleError:
+            outputs.append(None)
+            raise
+        outputs.append((out.chosen if isinstance(out, selectors.Selection) else out).tobytes())
+        return out
+
+    monkeypatch.setitem(selectors.ALGORITHMS, name, replace(algo, solve=solve))
+    return outputs
+
+
+@pytest.mark.parametrize("axis", AXES)
+@pytest.mark.parametrize("name", READS)
+def test_a_step_output_moves_with_exactly_the_settings_it_reads(monkeypatch, name, axis):
+    # each grid point on a fresh draw, so nothing is shared but the draw's streams:
+    # a setting outside reads leaves every output's bytes as they are, and one in it
+    # moves some of them (at alpha 0.9 the bounds bind, and Thrsh is feasible)
+    outputs = _record_steps(monkeypatch, name)
+    swept = {} if axis == "n" else {experiment.FIELDS.get(axis, axis): None}  # n is required
+    cfg = tau_config(sweep_kind=f"{axis}_grid", grid=AXES[axis], algorithms=(name,), trials=3,
+                     **{"tau": 0.3, "alpha": 0.9, **swept})
+    for trial in range(cfg.trials):
+        for gi in range(len(cfg.grid)):
+            run_trial(cfg, gi, trial, experiment.TrialDraw(cfg, trial))
+    assert len(outputs) == 2 * cfg.trials  # no draw has an empty group
+    moved = [outputs[i] != outputs[i + 1] for i in range(0, len(outputs), 2)]
+    assert any(moved) if axis in READS[name] else not any(moved), moved
+
+
+def _count_solves(monkeypatch) -> dict:
+    """How often each of thrsh, mult_obj and denoised_bfs is called from now on."""
+    calls = dict.fromkeys(("thrsh", "mult_obj", "denoised_bfs"), 0)
+    for name in calls:
+        def counted(*args, name=name, solve=getattr(selectors, name)):
+            calls[name] += 1
+            return solve(*args)
+        monkeypatch.setattr(selectors, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("sweep_kind, grid, shared", [
+    ("tau_grid", (0.0, 0.3, 0.5), True),
+    ("n_grid", (10.0, 15.0, 20.0), False),
+])
+def test_a_sweep_solves_each_step_once_per_value_of_what_it_reads(monkeypatch, sweep_kind,
+                                                                 grid, shared):
+    # FairExpec and FairExpecGrp both call denoised_bfs; only FairExpecGrp reads tau
+    cfg = tau_config(sweep_kind=sweep_kind, grid=grid, tau=None if shared else 0.3, trials=4)
+    assert not any(experiment.TrialDraw(cfg, tr).empty_group for tr in range(cfg.trials))
+    calls = _count_solves(monkeypatch)
+    run_experiment(cfg)
+    points = cfg.trials * len(grid)
+    once = cfg.trials if shared else points
+    assert calls == {"thrsh": once, "mult_obj": once, "denoised_bfs": once + points}
+
+
+def test_an_infeasible_thrsh_draw_is_solved_once_and_reported_at_every_tau(monkeypatch):
+    cfg = tau_config(alpha=0.98, algorithms=("Thrsh",), trials=6)
+    calls = _count_solves(monkeypatch)
+    values = per_trial(run_experiment(cfg), "Thrsh")
+    assert calls["thrsh"] == cfg.trials
+    assert values[0.0] == values[0.3] == values[0.5]
+    infeasible = [value is None for value in values[0.0]]
+    assert any(infeasible) and not all(infeasible)  # some draws of each kind
+
+
+def test_a_value_error_is_not_kept_by_the_draw():
+    # the lambda overflow is raised again, not remembered as an infeasible step
+    cfg = small_config(sweep_kind="lambda_grid", grid=(0.0, 1e308), algorithms=("MultObj",))
+    draw = experiment.TrialDraw(cfg, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too large"):
+            run_trial(cfg, 1, 0, draw)
 
 
 # --- results serialization -------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ def test_build_row_count_multi_attribute():
                           delta=0.1, n=3)
     lp = build_denoised_lp(inst, cs)
     assert lp.num_rows == 1 + 2 + 3
+
+
+def test_build_copies_the_rows_once():
+    # the noise blocks go straight into the [rows | I] buffer: at its peak the build
+    # holds that buffer and the objective's copy, and less than a second k x m copy
+    # of the rows beside them (a stacked copy alone would be one)
+    m, k = 20000, 3
+    rng = np.random.default_rng(0)
+    q = rng.dirichlet(np.ones(k - 1), size=m)
+    inst = Instance(n=10, p=(k - 1,), utilities=rng.random(m), noise=(q,))
+    cs = make_constraints([np.zeros(k - 1)], [np.full(k - 1, 10.0)], delta=0.0, n=10)
+    tracemalloc.start()
+    try:
+        lp = build_denoised_lp(inst, cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lp.augmented.nbytes + lp.objective.nbytes <= peak
+    assert peak < lp.augmented.nbytes + lp.objective.nbytes + lp.rows.nbytes
+    assert np.array_equal(lp.rows, np.vstack([q.T, np.ones((1, m))]))
 
 
 def test_solve_tiny_optimal_vertex(tiny, tiny_constraints):
