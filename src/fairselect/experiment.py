@@ -4,7 +4,11 @@ One experiment = a generator, one sweep axis, a set of algorithms, and a
 trial count. Each trial draws once, from streams under (seed, trial index),
 and runs every grid point on that draw (see TrialDraw and run_trial): the
 grid points of a trial differ only in the setting swept, and the labels a
-smaller tau flips stay flipped at a larger one. A trial is the unit of work,
+smaller tau flips stay flipped at a larger one. The draw keeps each part a
+grid point makes per value of the settings that reach it: the labels are
+flipped only for FairExpecGrp, the one reader of them, the bounds are made
+once per (n, alpha), and a selection with no rounding is solved and scored
+once per value of what reaches it. A trial is the unit of work,
 and its results do not depend on where or when it runs, so the output is
 byte-identical whatever the worker count, which changes only wall-clock time.
 
@@ -20,7 +24,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Optional
 
@@ -180,11 +184,11 @@ def build_instance(spec: GeneratorSpec, tau: Optional[float], bins: Optional[int
     with probability ``tau`` from stream 2, and get probability rows from
     ``bins`` utility bins of a training draw from stream 0.
     """
-    return _observe(spec, _draw(spec, bins, *key), tau, spec.n, *key)
+    return _observe(spec, _draw(spec, bins, *key), tau, *key)
 
 
 def _draw(spec: GeneratorSpec, bins: Optional[int], *key: int) -> Instance:
-    """What build_instance draws that tau and n do not change: the disparate-error
+    """What build_instance draws that tau does not change: the disparate-error
     instance, or the disparate-utility instance with no observed labels and its
     probability rows, which read its utilities and no label."""
     if spec.kind == KIND_DISPARATE_ERROR:
@@ -194,13 +198,12 @@ def _draw(spec: GeneratorSpec, bins: Optional[int], *key: int) -> Instance:
     return replace(inst, noise=(estimate_q_by_utility_bins(inst, bins, train=train),))
 
 
-def _observe(spec: GeneratorSpec, inst: Instance, tau: Optional[float], n: int,
-             *key: int) -> Instance:
-    """``_draw``'s instance with n items to select and, for a disparate-utility spec,
-    its labels flipped at ``tau`` from the stream (spec.seed, *key, 2)."""
+def _observe(spec: GeneratorSpec, inst: Instance, tau: Optional[float], *key: int) -> Instance:
+    """``_draw``'s instance with, for a disparate-utility spec, its labels flipped
+    at ``tau`` from the stream (spec.seed, *key, 2)."""
     if spec.kind == KIND_DISPARATE_UTILITY:
-        inst = inject_flip_noise(inst, tau, spec.seed, *key, 2)
-    return inst if inst.n == n else replace(inst, n=n)
+        return inject_flip_noise(inst, tau, spec.seed, *key, 2)
+    return inst
 
 
 class TrialDraw:
@@ -208,20 +211,26 @@ class TrialDraw:
 
     The draw comes from the streams (cfg.seed, trial, 0|1|2), at the config's
     n: α, λ and n change no number drawn, and τ only which labels are
-    flipped. Each part is made on first use and then kept, so a grid point
-    run alone makes only what it reads:
+    flipped. Each part is made on first use and then kept per value of the
+    settings that reach it, so a grid point run alone makes only what it reads:
 
-    - the instance per (τ, n), its labels flipped from the stream
-      (cfg.seed, trial, 2), whose uniforms are the same at every τ, so the
-      flipped items at a smaller τ are among those at a larger one;
+    - the instance per n, with no observed labels: every step but
+      FairExpecGrp's, and every metric, reads it;
+    - the group-level instance per (τ, n), the one reader of observed labels
+      (``selectors.estimate_group_level_q``): they are flipped from the stream
+      (cfg.seed, trial, 2), only for it, and that stream's uniforms are the
+      same at every τ, so the flipped items at a smaller τ are among those at
+      a larger one;
     - the imputed groups, which read q alone, their ties broken from the
       stream (cfg.seed, trial, 3);
-    - the group-level instance per (τ, n);
+    - the target and the bounds per (n, α);
     - each algorithm's step output per value of the settings it reads
       (``selectors.ALGORITHMS[name].reads``), the blind selection per n
       among them, so a grid point whose swept setting does not reach the
-      step reuses it, and only the rounding and the metrics run per grid
-      point.
+      step reuses it;
+    - the metric row of an algorithm with no rounding rule per value of its
+      reads, n and α, which reach its selection, its bounds and the blind
+      utility. A rounded algorithm rounds and is scored at every grid point.
     """
 
     def __init__(self, cfg: ExperimentConfig, trial: int):
@@ -247,9 +256,14 @@ class TrialDraw:
         inst = self._drawn
         return bool(np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0))
 
-    def instance(self, tau: Optional[float], n: int) -> Instance:
-        return self._once(("instance", tau, n), lambda: _observe(
-            self._spec, self._drawn, tau, n, self.trial))
+    def instance(self, n: int) -> Instance:
+        inst = self._drawn
+        return self._once(("instance", n), lambda: inst if inst.n == n else replace(inst, n=n))
+
+    def observed(self, tau: Optional[float], n: int) -> Instance:
+        """The instance at n with its labels flipped at ``tau``; not kept, as
+        only the group-level instance reads it."""
+        return _observe(self._spec, self.instance(n), tau, self.trial)
 
     def imputed(self, inst: Instance) -> np.ndarray:
         """The imputed groups of ``inst``, any of this draw's instances: they
@@ -259,7 +273,14 @@ class TrialDraw:
 
     def group_level(self, tau: Optional[float], n: int) -> Instance:
         return self._once(("group_level", tau, n),
-                          lambda: selectors.group_level_instance(self.instance(tau, n)))
+                          lambda: selectors.group_level_instance(self.observed(tau, n)))
+
+    def bounds(self, n: int, alpha: float) -> tuple:
+        """The target and the ConstraintSet at (n, α)."""
+        def make():
+            t = target_vector(self._drawn, proportional=self.cfg.target == TARGET_PROPORTIONAL)
+            return t, constraints_from_alpha(n, t, alpha, delta=self.cfg.delta)
+        return self._once(("bounds", n, alpha), make)
 
     def solved(self, name: str, pb: "_GridPoint"):
         """Algorithm ``name``'s step output on grid point ``pb``, or None if the
@@ -267,14 +288,21 @@ class TrialDraw:
         None is kept in place of the InfeasibleError, so every grid point that
         shares the step reports it; a ValueError is not kept."""
         algo = selectors.ALGORITHMS[name]
-        # a frozenset's order is fixed within a process, and so within a draw
-        key = ("solved", name, *map(pb.settings.__getitem__, algo.reads))
+        key = ("solved", name, *pb.at(algo.reads))
         if key not in self._made:
             try:
                 self._made[key] = algo.solve(pb)
             except InfeasibleError:
                 self._made[key] = None
         return self._made[key]
+
+    def scores(self, name: str, pb: "_GridPoint", make) -> dict:
+        """``make()``, algorithm ``name``'s metric row on grid point ``pb``,
+        kept per value of its reads, n and α if it has no rounding rule."""
+        algo = selectors.ALGORITHMS[name]
+        if algo.rounding is not None:
+            return make()
+        return self._once(("scores", name, *pb.at(algo.reads | {"n", "alpha"})), make)
 
 
 @dataclass(eq=False)
@@ -288,6 +316,10 @@ class _GridPoint(selectors.Problem):
     imputed = property(lambda pb: pb.draw.imputed(pb.inst))
     group_level = property(lambda pb: pb.draw.group_level(pb.settings["tau"], pb.inst.n))
 
+    def at(self, names) -> tuple:
+        """The values here of the settings ``names``, in the order of their names."""
+        return tuple(self.settings[name] for name in sorted(names))
+
 
 def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
               draw: Optional[TrialDraw] = None) -> dict:
@@ -298,12 +330,13 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
 
     ``draw`` is the trial's TrialDraw, which run_experiment shares among the
     trial's grid points; without one the trial draws for itself, and makes
-    only what this grid point reads. Either way the row is the same: each
-    algorithm's step is looked up in the draw (TrialDraw.solved), and only
-    its rounding and the metrics run here, per grid point. Its streams, each
-    built where it is drawn from, are (cfg.seed, trial, k): k = 0|1|2 to draw
-    and 3 to break an imputation tie (see TrialDraw), and (cfg.seed, grid_idx,
-    trial, 4, a_idx) for algorithm a_idx to round."""
+    only what this grid point reads. Either way the row is the same: the
+    bounds, each algorithm's step and an unrounded algorithm's metrics are
+    looked up in the draw (TrialDraw.bounds, .solved and .scores), and only
+    the rounding and a rounded algorithm's metrics run here, per grid point.
+    Its streams, each built where it is drawn from, are (cfg.seed, trial, k):
+    k = 0|1|2 to draw and 3 to break an imputation tie (see TrialDraw), and
+    (cfg.seed, grid_idx, trial, 4, a_idx) for algorithm a_idx to round."""
     if draw is None:
         draw = TrialDraw(cfg, trial)
     elif draw.cfg is not cfg or draw.trial != trial:
@@ -314,30 +347,30 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
     settings["n"] = int(settings["n"])  # grids hold floats
     if draw.empty_group:
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
-    inst = draw.instance(settings["tau"], settings["n"])
-    t = target_vector(inst, proportional=cfg.target == TARGET_PROPORTIONAL)
-    cs = constraints_from_alpha(inst.n, t, settings["alpha"], delta=cfg.delta)
+    inst = draw.instance(settings["n"])
+    t, cs = draw.bounds(settings["n"], settings["alpha"])
     problem = _GridPoint(inst, cs, t, seed=cfg.seed, lambda_=settings["lambda"], draw=draw,
                          settings=settings)
     blind_utility = draw.solved("Blind", problem).total_utility
 
-    out = {}
-    for a_idx, alg in enumerate(cfg.algorithms):
+    def scores(a_idx: int, alg: str) -> dict:
         solved = draw.solved(alg, problem)
         if solved is None:
-            out[alg] = dict.fromkeys(METRIC_NAMES)
-            continue
+            return dict.fromkeys(METRIC_NAMES)
         sel = selectors.round_output(alg, solved, problem, (grid_idx, trial, 4, a_idx),
                                      selectors.DEPENDENT)
         report = metrics_mod.compute_report(inst, sel, t, blind_utility)
         viol = violation_report(sel.chosen, inst, cs, attrs="true")
-        out[alg] = {
+        return {
             "risk_difference": report.risk_difference,
             "selection_lift": report.selection_lift,
             "utility_ratio": report.utility_ratio,
             "max_violation": viol.max_violation,
         }
-    return out
+
+    # a kept row is copied, so no two grid points' results share a dict
+    return {alg: dict(draw.scores(alg, problem, partial(scores, a_idx, alg)))
+            for a_idx, alg in enumerate(cfg.algorithms)}
 
 
 def _run_grid(cfg: ExperimentConfig, trial: int) -> list:

@@ -81,17 +81,22 @@ def test_a_config_of_each_sweep_kind_can_be_replaced(sweep_kind, grid):
 
 
 def test_a_disparate_utility_trial_builds_one_instance_per_draw_and_tau(monkeypatch):
-    # the training and the scored draw, the scored one's rows attached once, and one
-    # flip of its labels per tau: 3 + 3 instances at 3 taus
-    cfg = small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=60, n=12),
-                       sweep_kind="tau_grid", grid=(0.0, 0.1, 0.2),
-                       algorithms=("Blind", "Thrsh", "MultObj"), trials=1)
+    # the training and the scored draw and the scored one's rows attached once: 3
+    # instances; FairExpecGrp alone reads flipped labels, so only it adds, per tau, the
+    # flipped instance and its group-level rows (at alpha 0.5 it is feasible)
     built, post_init = [], experiment.Instance.__post_init__
     monkeypatch.setattr(experiment.Instance, "__post_init__",
                         lambda inst: built.append(inst) or post_init(inst))
-    table = run_experiment(cfg)
-    assert all(row.mean is not None for row in table.rows)
-    assert len(built) == 6
+    for algorithms, alpha, built_per_tau in ((("Blind", "Thrsh", "MultObj"), None, 0),
+                                             (("Blind", "Thrsh", "MultObj", "FairExpecGrp"),
+                                              0.5, 2)):
+        cfg = small_config(generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=60, n=12),
+                           sweep_kind="tau_grid", grid=(0.0, 0.1, 0.2), algorithms=algorithms,
+                           alpha=alpha, trials=1)
+        built.clear()
+        table = run_experiment(cfg)
+        assert all(row.mean is not None for row in table.rows)
+        assert len(built) == 3 + built_per_tau * len(cfg.grid), algorithms
 
 
 def test_config_validation():
@@ -345,7 +350,7 @@ def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
     at_03 = only_at_05 = 0
     for trial in range(cfg.trials):
         draw = experiment.TrialDraw(cfg, trial)
-        insts = {tau: draw.instance(tau, cfg.n) for tau in cfg.grid}
+        insts = {tau: draw.observed(tau, cfg.n) for tau in cfg.grid}
         flips = {tau: inst.noisy_attrs[:, 0] != inst.true_attrs[:, 0]
                  for tau, inst in insts.items()}
         assert not flips[0.0].any()
@@ -366,7 +371,11 @@ def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
                trials=3),
     # MultObj solves once for every alpha
     tau_config(sweep_kind="alpha_grid", grid=(0.0, 0.5, 1.0), alpha=None, tau=0.3, trials=3),
-], ids=["alpha", "tau", "n-error", "n-utility", "lambda-shared", "alpha-utility-shared"])
+    # the sweep-baselines shape: no label is flipped, and Blind's and Thrsh's rows are kept
+    tau_config(algorithms=("Blind", "Thrsh", "MultObj"), alpha=1.0, lambda_=500.0, delta=0.01,
+               trials=3),
+], ids=["alpha", "tau", "n-error", "n-utility", "lambda-shared", "alpha-utility-shared",
+        "tau-baselines"])
 def test_a_grid_point_run_alone_gives_the_row_its_sweep_reports(cfg):
     table = run_experiment(cfg)
     shared = {(grid, alg, metric, trial): value
@@ -448,15 +457,20 @@ def test_a_step_output_moves_with_exactly_the_settings_it_reads(monkeypatch, nam
     assert any(moved) if axis in READS[name] else not any(moved), moved
 
 
+def _count_calls(monkeypatch, module, *names) -> dict:
+    """How often each function of ``names``, looked up in ``module``, is called from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, fn=getattr(module, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _count_solves(monkeypatch) -> dict:
     """How often each of thrsh, mult_obj and denoised_bfs is called from now on."""
-    calls = dict.fromkeys(("thrsh", "mult_obj", "denoised_bfs"), 0)
-    for name in calls:
-        def counted(*args, name=name, solve=getattr(selectors, name)):
-            calls[name] += 1
-            return solve(*args)
-        monkeypatch.setattr(selectors, name, counted)
-    return calls
+    return _count_calls(monkeypatch, selectors, "thrsh", "mult_obj", "denoised_bfs")
 
 
 @pytest.mark.parametrize("sweep_kind, grid, shared", [
@@ -492,6 +506,51 @@ def test_a_value_error_is_not_kept_by_the_draw():
     for _ in range(2):
         with pytest.raises(ValueError, match="too large"):
             run_trial(cfg, 1, 0, draw)
+
+
+# --- each part of a grid point made once per value of the settings that reach it ---
+
+def _no_empty_group(cfg):
+    assert not any(experiment.TrialDraw(cfg, tr).empty_group for tr in range(cfg.trials))
+    return cfg
+
+
+@pytest.mark.parametrize("algorithms, flips_per_tau", [(("Blind", "Thrsh", "MultObj"), 0),
+                                                       (ALL_FIVE, 1)])
+def test_labels_are_flipped_only_for_fair_expec_grp_once_per_trial_and_tau(monkeypatch,
+                                                                          algorithms,
+                                                                          flips_per_tau):
+    cfg = _no_empty_group(tau_config(algorithms=algorithms, trials=4))
+    calls = _count_calls(monkeypatch, experiment, "inject_flip_noise")
+    run_experiment(cfg)
+    assert calls == {"inject_flip_noise": flips_per_tau * cfg.trials * len(cfg.grid)}
+
+
+@pytest.mark.parametrize("alg, per_point", [("Blind", False), ("Thrsh", False),
+                                            ("MultObj", True)])
+def test_a_tau_sweep_scores_blind_and_thrsh_once_per_trial_and_mult_obj_per_point(
+        monkeypatch, alg, per_point):
+    # Blind's and Thrsh's selections, bounds and blind utility are the same at every
+    # tau; MultObj rounds from its own stream at each grid point
+    cfg = _no_empty_group(tau_config(algorithms=(alg,), trials=4))
+    violations = _count_calls(monkeypatch, experiment, "violation_report")
+    reports = _count_calls(monkeypatch, experiment.metrics_mod, "compute_report")
+    values = per_trial(run_experiment(cfg), alg, ("risk_difference",))
+    feasible = sum(value is not None for value in values[0.0])
+    assert feasible == cfg.trials or alg == "Thrsh" and feasible > 0
+    scored = feasible * (len(cfg.grid) if per_point else 1)
+    assert (violations["violation_report"], reports["compute_report"]) == (scored, scored)
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_the_bounds_are_made_once_per_trial_n_and_alpha(monkeypatch, axis):
+    swept = {} if axis == "n" else {experiment.FIELDS.get(axis, axis): None}  # n is required
+    cfg = _no_empty_group(tau_config(sweep_kind=f"{axis}_grid", grid=AXES[axis], trials=4,
+                                     **{"tau": 0.3, **swept}))
+    calls = _count_calls(monkeypatch, experiment, "constraints_from_alpha")
+    run_experiment(cfg)
+    per_trial_bounds = len(cfg.grid) if axis in ("n", "alpha") else 1
+    assert calls == {"constraints_from_alpha": cfg.trials * per_trial_bounds}
 
 
 # --- results serialization -------------------------------------------------
