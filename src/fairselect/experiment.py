@@ -4,13 +4,12 @@ One experiment = a generator, one sweep axis, a set of algorithms, and a
 trial count. Each trial draws once, from streams under (seed, trial index),
 and runs every grid point on that draw (see TrialDraw and run_trial): the
 grid points of a trial differ only in the setting swept, and the labels a
-smaller tau flips stay flipped at a larger one. The draw keeps each part a
-grid point makes per value of the settings that reach it: the labels are
-flipped only for FairExpecGrp, the one reader of them, the bounds are made
-once per (n, alpha), and a selection with no rounding is solved and scored
-once per value of what reaches it. A trial is the unit of work,
-and its results do not depend on where or when it runs, so the output is
-byte-identical whatever the worker count, which changes only wall-clock time.
+smaller tau flips stay flipped at a larger one. A grid point keeps each
+part it makes in the draw, named with the settings that reach it, so the
+part is made once per trial unless the swept setting reaches it, and then
+once per grid value. A trial is the unit of work, and its results do not
+depend on where or when it runs, so the output is byte-identical whatever
+the worker count, which changes only wall-clock time.
 
 Fractional outputs (the LP vertex and the multi-objective optimum) are
 rounded to exactly-n subsets with marginal-preserving dependent rounding
@@ -211,36 +210,30 @@ class TrialDraw:
 
     The draw comes from the streams (cfg.seed, trial, 0|1|2), at the config's
     n: α, λ and n change no number drawn, and τ only which labels are
-    flipped. Each part is made on first use and then kept per value of the
-    settings that reach it, so a grid point run alone makes only what it reads:
-
-    - the instance per n, with no observed labels: every step but
-      FairExpecGrp's, and every metric, reads it;
-    - the group-level instance per (τ, n), the one reader of observed labels
-      (``selectors.estimate_group_level_q``): they are flipped from the stream
-      (cfg.seed, trial, 2), only for it, and that stream's uniforms are the
-      same at every τ, so the flipped items at a smaller τ are among those at
-      a larger one;
-    - the imputed groups, which read q alone, their ties broken from the
-      stream (cfg.seed, trial, 3);
-    - the target and the bounds per (n, α);
-    - each algorithm's step output per value of the settings it reads
-      (``selectors.ALGORITHMS[name].reads``), the blind selection per n
-      among them, so a grid point whose swept setting does not reach the
-      step reuses it;
-    - the metric row of an algorithm with no rounding rule per value of its
-      reads, n and α, which reach its selection, its bounds and the blind
-      utility. A rounded algorithm rounds and is scored at every grid point.
+    flipped. A grid point keeps each part it makes here with ``kept``, under
+    the part's name and the settings that reach it (its ``reads``). A config
+    sweeps one setting and fixes the others, so a part is kept once per trial
+    unless the swept setting reaches it, and then once per grid value. A grid
+    point run alone makes only what it reads.
     """
 
     def __init__(self, cfg: ExperimentConfig, trial: int):
         self.cfg, self.trial = cfg, trial
-        self._made = {}
+        self._kept = {}
 
-    def _once(self, key: tuple, make):
-        if key not in self._made:
-            self._made[key] = make()
-        return self._made[key]
+    def kept(self, grid_idx: int, name: str, reads, make):
+        """Part ``name`` at grid point ``grid_idx``: ``make()`` on first use,
+        kept under (name, the grid value) if the swept setting is in ``reads``,
+        else under (name, None), for every grid point that shares it. A make
+        that raises InfeasibleError is kept as None; another error is not kept."""
+        swept = self.cfg.sweep_kind.removesuffix("_grid") in reads
+        key = (name, self.cfg.grid[grid_idx] if swept else None)
+        if key not in self._kept:
+            try:
+                self._kept[key] = make()
+            except InfeasibleError:
+                self._kept[key] = None
+        return self._kept[key]
 
     @cached_property
     def _spec(self) -> GeneratorSpec:
@@ -256,69 +249,31 @@ class TrialDraw:
         inst = self._drawn
         return bool(np.any(np.bincount(inst.true_attrs[:, 0], minlength=inst.p[0]) == 0))
 
-    def instance(self, n: int) -> Instance:
-        inst = self._drawn
-        return self._once(("instance", n), lambda: inst if inst.n == n else replace(inst, n=n))
-
-    def observed(self, tau: Optional[float], n: int) -> Instance:
-        """The instance at n with its labels flipped at ``tau``; not kept, as
-        only the group-level instance reads it."""
-        return _observe(self._spec, self.instance(n), tau, self.trial)
-
-    def imputed(self, inst: Instance) -> np.ndarray:
-        """The imputed groups of ``inst``, any of this draw's instances: they
-        all carry the same q."""
-        return self._once(("imputed",), lambda: selectors.impute_bayes(
-            inst.noise_matrix(0), self.cfg.seed, self.trial, 3))
-
-    def group_level(self, tau: Optional[float], n: int) -> Instance:
-        return self._once(("group_level", tau, n),
-                          lambda: selectors.group_level_instance(self.observed(tau, n)))
-
-    def bounds(self, n: int, alpha: float) -> tuple:
-        """The target and the ConstraintSet at (n, α)."""
-        def make():
-            t = target_vector(self._drawn, proportional=self.cfg.target == TARGET_PROPORTIONAL)
-            return t, constraints_from_alpha(n, t, alpha, delta=self.cfg.delta)
-        return self._once(("bounds", n, alpha), make)
-
-    def solved(self, name: str, pb: "_GridPoint"):
-        """Algorithm ``name``'s step output on grid point ``pb``, or None if the
-        step is infeasible, made once per value of the settings the step reads.
-        None is kept in place of the InfeasibleError, so every grid point that
-        shares the step reports it; a ValueError is not kept."""
-        algo = selectors.ALGORITHMS[name]
-        key = ("solved", name, *pb.at(algo.reads))
-        if key not in self._made:
-            try:
-                self._made[key] = algo.solve(pb)
-            except InfeasibleError:
-                self._made[key] = None
-        return self._made[key]
-
-    def scores(self, name: str, pb: "_GridPoint", make) -> dict:
-        """``make()``, algorithm ``name``'s metric row on grid point ``pb``,
-        kept per value of its reads, n and α if it has no rounding rule."""
-        algo = selectors.ALGORITHMS[name]
-        if algo.rounding is not None:
-            return make()
-        return self._once(("scores", name, *pb.at(algo.reads | {"n", "alpha"})), make)
-
 
 @dataclass(eq=False)
 class _GridPoint(selectors.Problem):
-    """One grid point's Problem, which takes what the trial's grid points
-    share from the trial's draw, the imputation's tie-break stream included."""
+    """One grid point's Problem, which keeps its imputed groups (ties broken
+    from the stream (cfg.seed, trial, 3)) and its group-level instance in
+    the trial's draw. The group-level instance is the one reader of observed
+    labels (``selectors.estimate_group_level_q``): they are flipped at τ from
+    the stream (cfg.seed, trial, 2), only for it, and that stream's uniforms
+    are the same at every τ, so the flipped items at a smaller τ are among
+    those at a larger one."""
 
     draw: Optional[TrialDraw] = None
-    settings: dict = field(default_factory=dict)  # {setting: its value here}, see SETTINGS
+    grid_idx: int = 0
+    tau: Optional[float] = None
 
-    imputed = property(lambda pb: pb.draw.imputed(pb.inst))
-    group_level = property(lambda pb: pb.draw.group_level(pb.settings["tau"], pb.inst.n))
+    @property
+    def imputed(self) -> np.ndarray:
+        return self.draw.kept(self.grid_idx, "imputed", (), lambda: selectors.impute_bayes(
+            self.inst.noise_matrix(0), self.seed, self.draw.trial, 3))
 
-    def at(self, names) -> tuple:
-        """The values here of the settings ``names``, in the order of their names."""
-        return tuple(self.settings[name] for name in sorted(names))
+    @property
+    def group_level(self) -> Instance:
+        draw = self.draw
+        return draw.kept(self.grid_idx, "group level", {"tau", "n"}, lambda: (
+            selectors.group_level_instance(_observe(draw._spec, self.inst, self.tau, draw.trial))))
 
 
 def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
@@ -330,12 +285,15 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
 
     ``draw`` is the trial's TrialDraw, which run_experiment shares among the
     trial's grid points; without one the trial draws for itself, and makes
-    only what this grid point reads. Either way the row is the same: the
-    bounds, each algorithm's step and an unrounded algorithm's metrics are
-    looked up in the draw (TrialDraw.bounds, .solved and .scores), and only
-    the rounding and a rounded algorithm's metrics run here, per grid point.
-    Its streams, each built where it is drawn from, are (cfg.seed, trial, k):
-    k = 0|1|2 to draw and 3 to break an imputation tie (see TrialDraw), and
+    only what this grid point reads. Either way the row is the same: each
+    part is kept in the draw (``TrialDraw.kept``) under the settings named
+    where it is made here: the instance reads n, the target nothing, the
+    bounds n and α, each step ``selectors.ALGORITHMS[name].reads``, and an
+    unrounded algorithm's metric row its step's reads, n and α, which reach
+    its bounds and the blind utility. A rounded algorithm rounds and is
+    scored at every grid point. Its streams, each built where it is drawn
+    from, are (cfg.seed, trial, k): k = 0|1|2 to draw and 3 to break an
+    imputation tie (see TrialDraw and _GridPoint), and
     (cfg.seed, grid_idx, trial, 4, a_idx) for algorithm a_idx to round."""
     if draw is None:
         draw = TrialDraw(cfg, trial)
@@ -344,20 +302,28 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
                          "of this config")
     settings = {key: getattr(cfg, FIELDS.get(key, key)) for key in SETTINGS}
     settings[cfg.sweep_kind.removesuffix("_grid")] = cfg.grid[grid_idx]
-    settings["n"] = int(settings["n"])  # grids hold floats
+    n, alpha = int(settings["n"]), settings["alpha"]  # grids hold floats
     if draw.empty_group:
         return {alg: dict.fromkeys(METRIC_NAMES) for alg in cfg.algorithms}
-    inst = draw.instance(settings["n"])
-    t, cs = draw.bounds(settings["n"], settings["alpha"])
+    kept, drawn = partial(draw.kept, grid_idx), draw._drawn
+    inst = kept("instance", {"n"}, lambda: drawn if drawn.n == n else replace(drawn, n=n))
+    t = kept("target", (), lambda: target_vector(drawn, cfg.target == TARGET_PROPORTIONAL))
+    cs = kept("bounds", {"n", "alpha"},
+              lambda: constraints_from_alpha(n, t, alpha, delta=cfg.delta))
     problem = _GridPoint(inst, cs, t, seed=cfg.seed, lambda_=settings["lambda"], draw=draw,
-                         settings=settings)
-    blind_utility = draw.solved("Blind", problem).total_utility
+                         grid_idx=grid_idx, tau=settings["tau"])
+
+    def solved(alg: str):
+        algo = selectors.ALGORITHMS[alg]
+        return kept(alg, algo.reads, lambda: algo.solve(problem))
+
+    blind_utility = solved("Blind").total_utility
 
     def scores(a_idx: int, alg: str) -> dict:
-        solved = draw.solved(alg, problem)
-        if solved is None:
+        out = solved(alg)
+        if out is None:
             return dict.fromkeys(METRIC_NAMES)
-        sel = selectors.round_output(alg, solved, problem, (grid_idx, trial, 4, a_idx),
+        sel = selectors.round_output(alg, out, problem, (grid_idx, trial, 4, a_idx),
                                      selectors.DEPENDENT)
         report = metrics_mod.compute_report(inst, sel, t, blind_utility)
         viol = violation_report(sel.chosen, inst, cs, attrs="true")
@@ -368,9 +334,13 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
             "max_violation": viol.max_violation,
         }
 
-    # a kept row is copied, so no two grid points' results share a dict
-    return {alg: dict(draw.scores(alg, problem, partial(scores, a_idx, alg)))
-            for a_idx, alg in enumerate(cfg.algorithms)}
+    rows = {}
+    for a_idx, alg in enumerate(cfg.algorithms):
+        algo, make = selectors.ALGORITHMS[alg], partial(scores, a_idx, alg)
+        # a kept row is copied, so no two grid points' results share a dict
+        rows[alg] = make() if algo.rounding else dict(
+            kept(f"{alg} row", algo.reads | {"n", "alpha"}, make))
+    return rows
 
 
 def _run_grid(cfg: ExperimentConfig, trial: int) -> list:
@@ -384,7 +354,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     grid point on that draw. Output ordering is fixed by (grid index,
     algorithm, metric) regardless of scheduling; infeasible trials are
     excluded from means and counted in an extra ``excluded_trials`` row.
-    ``workers`` must be positive."""
+    ``workers`` must be a positive integer (2.0 reads as 2)."""
+    workers = integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, not {workers!r}")
     workers = min(workers, cfg.trials)  # a pool forks all its workers up front

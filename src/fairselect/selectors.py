@@ -292,11 +292,12 @@ DEPENDENT = "dependent"  # marginal-preserving rounding to exactly n items
 
 @dataclass(eq=False)
 class Problem:
-    """One selection problem. The imputed groups (ties drawn from the stream
-    (seed, *imputed_key): (seed, 0) in ``select``, (seed, tr, 3) in a sweep)
-    and the group-level instance are computed on first use and then shared by
-    every algorithm. Only Thrsh and MultObj read the fields
-    after ``cs``."""
+    """One selection problem, which ``select`` builds for its one algorithm.
+    The imputed groups (ties drawn from the stream (seed, *imputed_key),
+    (seed, 0) in ``select``) and the group-level instance are computed on
+    first use. A sweep's grid point (``experiment._GridPoint``) keeps both in
+    its trial's draw instead, where the trial's algorithms and grid points
+    share them. Only Thrsh and MultObj read the fields after ``cs``."""
 
     inst: Instance
     cs: ConstraintSet

@@ -200,11 +200,21 @@ def test_reproducible_and_parallelism_invariant(tmp_path):
 @pytest.mark.parametrize("workers, message", [
     (0, "workers must be a positive integer, not 0"),
     (-3, "workers must be a positive integer, not -3"),
+    (math.nan, "workers must be an integer, not nan"),
+    (1.5, "workers must be an integer, not 1.5"),
+    ("2", "workers must be an integer, not '2'"),
+    (True, "workers must be an integer, not True"),
 ], ids=["0-None-workers must be a positive integer, not 0",
-        "-3-4-workers must be a positive integer, not -3"])
+        "-3-4-workers must be a positive integer, not -3", "nan", "1.5", "str", "bool"])
 def test_a_worker_count_below_one_is_rejected_by_name(workers, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         run_experiment(small_config(trials=1), workers=workers)
+
+
+def test_a_whole_float_worker_count_reads_as_that_integer():
+    cfg = small_config(trials=2)
+    two = run_experiment(cfg, workers=2)
+    assert render_csv(run_experiment(cfg, workers=2.0)) == render_csv(two)
 
 
 @pytest.mark.parametrize("grid, trials, started",
@@ -350,7 +360,7 @@ def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
     at_03 = only_at_05 = 0
     for trial in range(cfg.trials):
         draw = experiment.TrialDraw(cfg, trial)
-        insts = {tau: draw.observed(tau, cfg.n) for tau in cfg.grid}
+        insts = {tau: experiment._observe(draw._spec, draw._drawn, tau, trial) for tau in cfg.grid}
         flips = {tau: inst.noisy_attrs[:, 0] != inst.true_attrs[:, 0]
                  for tau, inst in insts.items()}
         assert not flips[0.0].any()
@@ -374,8 +384,10 @@ def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
     # the sweep-baselines shape: no label is flipped, and Blind's and Thrsh's rows are kept
     tau_config(algorithms=("Blind", "Thrsh", "MultObj"), alpha=1.0, lambda_=500.0, delta=0.01,
                trials=3),
+    # a repeated value shares every kept part, and each grid point still rounds for itself
+    small_config(grid=(0.5, 0.5), algorithms=ALL_FIVE, trials=3, lambda_=100.0),
 ], ids=["alpha", "tau", "n-error", "n-utility", "lambda-shared", "alpha-utility-shared",
-        "tau-baselines"])
+        "tau-baselines", "alpha-repeated"])
 def test_a_grid_point_run_alone_gives_the_row_its_sweep_reports(cfg):
     table = run_experiment(cfg)
     shared = {(grid, alg, metric, trial): value
@@ -476,6 +488,9 @@ def _count_solves(monkeypatch) -> dict:
 @pytest.mark.parametrize("sweep_kind, grid, shared", [
     ("tau_grid", (0.0, 0.3, 0.5), True),
     ("n_grid", (10.0, 15.0, 20.0), False),
+    # a grid that repeats a value solves once per distinct value
+    ("tau_grid", (0.0, 0.3, 0.3), True),
+    ("n_grid", (10.0, 20.0, 20.0), False),
 ])
 def test_a_sweep_solves_each_step_once_per_value_of_what_it_reads(monkeypatch, sweep_kind,
                                                                  grid, shared):
@@ -484,7 +499,7 @@ def test_a_sweep_solves_each_step_once_per_value_of_what_it_reads(monkeypatch, s
     assert not any(experiment.TrialDraw(cfg, tr).empty_group for tr in range(cfg.trials))
     calls = _count_solves(monkeypatch)
     run_experiment(cfg)
-    points = cfg.trials * len(grid)
+    points = cfg.trials * len(set(grid))
     once = cfg.trials if shared else points
     assert calls == {"thrsh": once, "mult_obj": once, "denoised_bfs": once + points}
 
