@@ -13,7 +13,8 @@ the worker count, which changes only wall-clock time.
 
 Fractional outputs (the LP vertex and the multi-objective optimum) are
 rounded to exactly-n subsets with marginal-preserving dependent rounding
-before metrics are computed, mirroring how the sweeps are reported.
+before metrics are computed, from one stream per trial and algorithm: grid
+points that share a step output share its rounded selection and its scores.
 """
 
 from __future__ import annotations
@@ -288,13 +289,13 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
     only what this grid point reads. Either way the row is the same: each
     part is kept in the draw (``TrialDraw.kept``) under the settings named
     where it is made here: the instance reads n, the target nothing, the
-    bounds n and α, each step ``selectors.ALGORITHMS[name].reads``, and an
-    unrounded algorithm's metric row its step's reads, n and α, which reach
-    its bounds and the blind utility. A rounded algorithm rounds and is
-    scored at every grid point. Its streams, each built where it is drawn
-    from, are (cfg.seed, trial, k): k = 0|1|2 to draw and 3 to break an
-    imputation tie (see TrialDraw and _GridPoint), and
-    (cfg.seed, grid_idx, trial, 4, a_idx) for algorithm a_idx to round."""
+    bounds n and α, each step ``selectors.ALGORITHMS[name].reads``, and each
+    algorithm's metric row its step's reads, n and α, which reach its
+    rounding, its bounds and the blind utility. Its streams, each built where
+    it is drawn from, are (cfg.seed, trial, k): k = 0|1|2 to draw and 3 to
+    break an imputation tie (see TrialDraw and _GridPoint), and
+    (cfg.seed, trial, 4, a_idx) for algorithm a_idx to round, at every grid
+    point."""
     if draw is None:
         draw = TrialDraw(cfg, trial)
     elif draw.cfg is not cfg or draw.trial != trial:
@@ -323,24 +324,16 @@ def run_trial(cfg: ExperimentConfig, grid_idx: int, trial: int,
         out = solved(alg)
         if out is None:
             return dict.fromkeys(METRIC_NAMES)
-        sel = selectors.round_output(alg, out, problem, (grid_idx, trial, 4, a_idx),
-                                     selectors.DEPENDENT)
+        sel = selectors.round_output(alg, out, problem, (trial, 4, a_idx), selectors.DEPENDENT)
         report = metrics_mod.compute_report(inst, sel, t, blind_utility)
         viol = violation_report(sel.chosen, inst, cs, attrs="true")
-        return {
-            "risk_difference": report.risk_difference,
-            "selection_lift": report.selection_lift,
-            "utility_ratio": report.utility_ratio,
-            "max_violation": viol.max_violation,
-        }
+        return dict(zip(METRIC_NAMES, (report.risk_difference, report.selection_lift,
+                                       report.utility_ratio, viol.max_violation)))
 
-    rows = {}
-    for a_idx, alg in enumerate(cfg.algorithms):
-        algo, make = selectors.ALGORITHMS[alg], partial(scores, a_idx, alg)
-        # a kept row is copied, so no two grid points' results share a dict
-        rows[alg] = make() if algo.rounding else dict(
-            kept(f"{alg} row", algo.reads | {"n", "alpha"}, make))
-    return rows
+    # a kept row is copied, so no two grid points' results share a dict
+    return {alg: dict(kept(f"{alg} row", selectors.ALGORITHMS[alg].reads | {"n", "alpha"},
+                           partial(scores, a_idx, alg)))
+            for a_idx, alg in enumerate(cfg.algorithms)}
 
 
 def _run_grid(cfg: ExperimentConfig, trial: int) -> list:

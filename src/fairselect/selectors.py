@@ -154,15 +154,21 @@ def thrsh(inst: Instance, cs: ConstraintSet, imputed: np.ndarray) -> Selection:
     p = inst.p[0]
     groups = _check_imputed(imputed, inst.m, p)
     lo, hi = _integer_bounds(cs)
-    caps = np.minimum(hi, np.bincount(groups, minlength=p))
-    if np.any(lo > caps) or int(lo.sum()) > inst.n or int(caps.sum()) < inst.n:
-        raise InfeasibleError("imputed group bounds admit no size-n selection")
+    caps, n = np.minimum(hi, np.bincount(groups, minlength=p)), inst.n
+    why = [f"in group {g}, ceil(L) = {lo[g]} > the cap min(floor(U), imputed count) = {caps[g]}"
+           for g in np.flatnonzero(lo > caps)]
+    if lo.sum() > n:
+        why.append(f"the ceil(L) sum to {lo.sum()} > n = {n}")
+    if caps.sum() < n:
+        why.append(f"the caps min(floor(U), imputed count) sum to {caps.sum()} < n = {n}")
+    if why:
+        raise InfeasibleError(f"imputed group bounds admit no size-n selection: {'; '.join(why)}")
 
     order, rank = _group_ranks(inst.utilities, groups, p)
     ordered_groups = groups[order]
     floor = rank < lo[ordered_groups]
     extra = ~floor & (rank < caps[ordered_groups])
-    extra &= np.cumsum(extra) <= inst.n - int(lo.sum())
+    extra &= np.cumsum(extra) <= n - int(lo.sum())
     taken = np.zeros(inst.m, dtype=bool)
     taken[order] = floor | extra
     return Selection.from_mask(taken, inst.utilities)

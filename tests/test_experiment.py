@@ -384,10 +384,12 @@ def test_the_labels_flipped_at_a_smaller_tau_stay_flipped_at_a_larger_one():
     # the sweep-baselines shape: no label is flipped, and Blind's and Thrsh's rows are kept
     tau_config(algorithms=("Blind", "Thrsh", "MultObj"), alpha=1.0, lambda_=500.0, delta=0.01,
                trials=3),
-    # a repeated value shares every kept part, and each grid point still rounds for itself
+    # a repeated value shares every kept part, its rounded rows included
     small_config(grid=(0.5, 0.5), algorithms=ALL_FIVE, trials=3, lambda_=100.0),
+    # FairExpec's and MultObj's rounded rows are kept once per trial
+    tau_config(algorithms=("FairExpec", "MultObj"), trials=3),
 ], ids=["alpha", "tau", "n-error", "n-utility", "lambda-shared", "alpha-utility-shared",
-        "tau-baselines", "alpha-repeated"])
+        "tau-baselines", "alpha-repeated", "tau-rounded"])
 def test_a_grid_point_run_alone_gives_the_row_its_sweep_reports(cfg):
     table = run_experiment(cfg)
     shared = {(grid, alg, metric, trial): value
@@ -541,20 +543,39 @@ def test_labels_are_flipped_only_for_fair_expec_grp_once_per_trial_and_tau(monke
     assert calls == {"inject_flip_noise": flips_per_tau * cfg.trials * len(cfg.grid)}
 
 
-@pytest.mark.parametrize("alg, per_point", [("Blind", False), ("Thrsh", False),
-                                            ("MultObj", True)])
-def test_a_tau_sweep_scores_blind_and_thrsh_once_per_trial_and_mult_obj_per_point(
-        monkeypatch, alg, per_point):
-    # Blind's and Thrsh's selections, bounds and blind utility are the same at every
-    # tau; MultObj rounds from its own stream at each grid point
+@pytest.mark.parametrize("alg", ["Blind", "Thrsh", "MultObj"])
+def test_a_tau_sweep_scores_blind_thrsh_and_mult_obj_once_per_trial(monkeypatch, alg):
+    # their selections, bounds and blind utility are the same at every tau:
+    # MultObj rounds its one x per trial from the trial's one stream for it
     cfg = _no_empty_group(tau_config(algorithms=(alg,), trials=4))
     violations = _count_calls(monkeypatch, experiment, "violation_report")
     reports = _count_calls(monkeypatch, experiment.metrics_mod, "compute_report")
     values = per_trial(run_experiment(cfg), alg, ("risk_difference",))
     feasible = sum(value is not None for value in values[0.0])
     assert feasible == cfg.trials or alg == "Thrsh" and feasible > 0
-    scored = feasible * (len(cfg.grid) if per_point else 1)
-    assert (violations["violation_report"], reports["compute_report"]) == (scored, scored)
+    assert (violations["violation_report"], reports["compute_report"]) == (feasible, feasible)
+
+
+@pytest.mark.parametrize("cfg, same, moved", [
+    # at alpha 0.9 the bounds bind, so FairExpecGrp's rows move with the flipped labels
+    (tau_config(alpha=0.9), ("Blind", "FairExpec", "Thrsh", "MultObj"), ("FairExpecGrp",)),
+    (tau_config(sweep_kind="lambda_grid", grid=(0.0, 10.0, 100.0), lambda_=None, tau=0.3),
+     ("Blind", "FairExpec", "FairExpecGrp", "Thrsh"), ("MultObj",)),
+], ids=["tau", "lambda"])
+def test_a_rounded_row_is_the_same_wherever_its_reads_are(monkeypatch, cfg, same, moved):
+    # a rounded selection depends on the step output, n and the trial alone: every
+    # rounding stream is (trial, 4, a_idx), with no grid index, and the draws (trial, k)
+    keys = _record_seed_streams(monkeypatch)
+    table = run_experiment(_no_empty_group(cfg))
+    rounding = [key for key in keys if len(key) != 2]
+    assert rounding and all(len(key) == 3 and key[0] in range(cfg.trials) and key[1] == 4
+                            and key[2] in range(len(cfg.algorithms)) for key in rounding)
+    for alg in same:
+        values = per_trial(table, alg)
+        assert all(values[grid] == values[cfg.grid[0]] for grid in cfg.grid), alg
+    for alg in moved:  # not forced equal: its step reads the swept setting
+        values = per_trial(table, alg)
+        assert any(values[grid] != values[cfg.grid[0]] for grid in cfg.grid), alg
 
 
 @pytest.mark.parametrize("axis", AXES)
@@ -641,21 +662,21 @@ def test_a_trial_derives_a_rounding_stream_only_for_an_algorithm_that_rounds(mon
     keys = _record_seed_streams(monkeypatch)
     cfg = small_config(algorithms=("Blind", "Thrsh"))
     assert run_trial(cfg, 0, 0)["Thrsh"]["risk_difference"] is not None
-    assert keys and not any(key[2:3] == (4,) for key in keys)
+    assert keys and not any(key[1:2] == (4,) for key in keys)
     # a rounding draws only for a fractional x: at gi = 0 (alpha = 0) FairExpec's
     # vertex is binary, and MultObj's x is binary at lambda = 0 alone
     rounded, dependent_round = [], selectors.dependent_round
     monkeypatch.setattr(selectors, "dependent_round", lambda x, n, seed, w, *key: (
         rounded.append((key, bool(np.any((x > 0.0) & (x < 1.0)))))
         or dependent_round(x, n, seed, w, *key)))
-    for lam, drawn in ((0.0, []), (100.0, [(0, 0, 4, 3)])):
+    for lam, drawn in ((0.0, []), (100.0, [(0, 4, 3)])):
         keys.clear()
         rounded.clear()
         run_trial(small_config(algorithms=("Blind", "FairExpec", "Thrsh", "MultObj"), lambda_=lam),
                   0, 0)
-        assert [key for key in keys if key[2:3] == (4,)] == drawn
+        assert [key for key in keys if key[1:2] == (4,)] == drawn
         assert [key for key, fractional in rounded if fractional] == drawn
-        assert [key for key, _ in rounded] == [(0, 0, 4, 1), (0, 0, 4, 3)]
+        assert [key for key, _ in rounded] == [(0, 4, 1), (0, 4, 3)]
 
 
 @pytest.mark.parametrize("algorithms", [("Blind", "FairExpec"), ("Thrsh",)])

@@ -1,8 +1,9 @@
 """Byte-identity pins: results CSVs of small sweeps and ``select`` output.
 
-The sweep files under tests/golden/ were last written when every grid
-point of a trial came to share the trial's one draw, which changed each
-sweep's draws; ``select_tiny.jsonl`` when MultObj changed from Frank-Wolfe
+The sweep files under tests/golden/ were last written when dependent
+rounding came to draw from one stream per trial and algorithm, shared by the
+trial's grid points, which changed each sweep's rounded selections;
+``select_tiny.jsonl`` when MultObj changed from Frank-Wolfe
 to its exact optimum. Any other change to them is a change of behaviour.
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when
 that is intended.

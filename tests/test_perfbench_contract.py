@@ -95,8 +95,8 @@ def test_sweep_configs_build(perfbench, workload):
 # The CSV digest run.py reports for each sweep at --seed 1. A change that keeps
 # every bit of the sweeps' output keeps these.
 SWEEP_DIGESTS = {
-    "sweep-de": "7378d94b08172108e880b6793ad6b16aa4ca1fb8eca0aeebb3d586b0c4339320",
-    "sweep-baselines": "db9d6827a09f5010108b6fe168ee3d32b3e925ef1cd61e5e48a558ef2cff1e10",
+    "sweep-de": "e6bb8599bf0d244df1b23d7b08cd9cf14c8094fc2b8c3eb536513a2f881d11e5",
+    "sweep-baselines": "5deef1b79af6b5facd7696cebdfa6940d96232b90d6f26712eadd167e8fa6d6c",
 }
 
 

@@ -334,6 +334,23 @@ def test_thrsh_infeasible_lower_bound():
         thrsh(inst, cs, impute_bayes(q, seed=0))
 
 
+@pytest.mark.parametrize("groups, n, lower, upper, why", [
+    ([0, 1, 1], 2, [2.0, 0.0], [2.0, 2.0],
+     "in group 0, ceil(L) = 2 > the cap min(floor(U), imputed count) = 1"),
+    ([0, 0, 1, 1], 2, [1.5, 1.0], [2.0, 2.0], "the ceil(L) sum to 3 > n = 2"),
+    # the floors of U = (1.5, 1.5) sum to n - 1, as at alpha = 1 with L = 0
+    ([0, 1, 1, 1], 3, [0.0, 0.0], [1.5, 1.5],
+     "the caps min(floor(U), imputed count) sum to 2 < n = 3"),
+], ids=["ceil-lower-past-cap", "ceil-lower-sum-past-n", "caps-sum-below-n"])
+def test_an_infeasible_thrsh_says_which_check_failed(groups, n, lower, upper, why):
+    q = np.eye(2)[groups]
+    inst = Instance(n=n, p=(2,), utilities=np.arange(len(groups), 0.0, -1.0), noise=(q,))
+    cs = make_constraints([lower], [upper], delta=0.0, n=n)
+    with pytest.raises(InfeasibleError) as exc:
+        thrsh(inst, cs, np.array(groups))
+    assert str(exc.value) == f"imputed group bounds admit no size-n selection: {why}"
+
+
 def test_thrsh_matches_brute_force():
     from oracle import brute_force_target
     rng = np.random.default_rng(17)
