@@ -358,21 +358,36 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
                                     chunksize=max(1, cfg.trials // (4 * workers))))
     else:
         results = [_run_grid(cfg, tr) for tr in range(cfg.trials)]
+    return _table(cfg, results)
 
+
+def _table(cfg: ExperimentConfig, results: list) -> ResultTable:
+    """The table of ``results``, where ``results[tr][gi]`` is run_trial's row for
+    grid point gi of trial tr. The cells (grid point and algorithm) with equally
+    many feasible trials share one reduction, in which each of a cell's metrics
+    is one row."""
+    cells = [(grid_value, alg, [grid[gi][alg] for grid in results])
+             for gi, grid_value in enumerate(cfg.grid) for alg in cfg.algorithms]
+    # a trial's metrics are all set, or all None when it was infeasible
+    feasible = [[vals for vals in runs if vals["risk_difference"] is not None]
+                for _, _, runs in cells]
+    by_count = {}
+    for c, kept in enumerate(feasible):
+        by_count.setdefault(len(kept), []).append(c)
+    stats = [None] * len(cells)
+    for members in by_count.values():
+        reduced = iter(_mean_sem([[vals[name] for vals in feasible[c]]
+                                  for c in members for name in METRIC_NAMES]))
+        for c in members:
+            stats[c] = [next(reduced) for _ in METRIC_NAMES]
     rows, per_trial = [], []
-    for gi, grid_value in enumerate(cfg.grid):
-        point = [grid[gi] for grid in results]  # one row per trial
-        for alg in cfg.algorithms:
-            runs = [res[alg] for res in point]
-            per_trial += [(grid_value, alg, name, tr, vals[name])
-                          for tr, vals in enumerate(runs) for name in METRIC_NAMES]
-            # a trial's metrics are all set, or all None when it was infeasible
-            feasible = [vals for vals in runs if vals["risk_difference"] is not None]
-            cell = _mean_sem([[vals[name] for vals in feasible] for name in METRIC_NAMES])
-            rows += [ResultRow(grid_value, alg, name, mean, sem)
-                     for name, (mean, sem) in zip(METRIC_NAMES, cell)]
-            rows.append(ResultRow(grid_value, alg, "excluded_trials",
-                                  float(len(runs) - len(feasible)), 0.0))
+    for (grid_value, alg, runs), kept, cell in zip(cells, feasible, stats):
+        per_trial += [(grid_value, alg, name, tr, vals[name])
+                      for tr, vals in enumerate(runs) for name in METRIC_NAMES]
+        rows += [ResultRow(grid_value, alg, name, mean, sem)
+                 for name, (mean, sem) in zip(METRIC_NAMES, cell)]
+        rows.append(ResultRow(grid_value, alg, "excluded_trials",
+                              float(len(runs) - len(kept)), 0.0))
     return ResultTable(rows=tuple(rows), per_trial=tuple(per_trial))
 
 

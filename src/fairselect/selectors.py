@@ -27,6 +27,7 @@ from .seeding import make_rng
 # Both KL arguments of MultObj's penalty are mixed with this much of the
 # uniform distribution, so an unselected group does not produce log 0.
 KL_EPSILON = 1e-6
+EPS64 = float(np.finfo(float).eps)
 
 
 def blind(inst: Instance) -> Selection:
@@ -201,11 +202,16 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray) -> np.
     m, n, p = inst.m, inst.n, len(t)
     groups = _check_imputed(imputed, m, p)
     eps = KL_EPSILON
-    mean_w = float(w.sum()) / m
-    # |log(d_s/t_s)| <= log(p / eps), so this bounds the penalty and h
-    if not math.isfinite(float(w.max()) + lambda_ * (math.log(p / eps) + 1.0) * mean_w):
-        raise ValueError(f"lambda={lambda_:g} is too large: the KL penalty overflows")
-    scale = lambda_ * mean_w * (1 - eps) / n
+    scale = 0.0
+    if lambda_ > 0.0:  # at 0 the utilities are not summed
+        with np.errstate(over="ignore"):
+            mean_w = float(w.sum()) / m
+        if not math.isfinite(mean_w):
+            raise ValueError("utilities sum past the largest float; scale them down")
+        # |log(d_s/t_s)| <= log(p / eps), so this bounds the penalty and h
+        if not math.isfinite(float(w.max()) + lambda_ * (math.log(p / eps) + 1.0) * mean_w):
+            raise ValueError(f"lambda={lambda_:g} is too large: the KL penalty overflows")
+        scale = lambda_ * mean_w * (1 - eps) / n
     if scale == 0.0:  # no penalty
         x = np.zeros(m)
         x[top_n(w, n)] = 1.0
@@ -230,10 +236,29 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray) -> np.
         return np.count_nonzero(nu_lo >= nu) + fill(nu, (nu_lo < nu) & (nu < nu_hi)).sum()
 
     cuts = np.sort(np.concatenate([nu_lo, nu_hi, [np.inf]]))
+    # At a cut c, total adds to full(c) = #{nu_lo >= c} the fills of the pieces
+    # with nu_lo < c < nu_hi, each in [0, 1] up to rounding: at most open(c) =
+    # #{nu_lo < c <= max(nu_lo, nu_hi)} of them. While each of the P computed
+    # fills is within 1/(4P) of its exact value, they sum to within 1/4 of
+    # theirs, so total(c) >= n once full(c) > n, that is once c is at most the
+    # (n+1)-th largest nu_lo, and total(c) < n once full(c) + open(c) < n, once c
+    # is above the n-th largest max(nu_lo, nu_hi): the counts settle c with
+    # total's own branch. A fill is d_s / d_per_g, at most n + 1, times a
+    # relative error of a few epsilons per unit of max(w_j) / scale, from the
+    # breakpoints, and per unit of log(p / eps) + 1, from h's log and the exp,
+    # counted five times over; with 4 for "a few" and 4P for 1/(4P) that gives
+    # the guard, and under it every mid runs total.
+    pieces = w_j.size  # at least n, since m is
+    spread = float(w_j.max()) + 5 * scale * (math.log(p / eps) + 1.0)
+    if 16 * (n + 1) * pieces * EPS64 * spread < scale:
+        sure_lo = np.partition(nu_lo, pieces - n - 1)[pieces - n - 1] if pieces > n else -np.inf
+        sure_hi = np.partition(np.maximum(nu_lo, nu_hi), pieces - n)[pieces - n]
+    else:
+        sure_lo, sure_hi = -np.inf, np.inf
     lo, hi = 0, cuts.size - 1  # total(cuts[lo]) >= n > total(cuts[hi]); every piece is full at lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if total(cuts[mid]) >= n:
+        if cuts[mid] <= sure_lo or (cuts[mid] <= sure_hi and total(cuts[mid]) >= n):
             lo = mid
         else:
             hi = mid
@@ -363,11 +388,10 @@ def round_output(name: str, out, pb: Problem, round_key: tuple = (),
     return dependent_round(out, pb.inst.n, pb.seed, pb.inst.utilities, *round_key)
 
 
-def run_algorithm(name: str, pb: Problem, round_key: tuple = (),
-                  rounding: Optional[str] = None) -> Selection:
-    """Run algorithm ``name`` on ``pb``, its step and then ``round_output``; raises
-    InfeasibleError like the step."""
-    return round_output(name, ALGORITHMS[name].solve(pb), pb, round_key, rounding)
+def run_algorithm(name: str, pb: Problem, round_key: tuple = ()) -> Selection:
+    """Run algorithm ``name`` on ``pb``, its step and then ``round_output`` with
+    the algorithm's own rule; raises InfeasibleError like the step."""
+    return round_output(name, ALGORITHMS[name].solve(pb), pb, round_key)
 
 
 def fair_expec(inst: Instance, cs: ConstraintSet) -> Selection:

@@ -16,6 +16,7 @@ from fairselect.experiment import (ExperimentConfig, ResultRow, ResultTable, loa
 
 from conftest import mean_of
 from reference_bookkeeping import reference_check_setting
+from reference_table import reference_table
 
 
 def small_config(**overrides):
@@ -758,6 +759,29 @@ def test_a_cell_reduction_gives_each_row_its_own_bits(rows):
         expected.append((float(np.mean(values)), sem))
     got = experiment._mean_sem(rows)
     assert [(_bits(m), _bits(s)) for m, s in got] == [(_bits(m), _bits(s)) for m, s in expected]
+
+
+def test_the_table_keeps_its_bits_when_its_cells_share_one_reduction():
+    # Thrsh's imputed bounds admit a size-n selection in 12, 2, 1 and 0 of the
+    # 12 trials at these alpha; Blind and MultObj keep all 12, which run
+    # numpy's 8-way pairwise blocks
+    cfg = ExperimentConfig(generator=GeneratorSpec(kind=KIND_DISPARATE_UTILITY, m=100, n=10),
+                           sweep_kind="alpha_grid", grid=(0.0, 0.94, 0.95, 1.0),
+                           algorithms=("Blind", "Thrsh", "MultObj"), trials=12, n=10, m=100,
+                           target="Proportional", delta=0.05, seed=5, lambda_=100.0)
+    results = [experiment._run_grid(cfg, tr) for tr in range(cfg.trials)]
+    table, expected = run_experiment(cfg), reference_table(cfg, results)
+    feasible = {(row.grid, row.algorithm): cfg.trials - row.mean for row in table.rows
+                if row.metric == "excluded_trials"}
+    assert [feasible[alpha, "Thrsh"] for alpha in cfg.grid] == [12, 2, 1, 0]
+    assert {feasible[alpha, alg] for alpha in cfg.grid for alg in ("Blind", "MultObj")} == {12}
+
+    def bits(table):
+        return ([(row.grid, row.algorithm, row.metric, _bits(row.mean), _bits(row.sem))
+                 for row in table.rows],
+                [(*entry[:4], _bits(entry[4])) for entry in table.per_trial])
+
+    assert bits(table) == bits(expected)
 
 
 # each setting's range ends (m's for n and bins) with their float neighbours, zeros of both

@@ -18,7 +18,7 @@ from fairselect.seeding import make_rng, seed_sequence
 from conftest import fact_one_constraints, fact_one_instance, random_instance, anchored_constraints
 from reference_impute import (reference_estimate_group_level_q, reference_group_ranks,
                               reference_impute_bayes)
-from reference_mult_obj import mult_obj_objective, reference_mult_obj
+from reference_mult_obj import bisected_mult_obj, mult_obj_objective, reference_mult_obj
 from reference_thrsh import reference_thrsh
 
 
@@ -479,6 +479,15 @@ def test_mult_obj_rejects_bad_settings(tiny, target, lambda_, message):
         mult_obj(tiny, target, lambda_, impute_bayes(tiny.noise[0], seed=0))
 
 
+def test_mult_obj_names_utilities_that_sum_past_the_largest_float(tiny):
+    # as validate_instance names them, and with no overflow warning on the way
+    inst = replace(tiny, utilities=[1e308, 1e308, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="utilities sum past the largest float"):
+            mult_obj(inst, (0.5, 0.5), 1.0, impute_bayes(tiny.noise[0], seed=0))
+
+
 @pytest.mark.parametrize("imputed, message", [
     (np.array([0, 0, 1]), "one label per item"),
     (np.eye(2)[[0, 0, 0, 1]], "one label per item"),
@@ -501,8 +510,11 @@ def _assert_exact_and_at_least_the_reference(inst, target, lambda_, groups, fw_i
     assert abs(x.sum() - inst.n) <= 1e-9
     assert np.all((x >= 0) & (x <= 1))
     assert np.count_nonzero((x > 0) & (x < 1)) <= len(target)
-    f = mult_obj_objective(x, inst, target, lambda_, groups)
     reference = reference_mult_obj(inst, target, lambda_, groups, fw_iters)
+    if lambda_ == 0.0:  # both are the blind indicator, whose objective needs the utilities' sum
+        assert np.array_equal(x, reference)
+        return x
+    f = mult_obj_objective(x, inst, target, lambda_, groups)
     assert f >= mult_obj_objective(reference, inst, target, lambda_, groups) - 1e-9 * max(1, abs(f))
     return x
 
@@ -529,8 +541,11 @@ def _labelled(w, groups, p):
     # every breakpoint rounds to 1.0, so the pieces next in line take up all n
     (_labelled(np.ones(8), [0, 1, 0, 1, 1, 1, 1, 1], 2), (0.5, 0.5), 1e-17,
      [1, 1, 1, 1, 0, 0, 0, 0]),
+    # lambda = 0 returns the blind indicator before the utilities are summed
+    (_labelled(np.array([1e308, 1e308, 1.0, 0.0]), [0, 1, 0, 1], 2), (0.5, 0.5), 0.0,
+     [1, 1, 0, 0]),
 ], ids=["zero-utilities", "small-lambda", "one-group", "empty-group", "tied-in-a-group",
-        "breakpoints-below-resolution"])
+        "breakpoints-below-resolution", "lambda-zero-utilities-summing-past-the-largest-float"])
 def test_mult_obj_edge_cases(inst_groups, target, lambda_, expected):
     inst, groups = inst_groups
     with warnings.catch_warnings():
@@ -569,6 +584,69 @@ def mult_obj_cases(draw, p=st.integers(1, 10)):
 @given(mult_obj_cases())
 def test_mult_obj_is_at_least_the_frank_wolfe_reference(case):
     _assert_exact_and_at_least_the_reference(*case)
+
+
+@st.composite
+def counted_cases(draw):
+    """MultObj problems for the byte comparison with the plain bisection: p
+    groups, n up to m, tied integer or spread utilities, targets with shares
+    near 0 and lambda log-uniform over 22 decades."""
+    p = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, m))
+    groups = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), dtype=float)
+    else:
+        spread = 10.0 ** np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=m, max_size=m)))
+        w = spread * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    shares = st.sampled_from([0.0, 1e-300, 1e-12, 1e-6]) | st.floats(0.0, 1.0)
+    raw = np.array(draw(st.lists(shares, min_size=p, max_size=p)))
+    assume(raw.sum() > 0)
+    lambda_ = 10.0 ** draw(st.floats(-14.0, 8.0))
+    inst = Instance(n=n, p=(p,), utilities=w, noise=(np.eye(p)[groups],))
+    return inst, raw / raw.sum(), lambda_, groups
+
+
+def _labelled_case(w, groups, p, lambda_, target=None):
+    """A mult_obj case on ``_labelled``'s instance, with equal shares unless ``target``."""
+    inst, groups = _labelled(np.asarray(w, dtype=float), groups, p)
+    return inst, np.full(p, 1.0 / p) if target is None else np.asarray(target), lambda_, groups
+
+
+# the counts settle cuts only above a guard on the penalty's scale, at which
+# every computed fill is within 1/(4P) of its exact value
+EIGHT = (np.arange(9, 1, -1) / 10, [0, 0, 0, 0, 1, 1, 1, 1], 2)
+ABOVE_THE_GUARD = _labelled_case(*EIGHT, 2.0)
+BELOW_THE_GUARD = _labelled_case(*EIGHT, 1e-13)
+
+
+@settings(max_examples=400, deadline=None)
+@given(counted_cases())
+@example(ABOVE_THE_GUARD)
+@example(BELOW_THE_GUARD)
+# tied utilities, at about half and twice the guard's scale
+@example(_labelled_case(np.ones(8), [0, 1, 0, 1, 1, 1, 1, 1], 2, 2e-13))
+@example(_labelled_case(np.ones(8), [0, 1, 0, 1, 1, 1, 1, 1], 2, 1e-12))
+# a share near 0 at the largest lambda drawn
+@example(_labelled_case([3.0, 2.0, 2.0, 1.0, 0.0, 1.0], [0, 1, 2, 0, 1, 2], 3, 1e8,
+                        (1e-12, 0.5, 0.5 - 1e-12)))
+def test_mult_obj_keeps_the_bytes_of_the_plain_bisection(case):
+    assert mult_obj(*case).tobytes() == bisected_mult_obj(*case).tobytes()
+
+
+@pytest.mark.parametrize("case, fewer", [(ABOVE_THE_GUARD, True), (BELOW_THE_GUARD, False)],
+                         ids=["above-the-guard", "below-the-guard"])
+def test_the_counts_settle_cuts_only_above_the_guard(monkeypatch, case, fewer):
+    # each fill the bisection computes takes one np.exp, and so does the last step
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+    bisected_mult_obj(*case)
+    plain = len(calls)
+    calls.clear()
+    mult_obj(*case)
+    assert (len(calls) < plain) is fewer and len(calls) <= plain
 
 
 def _best_on_a_grid(inst, target, lambda_, groups, points=4001):
@@ -617,7 +695,8 @@ def _small_group_draw(sizes):
 ], ids=["disparate-utility-m1000", "disparate-error-m500", "p3-small-group", "p9-small-group"])
 def test_mult_obj_beats_the_reference_at_sweep_sizes(draw, target, lambda_):
     inst, imputed = draw()
-    _assert_exact_and_at_least_the_reference(inst, target, lambda_, imputed)
+    x = _assert_exact_and_at_least_the_reference(inst, target, lambda_, imputed)
+    assert x.tobytes() == bisected_mult_obj(inst, target, lambda_, imputed).tobytes()
 
 
 # --- rounding ---------------------------------------------------------
