@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Instance, UnsupportedError, in_range, real_array, within
+from .core import Instance, UnsupportedError, in_range, real_array, stable_order, within
 from .seeding import make_rng
 
 KIND_DISPARATE_ERROR = "disparate_error"
@@ -74,10 +74,16 @@ def _cell_rates(par: dict) -> list:
 def _draw_cells(rng: np.random.Generator, rates: list, m: int) -> np.ndarray:
     """m cells drawn with probabilities ``rates``, as rng.choice(len(rates),
     size=m, p=rates) draws them once its checks of p pass; GeneratorSpec has
-    checked the rates."""
+    checked the rates. A uniform draw's cell is
+    ``cdf.searchsorted(u, side="right")``, the count of cdf entries <= u:
+    one comparison per cell, with no branch to mispredict."""
     cdf = np.cumsum(rates)
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(m), side="right")
+    u = rng.random(m)
+    cell = np.zeros(m, dtype=np.intp)
+    for edge in cdf.tolist():
+        cell += edge <= u
+    return cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +207,15 @@ def estimate_q_by_utility_bins(inst: Instance, b: int, train: Instance) -> np.nd
         raise ValueError("the training instance must carry true attributes")
     b = in_range("bins", b, train.m)
     p = train.p[0]
-    order = np.argsort(train.utilities, kind="stable")
+    order = stable_order(train.utilities)
     base = train.m // b
     bins = np.minimum(np.arange(train.m) // base, b - 1)
     counts = np.bincount(bins * p + train.true_attrs[order, 0], minlength=b * p).reshape(b, p)
     freq = counts / counts.sum(axis=1, keepdims=True)
     edges = train.utilities[order[base * np.arange(1, b)]]
-    return freq[np.searchsorted(edges, inst.utilities, side="right")]
+    # searched in ascending order, neighbouring lookups take the same branches
+    w = inst.utilities
+    ascending = np.argsort(w)
+    which = np.empty(w.size, dtype=np.intp)
+    which[ascending] = np.searchsorted(edges, w[ascending], side="right")
+    return freq[which]

@@ -35,7 +35,10 @@ Implementation notes:
   pivot is the same. Walks of 1000 columns or fewer (there a partition
   costs more than it saves), walks that no block of under a quarter of the
   columns finishes, and walks that never reach the row still use the full
-  stable sort.
+  sort, ``core.stable_order``. That threshold was re-checked once the full
+  sort was ``stable_order``, on fresh draws: at 64 a sweep-de op took 7.82
+  ms against 7.50 ms at 1000 (medians of 80 alternated ops, each on its own
+  seed, on a shared 2-vCPU x86-64 host with AVX-512).
 * The row proves the program infeasible if even flipping every eligible
   column falls short by more than FEAS_TOL. Within FEAS_TOL, the last one
   enters in a degenerate pivot, so every iteration changes the basis.
@@ -63,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, _stored, smallest
+from .core import ConstraintSet, Instance, _stored, smallest, stable_order
 
 FEAS_TOL = 1e-8    # row and box feasibility
 OPT_TOL = 1e-9     # x entries this close to 0 or 1 are snapped to the bound
@@ -200,12 +203,12 @@ def _ratio_order(ratio: np.ndarray, weight: np.ndarray, target: float):
             count = 16
             while 4 * count < size:
                 head = smallest(ratio, count)
-                head = head[np.argsort(ratio[head], kind="stable")]
+                head = head[stable_order(ratio[head])]
                 reach = np.cumsum(weight[head])
                 if reach[-1] >= target:
                     return head, reach
                 count *= 4
-    order = np.argsort(ratio, kind="stable")
+    order = stable_order(ratio)
     return order, np.cumsum(weight[order])
 
 

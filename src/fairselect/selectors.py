@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (ConstraintSet, InfeasibleError, Instance, Selection, UnsupportedError,
-                   in_range, probability_vector, top_n)
+                   in_range, probability_vector, stable_order, top_n)
 from .lp import FRAC_TOL, BfsSolution, SolveStatus, build_denoised_lp, solve_bfs
 from .seeding import make_rng
 
@@ -129,7 +129,7 @@ def _group_ranks(w: np.ndarray, groups: np.ndarray, p: int):
     """``order``, the items by utility descending with the lowest index
     first on ties, and ``rank``, where ``rank[j]`` is how many items of
     ``order[j]``'s group come before it in that order."""
-    order = np.argsort(-w, kind="stable")
+    order = stable_order(-w)
     ordered_groups = groups[order]
     rank = np.empty(order.size, dtype=np.intp)
     for g in range(p):
@@ -273,7 +273,7 @@ def mult_obj(inst: Instance, target, lambda_: float, imputed: np.ndarray) -> np.
     # breakpoints closer than the floats can tell apart can leave the sum off n;
     # the pieces next in line as nu moves take up the difference
     short = n - x.sum()
-    line = np.argsort(-nu_hi if short > 0 else nu_lo, kind="stable")
+    line = stable_order(-nu_hi if short > 0 else nu_lo)
     room = (1.0 - x if short > 0 else x)[line]
     x[line] += np.sign(short) * np.clip(abs(short) - (np.cumsum(room) - room), 0.0, room)
     out = np.zeros(m)

@@ -395,6 +395,10 @@ BAD_INPUT = {
         ("zhat-fraction", tiny_with(zhat=[[0], [0.5], [0], [1]]), "zhat must hold integers only"),
         ("w-strings", tiny_with(w=["3.0", "2.5", "1.0", "0.5"]), "w must hold numbers only"),
         ("w-booleans", tiny_with(w=[True, False, True, False]), "w must hold numbers only"),
+        # numpy reads a false among floats as 0.0, here the list's only 0, so the list is scanned
+        ("w-false-the-only-zero", tiny_with(w=[3.0, 2.5, False, 0.5]), "w must hold numbers only"),
+        # an integer list is always scanned: numpy reads a true among integers as 1
+        ("zhat-true", tiny_with(zhat=[[0, True, 0, 1]]), "zhat must hold integers only"),
         ("q-string", tiny_with(q=[[["0.9", 0.95, 0.8, 0.1], [0.1, 0.05, 0.2, 0.9]]]),
          "q[0] must hold numbers only"),
         ("q-boolean", tiny_with(q=[[[True, 0.95, 0.8, 0.1], [0.0, 0.05, 0.2, 0.9]]]),

@@ -10,8 +10,10 @@ from hypothesis.extra.numpy import arrays
 from fairselect.core import (ROW_SUM_TOL, ConstraintSet, Instance, Selection, ViolationReport,
                              _renormalized, constraints_from_alpha, instance_from_dict,
                              instance_to_dict, load_instance, make_constraints, save_instance,
-                             smallest, top_n, validate_instance, violation_report)
+                             smallest, stable_order, top_n, validate_instance,
+                             violation_report)
 from fairselect.lp import BfsSolution, LinearProgram
+from fairselect.seeding import make_rng
 
 from conftest import fact_one_constraints, fact_one_instance
 from reference_bookkeeping import (reference_constraints_from_alpha, reference_make_constraints,
@@ -219,6 +221,41 @@ def test_top_n_matches_a_stable_sort(scores, data):
     count = data.draw(st.integers(1, s.size))
     # the ratio test reads the order's count-th entry off the end
     assert smallest(s, count)[-1] == np.argsort(s, kind="stable")[count - 1]
+
+
+# keys that comparisons treat apart: ±0.0 are equal, NaN equals nothing, and ±inf and
+# subnormals sit at the ends of the float range
+SPECIAL_KEYS = (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.0**-1030, np.nan)
+
+
+@st.composite
+def sort_keys(draw):
+    """A 1-D array of 0 to 3000 keys in one of the shapes below, negated or not."""
+    size = draw(st.integers(0, 3000), label="size")
+    shape = draw(st.sampled_from(("distinct", "few runs", "integers", "pairs", "special")))
+    rng = make_rng(draw(st.integers(0, 2**64), label="seed"))
+    a = rng.random(size)
+    if shape == "few runs":  # a few tied runs among distinct keys
+        for value in rng.random(draw(st.integers(1, 3), label="runs")):
+            a[rng.random(size) < 0.03] = value
+    elif shape == "integers":  # every key tied with about size / distinct others
+        a = rng.integers(0, draw(st.integers(1, 3000), label="distinct"), size).astype(float)
+    elif shape == "pairs":  # every key appears exactly twice (once if size is odd)
+        a = rng.permutation(np.repeat(rng.random((size + 1) // 2), 2))[:size]
+    elif shape == "special":
+        picked = sorted(draw(st.sets(st.integers(0, len(SPECIAL_KEYS) - 1), min_size=1)))
+        share = draw(st.floats(0.0, 1.0), label="share")
+        where = rng.random(size) < share
+        a[where] = rng.choice(np.array(SPECIAL_KEYS)[picked], np.count_nonzero(where))
+    return -a if draw(st.booleans(), label="negated") else a
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_keys())
+def test_stable_order_is_the_stable_argsort(a):
+    got, want = stable_order(a), np.argsort(a, kind="stable")
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_selection_consistency(tiny):

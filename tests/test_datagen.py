@@ -121,6 +121,19 @@ def test_cell_draw_matches_choice(seed, m, minority, no_experience, joint_share)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@given(st.integers(0, 2**128), st.integers(0, 600),
+       st.lists(st.sampled_from([0.0, 0.1, 0.37, 1.0]), min_size=4, max_size=4))
+def test_cell_draw_is_the_searchsorted_lookup(seed, m, weights):
+    # a zero rate repeats a cdf entry, and a zero last rate leaves cdf entries at 1
+    assume(sum(weights) > 0)
+    rates = [v / sum(weights) for v in weights]
+    rng, ref = make_rng(seed), make_rng(seed)
+    cdf = np.cumsum(rates)
+    cdf /= cdf[-1]
+    want = cdf.searchsorted(ref.random(m), side="right")
+    assert _draw_cells(rng, rates, m).tobytes() == want.tobytes()
+
+
 # --- disparate utilities -----------------------------------------------
 
 # With these params each item's utility is its cell 2z + a1 (group z, experience
@@ -269,6 +282,19 @@ def test_utility_bins_match_the_per_bin_loop(b, per_bin, p, data):
     got = estimate_q_by_utility_bins(fresh, b, train=train)
     want = reference_estimate_q_by_utility_bins(fresh, b, train=train)
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 7, 20, 200])
+def test_utility_bins_are_the_searchsorted_lookup_with_clamped_zeros(b):
+    # at b=200 a bin holds 5 items, so more than 5 clamped training zeros put the first
+    # edge at 0.0, which the fresh zeros are looked up on
+    train = gen_disparate_utility(utility_spec(1000, seed=21))
+    fresh = gen_disparate_utility(utility_spec(1000, seed=22))
+    assert np.count_nonzero(train.utilities == 0.0) > 1000 // 200
+    assert np.count_nonzero(fresh.utilities == 0.0) > 1
+    got = estimate_q_by_utility_bins(fresh, b, train=train)
+    want = reference_estimate_q_by_utility_bins(fresh, b, train=train)
     assert got.tobytes() == want.tobytes()
 
 
